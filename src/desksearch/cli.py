@@ -211,8 +211,10 @@ def cmd_index(cfg: RunConfig) -> int:
         embeddings = _embed_docs(
             token_lists, lex.vocabulary, enc_cfg, weights, cfg.batch_size
         )
-        for doc_id in sorted(embeddings):
-            vec.add(doc_id, embeddings[doc_id])
+        doc_ids = sorted(embeddings)
+        vec = vector_index.VectorIndex.from_arrays(
+            doc_ids, np.array([embeddings[d] for d in doc_ids]).reshape(len(doc_ids), d_model)
+        )
     vector_index.save_vectors(vec, out_dir / VECTOR_FILE)
 
     doc_lines = [

@@ -10,12 +10,15 @@ there is no training loop.
 
 from __future__ import annotations
 
+import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+
+from . import io_utils
 
 DEFAULT_EPS = 1e-6
 
@@ -182,7 +185,10 @@ def self_attention(
 def swiglu_ffn(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
     """Gated feed-forward: swish(x @ ffn_in) * (x @ ffn_gate), projected back down."""
     up = x @ lw.ffn_in
-    swish = up * (1.0 / (1.0 + np.exp(-up)))
+    # exp(-up) overflows to inf for very negative up; 1 / (1 + inf) is the
+    # correct limit 0, so the overflow is expected and silenced.
+    with np.errstate(over="ignore"):
+        swish = up * (1.0 / (1.0 + np.exp(-up)))
     gated = swish * (x @ lw.ffn_gate)
     return gated @ lw.ffn_out
 
@@ -259,10 +265,16 @@ def mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
+def _npz_path(path: Path) -> Path:
+    # np.savez appends .npz to a file name that lacks it; reads must agree.
+    return path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
+
+
 def save_weights(cfg: EncoderConfig, weights: EncoderWeights, path: str | Path) -> None:
     """Persist weights to ``path`` (.npz) with a JSON sidecar holding the config.
 
-    The float64 arrays round-trip bit-exactly through load_weights.
+    The float64 arrays round-trip bit-exactly through load_weights.  Both files
+    are written atomically.
     """
     path = Path(path)
     arrays: dict[str, np.ndarray] = {
@@ -271,15 +283,13 @@ def save_weights(cfg: EncoderConfig, weights: EncoderWeights, path: str | Path) 
         "final_norm_bias": weights.final_norm_bias,
     }
     for i, lw in enumerate(weights.layers):
-        for name in (
-            "q_proj", "k_proj", "v_proj", "out_proj",
-            "ffn_in", "ffn_gate", "ffn_out",
-            "attn_norm_gain", "attn_norm_bias", "ffn_norm_gain", "ffn_norm_bias",
-        ):
-            arrays[f"layer{i}.{name}"] = getattr(lw, name)
-    np.savez(path, **arrays)
+        for f in fields(LayerWeights):
+            arrays[f"layer{i}.{f.name}"] = getattr(lw, f.name)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    io_utils.atomic_write_bytes(_npz_path(path), buf.getvalue())
     sidecar = {"format": "encoder-weights", "version": 1, "config": asdict(cfg)}
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    io_utils.atomic_write_text(path.with_suffix(".json"), json.dumps(sidecar, indent=2) + "\n")
 
 
 def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights]:
@@ -288,16 +298,11 @@ def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights]:
     if sidecar.get("format") != "encoder-weights":
         raise ValueError(f"not an encoder weights sidecar: {path.with_suffix('.json')}")
     cfg = EncoderConfig(**sidecar["config"])
-    with np.load(path if path.suffix == ".npz" else path.with_suffix(".npz")) as data:
-        layers = []
-        for i in range(cfg.n_layers):
-            layers.append(
-                LayerWeights(**{name: data[f"layer{i}.{name}"] for name in (
-                    "q_proj", "k_proj", "v_proj", "out_proj",
-                    "ffn_in", "ffn_gate", "ffn_out",
-                    "attn_norm_gain", "attn_norm_bias", "ffn_norm_gain", "ffn_norm_bias",
-                )})
-            )
+    with np.load(_npz_path(path)) as data:
+        layers = [
+            LayerWeights(**{f.name: data[f"layer{i}.{f.name}"] for f in fields(LayerWeights)})
+            for i in range(cfg.n_layers)
+        ]
         weights = EncoderWeights(
             token_embedding=data["token_embedding"],
             layers=layers,

@@ -38,50 +38,81 @@ class HybridConfig:
 
 
 class VectorIndex:
-    """doc id -> unit-norm embedding, fixed dimension, exact cosine search."""
+    """doc id -> unit-norm embedding, fixed dimension, exact cosine search.
+
+    The rows live in one contiguous (n, dimension) float64 matrix beside an
+    int64 doc-id array and the row norms, which are computed once, when the
+    rows arrive.  All three arrays are read-only; ``get`` returns a view.
+    """
 
     def __init__(self, dimension: int):
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
-        self._doc_ids: list[int] = []
-        self._vectors: list[np.ndarray] = []
-        self._positions: dict[int, int] = {}
-        self._matrix: np.ndarray | None = None
+        self._ids = _frozen(np.empty(0, dtype=np.int64))
+        self._matrix = _frozen(np.empty((0, dimension)))
+        self._norms = _frozen(np.empty(0))
+
+    @classmethod
+    def from_arrays(cls, doc_ids, matrix: np.ndarray) -> VectorIndex:
+        """Build an index from n doc ids and an (n, dimension) matrix of unit
+        rows in one vectorized pass; the index keeps its own copy."""
+        rows = np.asarray(matrix, dtype=float)
+        if rows.ndim != 2:
+            raise ValueError(f"expected an (n, dimension) matrix, got shape {rows.shape}")
+        index = cls(rows.shape[1])
+        index._append(doc_ids, rows)
+        return index
 
     def __len__(self) -> int:
-        return len(self._doc_ids)
+        return len(self._ids)
 
     @property
     def doc_ids(self) -> list[int]:
-        return list(self._doc_ids)
+        return self._ids.tolist()
 
     def add(self, doc_id: int, embedding: np.ndarray) -> None:
+        """Append one row.  Each call copies the stored matrix, so build large
+        indexes with ``from_arrays``."""
         vec = np.asarray(embedding, dtype=float)
         if vec.shape != (self.dimension,):
             raise ValueError(f"expected dimension {self.dimension}, got shape {vec.shape}")
-        if doc_id in self._positions:
-            raise ValueError(f"doc id {doc_id} already present")
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"embedding for doc {doc_id} is not unit-norm (|v| = {norm:.6g})")
-        self._doc_ids.append(doc_id)
-        self._vectors.append(vec)
-        self._positions[doc_id] = len(self._doc_ids) - 1
-        self._matrix = None
+        self._append([doc_id], vec[None, :])
+
+    def _append(self, doc_ids, rows: np.ndarray) -> None:
+        # The checks every row passes on its way in, whether by add or in bulk.
+        ids = np.asarray(doc_ids)
+        if ids.ndim != 1 or (
+            ids.size and (ids.dtype.kind not in "iu" or not np.can_cast(ids.dtype, np.int64))
+        ):
+            raise ValueError("doc ids must be a flat sequence of 64-bit integers")
+        if rows.shape != (len(ids), self.dimension):
+            raise ValueError(
+                f"expected {len(ids)} rows of dimension {self.dimension}, got shape {rows.shape}"
+            )
+        all_ids = np.concatenate([self._ids, ids.astype(np.int64)])
+        ordered = np.sort(all_ids)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise ValueError(f"duplicate doc id {repeated[0]}: already present")
+        norms = np.linalg.norm(rows, axis=1)
+        off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN is off too
+        if off.size:
+            i = off[0]
+            raise ValueError(f"embedding for doc {ids[i]} is not unit-norm (|v| = {norms[i]:.6g})")
+        self._ids = _frozen(all_ids)
+        self._matrix = _frozen(np.concatenate([self._matrix, rows]))
+        self._norms = _frozen(np.concatenate([self._norms, norms]))
 
     def get(self, doc_id: int) -> np.ndarray:
-        return self._vectors[self._positions[doc_id]]
-
-    def _stacked(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = (
-                np.stack(self._vectors) if self._vectors else np.empty((0, self.dimension))
-            )
-        return self._matrix
+        pos = np.flatnonzero(self._ids == doc_id)
+        if not pos.size:
+            raise KeyError(doc_id)
+        return self._matrix[pos[0]]
 
     def search(self, query: np.ndarray, k: int) -> list[SearchHit]:
-        """Exact scan: cosine similarity against every stored vector, top-k."""
+        """Exact scan: cosine similarity against every stored vector, top-k by
+        descending score, ties broken by ascending doc id."""
         if k < 1:
             raise ValueError("k must be >= 1")
         q = np.asarray(query, dtype=float)
@@ -90,14 +121,29 @@ class VectorIndex:
         q_norm = float(np.linalg.norm(q))
         if q_norm == 0.0:
             raise ValueError("cannot search with a zero-norm query")
-        if not self._doc_ids:
+        if not np.isfinite(q_norm):
+            raise ValueError("cannot search with a non-finite query")
+        n = len(self._ids)
+        if n == 0:
             return []
-        matrix = self._stacked()
-        doc_norms = np.linalg.norm(matrix, axis=1)
-        scores = (matrix @ q) / (doc_norms * q_norm)
-        hits = [SearchHit(doc_id, float(s)) for doc_id, s in zip(self._doc_ids, scores)]
-        hits.sort(key=lambda h: (-h.score, h.doc_id))
-        return hits[:k]
+        scores = (self._matrix @ q) / (self._norms * q_norm)
+        # Every row scoring at least the k-th best is a candidate, so a tie
+        # across the k-th place is settled by doc id, as a full sort would.
+        candidates = (
+            np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+            if k < n
+            else np.arange(n)
+        )
+        top = candidates[np.lexsort((self._ids[candidates], -scores[candidates]))[:k]]
+        return [
+            SearchHit(doc_id, score)
+            for doc_id, score in zip(self._ids[top].tolist(), scores[top].tolist())
+        ]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def minmax_normalize(hits: list[SearchHit]) -> dict[int, float]:
@@ -151,36 +197,50 @@ def save_vectors(index: VectorIndex, path: str | Path) -> None:
     The byte stream is a pure function of the stored vectors, so identical
     indexes serialize to identical files.
     """
-    path = Path(path)
-    order = np.argsort(np.asarray(index.doc_ids, dtype=np.int64), kind="stable")
-    doc_ids = [index.doc_ids[i] for i in order]
-    matrix = (
-        np.stack([index.get(d) for d in doc_ids]).astype("<f8")
-        if doc_ids
-        else np.empty((0, index.dimension), dtype="<f8")
-    )
+    order = np.argsort(index._ids, kind="stable")
     header = {
         "format": VECTOR_FORMAT,
         "version": VECTOR_VERSION,
         "dimension": index.dimension,
-        "count": len(doc_ids),
-        "doc_ids": doc_ids,
+        "count": len(order),
+        "doc_ids": index._ids[order].tolist(),
     }
+    matrix = index._matrix.take(order, axis=0).astype("<f8", copy=False)
     blob = json.dumps(header).encode("utf-8") + b"\n" + matrix.tobytes(order="C")
     atomic_write_bytes(path, blob)
 
 
 def load_vectors(path: str | Path) -> VectorIndex:
+    """Read a ``save_vectors`` file.  A header that does not match its payload
+    raises ValueError naming the file, never a partial index."""
     raw = Path(path).read_bytes()
-    newline = raw.index(b"\n")
-    header = json.loads(raw[:newline].decode("utf-8"))
-    if header.get("format") != VECTOR_FORMAT:
+    newline = raw.find(b"\n")
+    try:
+        header = json.loads(raw[:newline]) if newline >= 0 else None
+    except ValueError:  # undecodable or malformed JSON
+        header = None
+    if not isinstance(header, dict) or header.get("format") != VECTOR_FORMAT:
         raise ValueError(f"{path}: not a vector index file")
     if header.get("version") != VECTOR_VERSION:
         raise ValueError(f"{path}: unsupported vector index version {header.get('version')}")
-    dimension, count = header["dimension"], header["count"]
-    matrix = np.frombuffer(raw[newline + 1 :], dtype="<f8").reshape(count, dimension)
-    index = VectorIndex(dimension)
-    for doc_id, row in zip(header["doc_ids"], matrix):
-        index.add(doc_id, row.astype(float))
-    return index
+    dimension, count, doc_ids = header.get("dimension"), header.get("count"), header.get("doc_ids")
+    if not (
+        type(dimension) is int and dimension >= 1 and type(count) is int and count >= 0
+        and isinstance(doc_ids, list)
+    ):
+        raise ValueError(f"{path}: malformed header (dimension, count or doc_ids)")
+    if len(doc_ids) != count:
+        raise ValueError(f"{path}: header lists {len(doc_ids)} doc ids for count {count}")
+    payload = len(raw) - newline - 1
+    if payload != count * dimension * 8:
+        raise ValueError(
+            f"{path}: payload is {payload} bytes, expected {count * dimension * 8} "
+            f"for {count} rows of {dimension} float64"
+        )
+    if not set(map(type, doc_ids)) <= {int}:  # bool and float are not ids
+        raise ValueError(f"{path}: doc ids must be integers")
+    matrix = np.frombuffer(raw, dtype="<f8", offset=newline + 1).reshape(count, dimension)
+    try:
+        return VectorIndex.from_arrays(doc_ids, matrix)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -1,8 +1,10 @@
 import json
 import random
+import shutil
 from pathlib import Path
 
 import pytest
+from conftest import VECTOR_FILE_FAULTS, corrupt_vectors_file
 
 from desksearch.cli import main
 
@@ -213,6 +215,20 @@ class TestSearch:
         config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", tmp_path / "idx")
         assert main(["search", "anything", "--config", config]) == 1
         assert "index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", sorted(VECTOR_FILE_FAULTS))
+    def test_inconsistent_vectors_file_fails_cleanly(self, pipeline, tmp_path, capsys, fault):
+        index_dir = tmp_path / "idx"
+        shutil.copytree(pipeline["index_dir"], index_dir)
+        config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", index_dir)
+        corrupt_vectors_file(index_dir / "vectors.bin", fault)
+        query = pipeline["docs"][0]
+        assert main(["search", query, "--mode", "vector", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert "vectors.bin" in lines[0]
 
     def test_unknown_mode_rejected_by_parser(self, pipeline):
         with pytest.raises(SystemExit) as exc:

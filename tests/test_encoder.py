@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from desksearch import io_utils
 from desksearch.encoder import (
     EncoderConfig,
     cross_entropy,
@@ -180,6 +182,14 @@ class TestSwigluFfn:
     def test_finite_for_large_inputs(self, weights):
         x = np.full((2, CFG.d_model), 50.0)
         assert np.all(np.isfinite(swiglu_ffn(x, weights.layers[0])))
+
+    def test_large_negative_inputs_finite_without_warning(self, weights):
+        # exp(-up) overflows here; the gate's limit is 0, not a warning
+        x = np.full((2, CFG.d_model), -1e5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = swiglu_ffn(x, weights.layers[0])
+        assert np.all(np.isfinite(out))
 
 
 class TestInitWeights:
@@ -357,3 +367,19 @@ class TestPersistence:
         sidecar = json.loads((tmp_path / "weights.json").read_text())
         assert sidecar["config"]["seed"] == CFG.seed
         assert sidecar["config"]["d_model"] == CFG.d_model
+
+    def test_suffixless_path_round_trips(self, tmp_path, weights):
+        # np.savez appends .npz; the loader must look for the same name
+        save_weights(CFG, weights, tmp_path / "weights.bin")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["weights.bin.npz", "weights.json"]
+        _, loaded = load_weights(tmp_path / "weights.bin")
+        assert np.array_equal(loaded.token_embedding, weights.token_embedding)
+
+    def test_failed_rename_leaves_no_files(self, tmp_path, weights, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(io_utils.os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            save_weights(CFG, weights, tmp_path / "weights.npz")
+        assert list(tmp_path.iterdir()) == []

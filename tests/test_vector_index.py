@@ -2,7 +2,9 @@ import random
 
 import numpy as np
 import pytest
-from conftest import WORDS, random_corpus
+from conftest import VECTOR_FILE_FAULTS, WORDS, corrupt_vectors_file, random_corpus
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import brute_force_knn, dense_cosine, recompute_fusion
 
 from desksearch.lexical_index import SearchHit, build_index, search_lexical
@@ -128,6 +130,85 @@ class TestVectorIndex:
         idx.add(2, unit([0.0, 1.0]))
         hits = idx.search(unit([1.0, 1.0]), k=3)
         assert [h.doc_id for h in hits] == [1, 3, 2]
+
+    def test_from_arrays_matches_incremental_adds(self):
+        vecs = random_unit_vectors(3, 50, 8)
+        ids = list(range(100, 0, -2))
+        bulk = VectorIndex.from_arrays(ids, vecs)
+        incremental = VectorIndex(8)
+        for doc_id, v in zip(ids, vecs):
+            incremental.add(doc_id, v)
+        assert bulk.doc_ids == incremental.doc_ids == ids
+        for q in random_unit_vectors(4, 5, 8):
+            assert bulk.search(q, k=7) == incremental.search(q, k=7)
+
+    def test_from_arrays_rejects_what_add_rejects(self):
+        with pytest.raises(ValueError, match="already present"):
+            VectorIndex.from_arrays([4, 9, 4], random_unit_vectors(5, 3, 2))
+        with pytest.raises(ValueError, match="unit-norm"):
+            VectorIndex.from_arrays([0, 1], np.array([[1.0, 0.0], [3.0, 4.0]]))
+        with pytest.raises(ValueError, match="integers"):
+            VectorIndex.from_arrays([0.0, 1.0], random_unit_vectors(6, 2, 2))
+        with pytest.raises(ValueError, match="rows of dimension"):
+            VectorIndex.from_arrays([0], random_unit_vectors(7, 2, 2))
+        with pytest.raises(ValueError, match="matrix"):
+            VectorIndex.from_arrays([0], unit([1.0, 0.0]))
+
+    def test_stored_rows_are_read_only(self):
+        idx = VectorIndex.from_arrays([5], np.array([[0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            idx.get(5)[0] = 1.0
+        with pytest.raises(KeyError):
+            idx.get(6)
+
+    def test_non_finite_query_rejected(self):
+        idx = VectorIndex.from_arrays([0], np.array([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            idx.search(np.array([np.nan, 1.0]), k=1)
+
+
+# Unit rows with entries in {0, +-0.5, +-1}: with an integer query every
+# product and partial sum is exact, so equal dot products are exact ties
+# whatever order the matrix-vector product sums in.
+DYADIC_ROWS = [sign * row for row in np.eye(4) for sign in (1.0, -1.0)] + [
+    0.5 * (2.0 * np.array(signs) - 1.0) for signs in np.ndindex(2, 2, 2, 2)
+]
+
+
+class TestTieExactTopK:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_and_full_sort(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        matrix = np.stack(
+            data.draw(st.lists(st.sampled_from(DYADIC_ROWS), min_size=n, max_size=n), label="rows")
+        )
+        ids = data.draw(
+            st.lists(st.integers(-1000, 10**6), min_size=n, max_size=n, unique=True), label="ids"
+        )
+        q = np.array(
+            data.draw(
+                st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(any), label="q"
+            ),
+            dtype=float,
+        )
+        k = data.draw(st.integers(1, n + 2), label="k")
+
+        bulk = VectorIndex.from_arrays(ids, matrix)
+        incremental = VectorIndex(4)
+        for doc_id, row in zip(ids, matrix):
+            incremental.add(doc_id, row)
+        got = bulk.search(q, k)
+        assert incremental.search(q, k) == got
+
+        want = brute_force_knn(dict(zip(ids, matrix.tolist())), q.tolist(), k)
+        assert [h.doc_id for h in got] == [d for d, _ in want]
+        for h, (_, score) in zip(got, want):
+            assert abs(h.score - score) <= 1e-12
+
+        scores = (matrix @ q) / (np.linalg.norm(matrix, axis=1) * np.linalg.norm(q))
+        full = sorted(zip(ids, scores.tolist()), key=lambda h: (-h[1], h[0]))[:k]
+        assert [(h.doc_id, h.score) for h in got] == full
 
 
 class TestMinmaxNormalize:
@@ -285,6 +366,14 @@ class TestPersistence:
         assert loaded.doc_ids == idx.doc_ids
         q = random_unit_vectors(23, 1, 6)[0]
         assert loaded.search(q, k=30) == idx.search(q, k=30)
+        # a loaded index keeps accepting rows, and rejects a stored id
+        extra = random_unit_vectors(26, 1, 6)[0]
+        for index in (idx, loaded):
+            index.add(1, extra)
+            with pytest.raises(ValueError, match="already present"):
+                index.add(3, extra)
+        assert loaded.doc_ids == idx.doc_ids
+        assert loaded.search(q, k=31) == idx.search(q, k=31)
 
     def test_round_trip_bit_exact_vectors(self, tmp_path):
         idx = VectorIndex(4)
@@ -295,6 +384,13 @@ class TestPersistence:
         loaded = load_vectors(path)
         for i in idx.doc_ids:
             assert np.array_equal(loaded.get(i), idx.get(i))
+        extra = random_unit_vectors(27, 1, 4)[0]
+        loaded.add(-5, extra)
+        idx.add(-5, extra)
+        assert np.array_equal(loaded.get(-5), extra)
+        save_vectors(loaded, tmp_path / "loaded.bin")
+        save_vectors(idx, tmp_path / "direct.bin")
+        assert (tmp_path / "loaded.bin").read_bytes() == (tmp_path / "direct.bin").read_bytes()
 
     def test_save_is_byte_deterministic(self, tmp_path):
         idx = VectorIndex(5)
@@ -317,6 +413,35 @@ class TestPersistence:
         path = tmp_path / "bad.bin"
         path.write_bytes(b'{"format": "nope", "version": 1}\n')
         with pytest.raises(ValueError):
+            load_vectors(path)
+
+    @pytest.mark.parametrize("fault", sorted(VECTOR_FILE_FAULTS))
+    def test_inconsistent_file_rejected(self, tmp_path, fault):
+        idx = VectorIndex(3)
+        for i, v in enumerate(random_unit_vectors(28, 4, 3)):
+            idx.add(i * 2, v)
+        path = tmp_path / "vectors.bin"
+        save_vectors(idx, path)
+        message = corrupt_vectors_file(path, fault)
+        with pytest.raises(ValueError, match=message) as exc:
+            load_vectors(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"",
+            b"no newline",
+            b"[1, 2]\n",
+            b"\xff\n",
+            b'{"format": "desksearch-vector-index", "version": 1, "dimension": 2, '
+            b'"count": "1", "doc_ids": [0]}\n',
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, raw):
+        path = tmp_path / "vectors.bin"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="vectors.bin"):
             load_vectors(path)
 
 
