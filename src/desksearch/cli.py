@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +38,8 @@ class RunConfig:
     weights: str | None = None  # default: <index_dir>/weights.npz
     index_source: str | None = None  # default: <index_dir>/train.jsonl
     seed: int = 0
-    k: int = 10
-    alpha: float = 0.5
     n_classes: int = 5
-    batch_size: int = 16
-    candidate_factor: int = 4
+    search: vector_index.HybridConfig = field(default_factory=vector_index.HybridConfig)
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
     encoder_params: dict = field(
         default_factory=lambda: {
@@ -56,14 +53,8 @@ class RunConfig:
     split_spec: dataset.SplitSpec = field(default_factory=dataset.SplitSpec)
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
         if self.n_classes < 2:
             raise ValueError("n_classes must be >= 2")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
     @property
     def weights_path(self) -> Path:
@@ -78,75 +69,71 @@ class RunConfig:
         )
 
 
+# Config keys that map one to one onto a RunConfig or HybridConfig field.
+PLAIN_KEYS = ("corpus", "index_dir", "weights", "index_source", "n_classes")
+SEARCH_KEYS = tuple(f.name for f in fields(vector_index.HybridConfig))
+CONFIG_KEYS = (*PLAIN_KEYS, "seed", *SEARCH_KEYS, "split", "encoder", "tokenizer")
+# "split" key -> SplitSpec field
+SPLIT_KEYS = {
+    "train": "train_pct", "val": "val_pct", "test": "test_pct", "per_class": "per_class_train"
+}
+
+
+def _known_keys(section: object, allowed, where: str) -> dict:
+    if not isinstance(section, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
+    return section
+
+
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
-    """Merge defaults, the JSON config file, and command-line flags (flags win)."""
-    raw: dict = {}
+    """Merge defaults, the JSON config file, and command-line flags (flags win).
+
+    Unknown keys are rejected, so a misspelt setting cannot be silently ignored.
+    """
+    raw: object = {}
     if path is not None:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read config {path}: {exc}") from exc
 
-    def flag(name: str, fallback):
+    def flag(name: str, fallback=None):
         value = getattr(overrides, name, None)
         return value if value is not None else raw.get(name, fallback)
 
     try:
+        _known_keys(raw, CONFIG_KEYS, "config")
+        split_raw = _known_keys(raw.get("split", {}), SPLIT_KEYS, "split")
         seed = flag("seed", 0)
-        split_raw = dict(raw.get("split", {}))
         encoder_params = {**RunConfig().encoder_params, **raw.get("encoder", {})}
         # Shape-check the encoder parameters now, before any subcommand runs.
         encoder.EncoderConfig(vocab_size=1, seed=0, **encoder_params)
         return RunConfig(
-            corpus=raw.get("corpus", "corpus.jsonl"),
-            index_dir=raw.get("index_dir", "index"),
-            weights=raw.get("weights"),
-            index_source=raw.get("index_source"),
+            **{key: raw[key] for key in PLAIN_KEYS if key in raw},
             seed=seed,
-            k=flag("k", 10),
-            alpha=flag("alpha", 0.5),
-            n_classes=raw.get("n_classes", 5),
-            batch_size=raw.get("batch_size", 16),
-            candidate_factor=raw.get("candidate_factor", 4),
+            search=vector_index.HybridConfig(
+                **{key: value for key in SEARCH_KEYS if (value := flag(key)) is not None}
+            ),
             tokenizer=TokenizerConfig(**raw.get("tokenizer", {})),
             encoder_params=encoder_params,
             split_spec=dataset.SplitSpec(
-                train_pct=split_raw.get("train", 70),
-                val_pct=split_raw.get("val", 15),
-                test_pct=split_raw.get("test", 15),
-                per_class_train=split_raw.get("per_class"),
-                seed=seed,
+                **{SPLIT_KEYS[key]: value for key, value in split_raw.items()}, seed=seed
             ),
         )
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid configuration: {exc}") from exc
 
 
-def _doc_token_ids(
-    tokens: list[str], vocab, max_seq_len: int
-) -> list[int]:
-    ids = [vocab.term_to_id[t] for t in tokens if t in vocab.term_to_id]
-    return ids[:max_seq_len]
-
-
-def _embed_docs(
-    token_lists: list[list[str]],
-    vocab,
-    enc_cfg: encoder.EncoderConfig,
-    weights: encoder.EncoderWeights,
-    batch_size: int,
-) -> dict[int, np.ndarray]:
-    """Embed documents in deterministic doc-id order, chunked by batch_size.
-
-    Documents with no in-vocabulary tokens get no embedding.
-    """
-    out: dict[int, np.ndarray] = {}
-    for start in range(0, len(token_lists), batch_size):
-        for doc_id in range(start, min(start + batch_size, len(token_lists))):
-            ids = _doc_token_ids(token_lists[doc_id], vocab, enc_cfg.max_seq_len)
-            if ids:
-                out[doc_id] = encoder.encode(ids, enc_cfg, weights)
-    return out
+def _embed(
+    tokens: list[str], vocab, enc_cfg: encoder.EncoderConfig, weights: encoder.EncoderWeights
+) -> np.ndarray | None:
+    """Embed a document or a query: its in-vocabulary token ids, truncated to
+    max_seq_len, through the encoder; None when no id is left."""
+    ids = [vocab.term_to_id[t] for t in tokens if t in vocab.term_to_id][: enc_cfg.max_seq_len]
+    return encoder.encode(ids, enc_cfg, weights) if ids else None
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -198,23 +185,23 @@ def cmd_index(cfg: RunConfig) -> int:
     lex = lexical_index.build_index(token_lists)
     lexical_index.save_index(lex, out_dir / LEXICAL_FILE)
 
-    d_model = cfg.encoder_params["d_model"]
-    vec = vector_index.VectorIndex(d_model)
     if lex.vocabulary.size == 0:
         print("warning: empty corpus, indexes contain no terms or vectors", file=sys.stderr)
+        vec = vector_index.VectorIndex(cfg.encoder_params["d_model"])
     else:
         enc_cfg = encoder.EncoderConfig(
             vocab_size=lex.vocabulary.size, seed=cfg.seed, **cfg.encoder_params
         )
         weights = encoder.init_weights(enc_cfg)
         encoder.save_weights(enc_cfg, weights, cfg.weights_path)
-        embeddings = _embed_docs(
-            token_lists, lex.vocabulary, enc_cfg, weights, cfg.batch_size
-        )
-        doc_ids = sorted(embeddings)
-        vec = vector_index.VectorIndex.from_arrays(
-            doc_ids, np.array([embeddings[d] for d in doc_ids]).reshape(len(doc_ids), d_model)
-        )
+        # Every term comes from some doc, so at least one doc is embedded.
+        doc_ids, rows = [], []
+        for doc_id, tokens in enumerate(token_lists):
+            embedding = _embed(tokens, lex.vocabulary, enc_cfg, weights)
+            if embedding is not None:
+                doc_ids.append(doc_id)
+                rows.append(embedding)
+        vec = vector_index.VectorIndex.from_arrays(doc_ids, np.array(rows))
     vector_index.save_vectors(vec, out_dir / VECTOR_FILE)
 
     doc_lines = [
@@ -231,25 +218,22 @@ def cmd_index(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_doc_texts(index_dir: Path) -> dict[int, str]:
-    texts: dict[int, str] = {}
-    docs_path = index_dir / DOCS_FILE
-    if docs_path.exists():
-        for line in docs_path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                record = json.loads(line)
-                texts[record["doc_id"]] = record["text"]
+def _doc_texts(docs_path: Path, doc_ids: list[int]) -> list[str]:
+    """The text of each listed doc.  ``index`` writes doc i on line i, so only
+    those lines are parsed; each must be the record of its doc."""
+    # Split on b"\n" alone: str.splitlines would also split inside a text
+    # holding U+2028 or U+0085, which json.dumps leaves unescaped.
+    lines = docs_path.read_bytes().split(b"\n")
+    texts = []
+    for doc_id in doc_ids:
+        try:
+            record = json.loads(lines[doc_id])
+            if record["doc_id"] != doc_id or not isinstance(record["text"], str):
+                raise ValueError("doc_id or text does not match")
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"{docs_path}: line {doc_id + 1} is not doc {doc_id}: {exc}") from exc
+        texts.append(record["text"])
     return texts
-
-
-def _query_embedding(
-    query_tokens: list[str], lex, weights_path: Path
-) -> np.ndarray | None:
-    enc_cfg, weights = encoder.load_weights(weights_path)
-    ids = _doc_token_ids(query_tokens, lex.vocabulary, enc_cfg.max_seq_len)
-    if not ids:
-        return None
-    return encoder.encode(ids, enc_cfg, weights)
 
 
 def cmd_search(cfg: RunConfig, query: str, mode: str, full_text: bool) -> int:
@@ -262,32 +246,24 @@ def cmd_search(cfg: RunConfig, query: str, mode: str, full_text: bool) -> int:
 
     try:
         if mode == "lexical":
-            hits = lexical_index.search_lexical(lex, query_tokens, cfg.k)
-        elif mode == "vector":
-            embedding = _query_embedding(query_tokens, lex, cfg.weights_path)
-            if embedding is None:
+            hits = lexical_index.search_lexical(lex, query_tokens, cfg.search.k)
+        else:
+            enc_cfg, weights = encoder.load_weights(cfg.weights_path)
+            embedding = _embed(query_tokens, lex.vocabulary, enc_cfg, weights)
+            if mode == "hybrid":
+                vec = vector_index.load_vectors(index_dir / VECTOR_FILE)
+                hits = vector_index.search_hybrid(lex, vec, query_tokens, embedding, cfg.search)
+            elif embedding is None:
                 hits = []
             else:
-                vec = vector_index.load_vectors(index_dir / VECTOR_FILE)
-                hits = vec.search(embedding, cfg.k)
-        else:  # hybrid
-            embedding = _query_embedding(query_tokens, lex, cfg.weights_path)
-            vec = vector_index.load_vectors(index_dir / VECTOR_FILE)
-            hits = vector_index.search_hybrid(
-                lex,
-                vec,
-                query_tokens,
-                embedding,
-                vector_index.HybridConfig(
-                    alpha=cfg.alpha, k=cfg.k, candidate_factor=cfg.candidate_factor
-                ),
-            )
+                hits = vector_index.load_vectors(index_dir / VECTOR_FILE).search(
+                    embedding, cfg.search.k
+                )
+        texts = _doc_texts(index_dir / DOCS_FILE, [hit.doc_id for hit in hits])
     except OSError as exc:
         raise CliError(f"cannot load index artifacts: {exc}") from exc
 
-    texts = _load_doc_texts(index_dir)
-    for hit in hits:
-        text = texts.get(hit.doc_id, "")
+    for hit, text in zip(hits, texts):
         if not full_text:
             text = text[:SNIPPET_LEN]
         print(
@@ -311,7 +287,8 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
             continue
         try:
             record = json.loads(line)
-            y_true, y_pred = int(record["y_true"]), int(record["y_pred"])
+            y_true = dataset.parse_label(record["y_true"], "y_true")
+            y_pred = dataset.parse_label(record["y_pred"], "y_pred")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CliError(f"{predictions_path}: line {line_no}: bad record: {exc}") from exc
         for label in (y_true, y_pred):
@@ -384,10 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "search":
             return cmd_search(cfg, args.query, args.mode, args.full)
         return cmd_eval(cfg, args.predictions)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (CliError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -66,15 +66,14 @@ class LoadResult:
         return len(self.reviews) + self.skipped
 
 
-def _parse_stars(value: object) -> int:
-    # Accept ints and integer-valued floats ("stars": 5.0); bool is not a rating.
-    if isinstance(value, bool):
-        raise ValueError("stars must be an integer")
-    if isinstance(value, int):
+def parse_label(value: object, name: str) -> int:
+    """A class label read from JSON: an int or an integer-valued float (5.0);
+    a bool, a string or a fractional float is not a label."""
+    if type(value) is int:  # a bool's type is bool, not int
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise ValueError(f"stars must be an integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def load_reviews(path: str | Path) -> LoadResult:
@@ -92,7 +91,7 @@ def load_reviews(path: str | Path) -> LoadResult:
                 if not isinstance(text, str) or not isinstance(business_id, str):
                     raise ValueError("text and business_id must be strings")
                 review = Review(
-                    text=text, stars=_parse_stars(record["stars"]), business_id=business_id
+                    text=text, stars=parse_label(record["stars"], "stars"), business_id=business_id
                 )
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 skipped += 1

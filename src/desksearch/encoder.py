@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -131,17 +132,16 @@ def rms(a: np.ndarray) -> float:
 def rmsnorm(
     a: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = DEFAULT_EPS
 ) -> np.ndarray:
-    """Divide by (RMS(a) + eps), then rescale by gain and shift by bias."""
+    """Divide each row (the last axis; a 1-D input is one row) by
+    (RMS(row) + eps), then rescale by gain and shift by bias."""
     a = np.asarray(a, dtype=float)
-    gain = np.broadcast_to(np.asarray(gain, dtype=float), a.shape)
-    bias = np.broadcast_to(np.asarray(bias, dtype=float), a.shape)
-    return a / (rms(a) + eps) * gain + bias
-
-
-def _rmsnorm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:
-    # Row-wise rmsnorm for a (seq_len, d_model) matrix.
-    scale = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True)) + eps
-    return x / scale * gain + bias
+    if a.size == 0:
+        raise ValueError("rmsnorm of zero-length input is undefined")
+    scale = np.sqrt(np.mean(np.square(a), axis=-1, keepdims=True)) + eps
+    out = a / scale * gain + bias
+    if out.shape != a.shape:
+        raise ValueError(f"gain and bias must broadcast to the input shape {a.shape}")
+    return out
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -216,10 +216,10 @@ def encode_states(
     x = weights.token_embedding[ids] + positional_encoding(ids.size, cfg.d_model)
     for lw in weights.layers:
         x = x + self_attention(
-            _rmsnorm_rows(x, lw.attn_norm_gain, lw.attn_norm_bias, eps), lw, cfg.n_heads
+            rmsnorm(x, lw.attn_norm_gain, lw.attn_norm_bias, eps), lw, cfg.n_heads
         )
-        x = x + swiglu_ffn(_rmsnorm_rows(x, lw.ffn_norm_gain, lw.ffn_norm_bias, eps), lw)
-    return _rmsnorm_rows(x, weights.final_norm_gain, weights.final_norm_bias, eps)
+        x = x + swiglu_ffn(rmsnorm(x, lw.ffn_norm_gain, lw.ffn_norm_bias, eps), lw)
+    return rmsnorm(x, weights.final_norm_gain, weights.final_norm_bias, eps)
 
 
 def encode(
@@ -293,20 +293,29 @@ def save_weights(cfg: EncoderConfig, weights: EncoderWeights, path: str | Path) 
 
 
 def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights]:
+    """Read a ``save_weights`` pair.  A malformed sidecar or archive raises
+    ValueError naming the file."""
     path = Path(path)
-    sidecar = json.loads(path.with_suffix(".json").read_text())
-    if sidecar.get("format") != "encoder-weights":
-        raise ValueError(f"not an encoder weights sidecar: {path.with_suffix('.json')}")
-    cfg = EncoderConfig(**sidecar["config"])
-    with np.load(_npz_path(path)) as data:
-        layers = [
-            LayerWeights(**{f.name: data[f"layer{i}.{f.name}"] for f in fields(LayerWeights)})
-            for i in range(cfg.n_layers)
-        ]
-        weights = EncoderWeights(
-            token_embedding=data["token_embedding"],
-            layers=layers,
-            final_norm_gain=data["final_norm_gain"],
-            final_norm_bias=data["final_norm_bias"],
-        )
+    sidecar_path, npz_path = path.with_suffix(".json"), _npz_path(path)
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+        if not isinstance(sidecar, dict) or sidecar.get("format") != "encoder-weights":
+            raise ValueError("not an encoder weights sidecar")
+        cfg = EncoderConfig(**sidecar["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{sidecar_path}: {exc}") from None
+    try:
+        with np.load(npz_path) as data:
+            layers = [
+                LayerWeights(**{f.name: data[f"layer{i}.{f.name}"] for f in fields(LayerWeights)})
+                for i in range(cfg.n_layers)
+            ]
+            weights = EncoderWeights(
+                token_embedding=data["token_embedding"],
+                layers=layers,
+                final_norm_gain=data["final_norm_gain"],
+                final_norm_bias=data["final_norm_bias"],
+            )
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{npz_path}: not a readable weights archive: {exc}") from None
     return cfg, weights

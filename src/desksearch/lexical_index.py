@@ -108,20 +108,30 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != INDEX_FORMAT:
+    """Read a ``save_index`` file.  Malformed JSON, a missing key or a value of
+    the wrong type raises ValueError naming the file."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON or not UTF-8
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
         raise ValueError(f"{path}: not a lexical index file")
     if payload.get("version") != INDEX_VERSION:
         raise ValueError(f"{path}: unsupported index version {payload.get('version')}")
-    terms = payload["terms"]
-    vocab = Vocabulary(
-        term_to_id={term: tid for tid, term in enumerate(terms)},
-        doc_freq=list(payload["doc_freq"]),
-        n_docs=payload["n_docs"],
-    )
-    return InvertedIndex(
-        vocabulary=vocab,
-        postings=[[Posting(d, tf) for d, tf in plist] for plist in payload["postings"]],
-        doc_norms=[float(x) for x in payload["doc_norms"]],
-        n_docs=payload["n_docs"],
-    )
+    try:
+        terms = payload["terms"]
+        vocab = Vocabulary(
+            term_to_id={term: tid for tid, term in enumerate(terms)},
+            doc_freq=list(payload["doc_freq"]),
+            n_docs=payload["n_docs"],
+        )
+        return InvertedIndex(
+            vocabulary=vocab,
+            postings=[[Posting(d, tf) for d, tf in plist] for plist in payload["postings"]],
+            doc_norms=[float(x) for x in payload["doc_norms"]],
+            n_docs=payload["n_docs"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed lexical index: {exc}") from None

@@ -65,3 +65,55 @@ def corrupt_vectors_file(path, fault: str) -> str:
         payload = edit_payload(payload)
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
     return message
+
+
+def _half(raw: bytes) -> bytes:
+    return raw[: len(raw) // 2]
+
+
+def _edit_json(edit):
+    def apply(raw: bytes) -> bytes:
+        payload = json.loads(raw)
+        edit(payload)
+        return json.dumps(payload).encode("utf-8")
+
+    return apply
+
+
+# fault name -> (file in the index directory, edit of its bytes (None deletes
+# the file), a fragment of the error message)
+ARTIFACT_FAULTS = {
+    "weights_unknown_config_key": (
+        "weights.json", _edit_json(lambda s: s["config"].update(bogus=1)), "unexpected keyword"
+    ),
+    "weights_sidecar_is_list": ("weights.json", lambda raw: b"[]", "not an encoder weights"),
+    "weights_truncated_npz": ("weights.npz", _half, "not a readable weights archive"),
+    "lexical_truncated": ("lexical_index.json", _half, "not valid JSON"),
+    "lexical_missing_postings": (
+        "lexical_index.json", _edit_json(lambda p: p.pop("postings")), "missing key 'postings'"
+    ),
+    "lexical_postings_not_lists": (
+        "lexical_index.json", _edit_json(lambda p: p.update(postings=5)), "malformed"
+    ),
+    "docs_missing": ("docs.jsonl", None, "No such file"),
+    "docs_short": ("docs.jsonl", lambda raw: raw.split(b"\n")[0] + b"\n", "is not doc"),
+    "docs_reordered": (
+        "docs.jsonl", lambda raw: b"\n".join(raw.rstrip(b"\n").split(b"\n")[::-1]), "is not doc"
+    ),
+}
+
+
+def corrupt_artifact(index_dir, fault: str) -> tuple[str, str]:
+    """Apply one ARTIFACT_FAULTS edit in place; returns the file name and the
+    message fragment the loader must give."""
+    name, edit, message = ARTIFACT_FAULTS[fault]
+    path = index_dir / name
+    if edit is None:
+        path.unlink()
+    else:
+        path.write_bytes(edit(path.read_bytes()))
+    return name, message
+
+
+def faults_of(prefix: str) -> list[str]:
+    return sorted(f for f in ARTIFACT_FAULTS if f.startswith(prefix))

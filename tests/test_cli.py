@@ -1,12 +1,17 @@
+import argparse
+import dataclasses
 import json
 import random
+import re
 import shutil
 from pathlib import Path
 
 import pytest
-from conftest import VECTOR_FILE_FAULTS, corrupt_vectors_file
+from conftest import ARTIFACT_FAULTS, VECTOR_FILE_FAULTS, corrupt_artifact, corrupt_vectors_file
 
-from desksearch.cli import main
+from desksearch import encoder, lexical_index, vector_index
+from desksearch.cli import CONFIG_KEYS, SPLIT_KEYS, _embed, load_config, main
+from desksearch.text_pipeline import tokenize
 
 SMALL_ENCODER = {"d_model": 16, "n_heads": 4, "n_layers": 2, "d_ff": 32, "max_seq_len": 64}
 
@@ -53,7 +58,8 @@ def pipeline(tmp_path_factory):
 def search_lines(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, [json.loads(line) for line in out.splitlines() if line.strip()]
+    # Split on "\n" alone: a printed text may hold U+2028, which splitlines splits on.
+    return code, [json.loads(line) for line in out.split("\n") if line.strip()]
 
 
 class TestIngest:
@@ -230,6 +236,61 @@ class TestSearch:
         assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
         assert "vectors.bin" in lines[0]
 
+    @pytest.mark.parametrize("fault", sorted(ARTIFACT_FAULTS))
+    def test_corrupt_artifact_fails_cleanly(self, pipeline, tmp_path, capsys, fault):
+        index_dir = tmp_path / "idx"
+        shutil.copytree(pipeline["index_dir"], index_dir)
+        config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", index_dir)
+        name, message = corrupt_artifact(index_dir, fault)
+        query = pipeline["docs"][0]
+        assert main(["search", query, "--mode", "vector", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert name in lines[0] and message in lines[0], lines[0]
+
+    def test_hits_match_library_path(self, pipeline, capsys):
+        index_dir = pipeline["index_dir"]
+        lex = lexical_index.load_index(index_dir / "lexical_index.json")
+        vec = vector_index.load_vectors(index_dir / "vectors.bin")
+        enc_cfg, weights = encoder.load_weights(index_dir / "weights.npz")
+        for query in (pipeline["docs"][3], "great food service", "slow staff zzgblx"):
+            tokens = tokenize(query)
+            embedding = _embed(tokens, lex.vocabulary, enc_cfg, weights)
+            expected = {
+                "vector": vec.search(embedding, 10),
+                "hybrid": vector_index.search_hybrid(
+                    lex, vec, tokens, embedding, vector_index.HybridConfig()
+                ),
+            }
+            for mode, library_hits in expected.items():
+                _, hits = search_lines(
+                    capsys, ["search", query, "--mode", mode, "--config", pipeline["config"]]
+                )
+                assert [(h["doc_id"], h["score"]) for h in hits] == [
+                    (h.doc_id, h.score) for h in library_hits
+                ]
+
+    def test_text_with_unicode_line_separators(self, tmp_path, capsys):
+        # json.dumps leaves U+2028 and U+0085 unescaped; str.splitlines splits on them.
+        corpus = tmp_path / "corpus.jsonl"
+        texts = [f"marker{i} one\u2028two\x85three" for i in range(5)]
+        records = [{"text": t, "stars": 3, "business_id": "b"} for t in texts]
+        corpus.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        config = write_config(
+            tmp_path / "c.json", corpus, tmp_path / "idx", split={"train": 98, "val": 1, "test": 1}
+        )
+        assert main(["ingest", "--config", config]) == 0
+        assert main(["index", "--config", config]) == 0
+        capsys.readouterr()
+        for mode in ("lexical", "vector", "hybrid"):
+            code, hits = search_lines(
+                capsys, ["search", "marker2 two", "--mode", mode, "--full", "--config", config]
+            )
+            assert code == 0
+            assert hits and all(h["text"] in texts for h in hits)
+
     def test_unknown_mode_rejected_by_parser(self, pipeline):
         with pytest.raises(SystemExit) as exc:
             main(["search", "q", "--mode", "fuzzy", "--config", pipeline["config"]])
@@ -293,6 +354,22 @@ class TestEval:
         assert main(["eval", str(preds), "--config", config]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", [1.7, True, "3", None])
+    def test_non_integer_label_names_line(self, tmp_path, capsys, label):
+        preds = tmp_path / "preds.jsonl"
+        self.write_predictions(preds, [(0, 0), (label, 1)])
+        config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", tmp_path / "idx")
+        assert main(["eval", str(preds), "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and "y_true must be an integer" in err
+
+    def test_integer_valued_float_label_accepted(self, tmp_path, capsys):
+        preds = tmp_path / "preds.jsonl"
+        self.write_predictions(preds, [(1.0, 1), (2, 2.0)])
+        config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", tmp_path / "idx")
+        assert main(["eval", str(preds), "--config", config]) == 0
+        assert json.loads(capsys.readouterr().out)["accuracy"] == 1.0
+
     def test_missing_predictions_file(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", tmp_path / "idx")
         assert main(["eval", str(tmp_path / "nope.jsonl"), "--config", config]) == 1
@@ -312,6 +389,39 @@ class TestConfig:
         bad.write_text("{nope")
         assert main(["ingest", "--config", str(bad)]) == 1
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[]")
+        assert main(["ingest", "--config", str(bad)]) == 1
+        assert "invalid configuration: config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [({"batch_size": 16}, "batch_size"), ({"split": {"trian": 80}}, "trian")],
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, extra, key):
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, n=10)
+        config = write_config(tmp_path / "c.json", corpus, tmp_path / "idx", **extra)
+        assert main(["ingest", "--config", config]) == 1
+        assert f"invalid configuration: unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "idx").exists()
+
+    def test_readme_config_example_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "example.json"
+        path.write_text(example)
+        cfg = load_config(str(path), argparse.Namespace())
+        default = load_config(None, argparse.Namespace())
+        assert (cfg.weights_path, cfg.source_path) == (default.weights_path, default.source_path)
+        assert dataclasses.replace(cfg, weights=None, index_source=None) == default
+        # ...and it lists every accepted key.
+        raw = json.loads(example)
+        assert set(raw) == set(CONFIG_KEYS) and set(raw["split"]) == set(SPLIT_KEYS)
+        assert set(raw["encoder"]) == set(default.encoder_params)
+        assert set(raw["tokenizer"]) == {f.name for f in dataclasses.fields(default.tokenizer)}
 
     def test_invalid_alpha_flag_fails(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", tmp_path / "idx")

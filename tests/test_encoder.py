@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import corrupt_artifact, faults_of
 from hypothesis.extra.numpy import arrays
 
 from desksearch import io_utils
@@ -108,6 +109,24 @@ class TestRmsnorm:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             rmsnorm(np.ones(3), np.ones(4), np.zeros(4))
+        with pytest.raises(ValueError):
+            rmsnorm(np.ones((2, 3)), np.ones(4), np.zeros(4))
+        with pytest.raises(ValueError):  # would broadcast the one value to four
+            rmsnorm(np.ones(1), np.ones(4), np.zeros(4))
+
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(1, 9), st.integers(1, 33)),
+            elements=st.floats(-1e3, 1e3, allow_nan=False),
+        ),
+        st.floats(1e-9, 1e-3),
+    )
+    def test_rows_normalize_like_one_dimensional_input(self, a, eps):
+        rng = np.random.default_rng(a.shape[1])
+        g, b = rng.normal(size=a.shape[1]), rng.normal(size=a.shape[1])
+        rows = np.stack([rmsnorm(row, g, b, eps=eps) for row in a])
+        assert np.array_equal(rmsnorm(a, g, b, eps=eps), rows)
 
     @given(
         arrays(
@@ -367,6 +386,14 @@ class TestPersistence:
         sidecar = json.loads((tmp_path / "weights.json").read_text())
         assert sidecar["config"]["seed"] == CFG.seed
         assert sidecar["config"]["d_model"] == CFG.d_model
+
+    @pytest.mark.parametrize("fault", faults_of("weights_"))
+    def test_corrupt_file_rejected(self, tmp_path, weights, fault):
+        save_weights(CFG, weights, tmp_path / "weights.npz")
+        name, message = corrupt_artifact(tmp_path, fault)
+        with pytest.raises(ValueError, match=message) as exc:
+            load_weights(tmp_path / "weights.npz")
+        assert name in str(exc.value)
 
     def test_suffixless_path_round_trips(self, tmp_path, weights):
         # np.savez appends .npz; the loader must look for the same name

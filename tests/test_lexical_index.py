@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from conftest import WORDS, random_corpus
+from conftest import WORDS, corrupt_artifact, faults_of, random_corpus
 from oracles import brute_force_lexical
 
 from desksearch.lexical_index import (
@@ -194,6 +194,15 @@ class TestPersistence:
         path.write_text('{"format": "something-else", "version": 1}')
         with pytest.raises(ValueError):
             load_index(path)
+
+    @pytest.mark.parametrize("fault", faults_of("lexical_"))
+    def test_corrupt_file_rejected(self, tmp_path, fault):
+        idx = build_index(random_corpus(random.Random(12), 20))
+        save_index(idx, tmp_path / "lexical_index.json")
+        name, message = corrupt_artifact(tmp_path, fault)
+        with pytest.raises(ValueError, match=message) as exc:
+            load_index(tmp_path / name)
+        assert name in str(exc.value)
 
     def test_unknown_version_rejected(self, tmp_path):
         docs = corpus_of("a b")
