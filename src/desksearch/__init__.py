@@ -30,7 +30,6 @@ from .encoder import (
 )
 from .lexical_index import (
     InvertedIndex,
-    Posting,
     SearchHit,
     build_index,
     load_index,

@@ -321,20 +321,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, summary: str, seed: bool = False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--seed", type=int, help="override the configured seed")
-        p.add_argument("--k", type=int, help="number of results to return")
-        p.add_argument("--alpha", type=float, help="lexical weight for hybrid fusion")
+        if seed:
+            p.add_argument("--seed", type=int, help="override the configured seed")
+        return p
 
-    p_ingest = sub.add_parser("ingest", help="split a review corpus into train/val/test")
-    common(p_ingest)
+    command("ingest", "split a review corpus into train/val/test", seed=True)
+    command("index", "build lexical and vector indexes", seed=True)
 
-    p_index = sub.add_parser("index", help="build lexical and vector indexes")
-    common(p_index)
-
-    p_search = sub.add_parser("search", help="query the indexes")
-    common(p_search)
+    p_search = command("search", "query the indexes")
+    p_search.add_argument("--k", type=int, help="number of results to return")
+    p_search.add_argument("--alpha", type=float, help="lexical weight for hybrid fusion")
     p_search.add_argument("query")
     p_search.add_argument(
         "--mode", choices=("lexical", "vector", "hybrid"), default="hybrid"
@@ -343,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--full", action="store_true", help="print full document text, not snippets"
     )
 
-    p_eval = sub.add_parser("eval", help="score a predictions file")
-    common(p_eval)
-    p_eval.add_argument("predictions")
+    command("eval", "score a predictions file").add_argument("predictions")
 
     return parser
 

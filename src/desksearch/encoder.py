@@ -270,6 +270,17 @@ def _npz_path(path: Path) -> Path:
     return path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
 
 
+def _array_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Archive name -> the shape ``cfg`` gives that array (see init_weights)."""
+    d, d_ff = cfg.d_model, cfg.d_ff
+    ffn = {"ffn_in": (d, d_ff), "ffn_gate": (d, d_ff), "ffn_out": (d_ff, d)}
+    shapes = {"token_embedding": (cfg.vocab_size, d)}
+    for i in range(cfg.n_layers):
+        for name in (f.name for f in fields(LayerWeights)):
+            shapes[f"layer{i}.{name}"] = ffn.get(name, (d,) if "_norm_" in name else (d, d))
+    return {**shapes, "final_norm_gain": (d,), "final_norm_bias": (d,)}
+
+
 def save_weights(cfg: EncoderConfig, weights: EncoderWeights, path: str | Path) -> None:
     """Persist weights to ``path`` (.npz) with a JSON sidecar holding the config.
 
@@ -304,18 +315,22 @@ def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights]:
         cfg = EncoderConfig(**sidecar["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{sidecar_path}: {exc}") from None
+    shapes = _array_shapes(cfg)
     try:
         with np.load(npz_path) as data:
-            layers = [
-                LayerWeights(**{f.name: data[f"layer{i}.{f.name}"] for f in fields(LayerWeights)})
-                for i in range(cfg.n_layers)
-            ]
-            weights = EncoderWeights(
-                token_embedding=data["token_embedding"],
-                layers=layers,
-                final_norm_gain=data["final_norm_gain"],
-                final_norm_bias=data["final_norm_bias"],
-            )
+            arrays = {key: data[key] for key in shapes}
     except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{npz_path}: not a readable weights archive: {exc}") from None
-    return cfg, weights
+    for key, shape in shapes.items():
+        if arrays[key].shape != shape:
+            raise ValueError(f"{npz_path}: {key} has shape {arrays[key].shape}, expected {shape}")
+    layers = [
+        LayerWeights(**{f.name: arrays[f"layer{i}.{f.name}"] for f in fields(LayerWeights)})
+        for i in range(cfg.n_layers)
+    ]
+    return cfg, EncoderWeights(
+        token_embedding=arrays["token_embedding"],
+        layers=layers,
+        final_norm_gain=arrays["final_norm_gain"],
+        final_norm_bias=arrays["final_norm_bias"],
+    )

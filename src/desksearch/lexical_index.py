@@ -1,6 +1,6 @@
 """Inverted index over tf-idf vectors with cosine-scored top-k retrieval.
 
-Postings map term id -> [(doc id, term frequency), ...] sorted by doc id.
+Postings map term id -> [[doc id, term frequency], ...] sorted by doc id.
 Scores are cosine similarities between the query's tf-idf vector and each
 document's, computed by postings traversal; documents whose score is exactly
 zero are omitted.  Because idf can be negative, scores live in [-1, 1].
@@ -19,12 +19,7 @@ from .io_utils import atomic_write_text
 from .text_pipeline import Vocabulary, idf, tfidf_vectorize
 
 INDEX_FORMAT = "desksearch-lexical-index"
-INDEX_VERSION = 1
-
-
-class Posting(NamedTuple):
-    doc_id: int
-    tf: int
+INDEX_VERSION = 2
 
 
 class SearchHit(NamedTuple):
@@ -35,9 +30,8 @@ class SearchHit(NamedTuple):
 @dataclass
 class InvertedIndex:
     vocabulary: Vocabulary = field(default_factory=Vocabulary)
-    postings: list[list[Posting]] = field(default_factory=list)  # indexed by term id
+    postings: list[list[list[int]]] = field(default_factory=list)  # term id -> [[doc id, tf], ...]
     doc_norms: list[float] = field(default_factory=list)  # L2 norm of each doc's tf-idf vector
-    n_docs: int = 0
 
 
 def build_index(docs: list[list[str]]) -> InvertedIndex:
@@ -48,10 +42,10 @@ def build_index(docs: list[list[str]]) -> InvertedIndex:
     from .text_pipeline import build_vocabulary
 
     vocab = build_vocabulary(docs)
-    postings: list[list[Posting]] = [[] for _ in range(vocab.size)]
+    postings: list[list[list[int]]] = [[] for _ in range(vocab.size)]
     for doc_id, tokens in enumerate(docs):
         for token, tf in Counter(tokens).items():
-            postings[vocab.term_to_id[token]].append(Posting(doc_id, tf))
+            postings[vocab.term_to_id[token]].append([doc_id, tf])
 
     idf_by_term = [idf(tid, vocab) for tid in range(vocab.size)]
     sq_norms = [0.0] * len(docs)
@@ -64,7 +58,6 @@ def build_index(docs: list[list[str]]) -> InvertedIndex:
         vocabulary=vocab,
         postings=postings,
         doc_norms=[math.sqrt(s) for s in sq_norms],
-        n_docs=len(docs),
     )
 
 
@@ -98,18 +91,17 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     payload = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
-        "n_docs": index.n_docs,
         "terms": index.vocabulary.id_to_term(),
-        "doc_freq": index.vocabulary.doc_freq,
-        "postings": [[[doc_id, tf] for doc_id, tf in plist] for plist in index.postings],
+        "postings": index.postings,
         "doc_norms": index.doc_norms,
     }
     atomic_write_text(Path(path), json.dumps(payload) + "\n")
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    """Read a ``save_index`` file.  Malformed JSON, a missing key or a value of
-    the wrong type raises ValueError naming the file."""
+    """Read a ``save_index`` file; df and n_docs are derived from it.  Malformed
+    JSON, a missing key, a value of the wrong type or a posting that does not
+    fit the terms and doc norms raises ValueError naming the file."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # malformed JSON or not UTF-8
@@ -119,18 +111,26 @@ def load_index(path: str | Path) -> InvertedIndex:
     if payload.get("version") != INDEX_VERSION:
         raise ValueError(f"{path}: unsupported index version {payload.get('version')}")
     try:
-        terms = payload["terms"]
-        vocab = Vocabulary(
-            term_to_id={term: tid for tid, term in enumerate(terms)},
-            doc_freq=list(payload["doc_freq"]),
-            n_docs=payload["n_docs"],
-        )
-        return InvertedIndex(
-            vocabulary=vocab,
-            postings=[[Posting(d, tf) for d, tf in plist] for plist in payload["postings"]],
-            doc_norms=[float(x) for x in payload["doc_norms"]],
-            n_docs=payload["n_docs"],
-        )
+        terms, postings, doc_norms = payload["terms"], payload["postings"], payload["doc_norms"]
+        term_to_id = {term: tid for tid, term in enumerate(terms)}
+        if len(term_to_id) != len(terms) or not all(type(term) is str for term in terms):
+            raise ValueError("terms must be unique strings")
+        if len(postings) != len(terms) or not all(postings):
+            raise ValueError("each term needs one non-empty postings list")
+        if not all(type(x) is float and 0.0 <= x < math.inf for x in doc_norms):
+            raise ValueError("doc_norms must be finite non-negative floats")
+        n_docs = len(doc_norms)
+        for term, plist in zip(terms, postings):
+            prev = -1
+            for doc_id, tf in plist:
+                if not (type(doc_id) is type(tf) is int and prev < doc_id < n_docs and tf >= 1):
+                    raise ValueError(
+                        f"term {term!r}: [{doc_id}, {tf}] is not [doc id, tf >= 1] with doc ids "
+                        f"increasing within [0, {n_docs})"
+                    )
+                prev = doc_id
+        vocab = Vocabulary(term_to_id, [len(plist) for plist in postings], n_docs)
+        return InvertedIndex(vocab, postings, doc_norms)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +30,15 @@ class HybridConfig:
     candidate_factor: int = 4  # each side contributes a top-(factor * k) pool
 
     def __post_init__(self) -> None:
+        # bool is an int subclass, but true is not a weight or a count.
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
+            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.candidate_factor < 1:
-            raise ValueError("candidate_factor must be >= 1")
+        for name in ("k", "candidate_factor"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class VectorIndex:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import io
 import json
 import random
+from operator import setitem
 
 import numpy as np
 
@@ -80,6 +82,26 @@ def _edit_json(edit):
     return apply
 
 
+def _edit_npz(edit):
+    def apply(raw: bytes) -> bytes:
+        with np.load(io.BytesIO(raw)) as data:
+            arrays = dict(data)
+        edit(arrays)
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        return buf.getvalue()
+
+    return apply
+
+
+def _shared_postings(payload):
+    """The postings list of the first term that occurs in two or more docs."""
+    return next(plist for plist in payload["postings"] if len(plist) > 1)
+
+
+LEX = "lexical_index.json"
+BAD_POSTING = "with doc ids increasing within"
+
 # fault name -> (file in the index directory, edit of its bytes (None deletes
 # the file), a fragment of the error message)
 ARTIFACT_FAULTS = {
@@ -88,12 +110,51 @@ ARTIFACT_FAULTS = {
     ),
     "weights_sidecar_is_list": ("weights.json", lambda raw: b"[]", "not an encoder weights"),
     "weights_truncated_npz": ("weights.npz", _half, "not a readable weights archive"),
-    "lexical_truncated": ("lexical_index.json", _half, "not valid JSON"),
-    "lexical_missing_postings": (
-        "lexical_index.json", _edit_json(lambda p: p.pop("postings")), "missing key 'postings'"
+    "weights_wrong_shape": (
+        "weights.npz",
+        _edit_npz(lambda a: a.update(token_embedding=a["token_embedding"][:3])),
+        "token_embedding has shape",
     ),
-    "lexical_postings_not_lists": (
-        "lexical_index.json", _edit_json(lambda p: p.update(postings=5)), "malformed"
+    "lexical_truncated": (LEX, _half, "not valid JSON"),
+    "lexical_missing_postings": (
+        LEX, _edit_json(lambda p: p.pop("postings")), "missing key 'postings'"
+    ),
+    "lexical_postings_not_lists": (LEX, _edit_json(lambda p: p.update(postings=5)), "malformed"),
+    "lexical_version_1": (LEX, _edit_json(lambda p: p.update(version=1)), "version 1"),
+    "lexical_doc_id_past_n_docs": (
+        LEX,
+        _edit_json(lambda p: setitem(p["postings"][-1][-1], 0, len(p["doc_norms"]))),
+        BAD_POSTING,
+    ),
+    "lexical_doc_id_repeated": (
+        LEX,
+        _edit_json(lambda p: setitem(_shared_postings(p), 1, _shared_postings(p)[0])),
+        BAD_POSTING,
+    ),
+    "lexical_doc_ids_out_of_order": (
+        LEX, _edit_json(lambda p: _shared_postings(p).reverse()), BAD_POSTING
+    ),
+    "lexical_tf_zero": (LEX, _edit_json(lambda p: setitem(p["postings"][0][0], 1, 0)), BAD_POSTING),
+    "lexical_tf_fraction": (
+        LEX, _edit_json(lambda p: setitem(p["postings"][0][0], 1, 1.5)), BAD_POSTING
+    ),
+    "lexical_posting_of_three": (
+        LEX, _edit_json(lambda p: p["postings"][0][0].append(1)), "too many values"
+    ),
+    "lexical_duplicate_term": (
+        LEX, _edit_json(lambda p: setitem(p["terms"], 1, p["terms"][0])), "unique strings"
+    ),
+    "lexical_fewer_postings_than_terms": (
+        LEX, _edit_json(lambda p: p["postings"].pop()), "one non-empty postings list"
+    ),
+    "lexical_term_without_postings": (
+        LEX, _edit_json(lambda p: setitem(p["postings"], 0, [])), "one non-empty postings list"
+    ),
+    "lexical_negative_doc_norm": (
+        LEX, _edit_json(lambda p: setitem(p["doc_norms"], 0, -1.0)), "non-negative"
+    ),
+    "lexical_nan_doc_norm": (
+        LEX, _edit_json(lambda p: setitem(p["doc_norms"], 0, float("nan"))), "non-negative"
     ),
     "docs_missing": ("docs.jsonl", None, "No such file"),
     "docs_short": ("docs.jsonl", lambda raw: raw.split(b"\n")[0] + b"\n", "is not doc"),

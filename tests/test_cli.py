@@ -423,6 +423,35 @@ class TestConfig:
         assert set(raw["encoder"]) == set(default.encoder_params)
         assert set(raw["tokenizer"]) == {f.name for f in dataclasses.fields(default.tokenizer)}
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("k", 2.5), ("k", True), ("candidate_factor", 1.5), ("candidate_factor", True),
+         ("alpha", True), ("alpha", "0.5")],
+    )
+    def test_mistyped_search_setting_rejected(self, pipeline, tmp_path, capsys, key, value):
+        config = write_config(
+            tmp_path / "c.json", tmp_path / "x.jsonl", pipeline["index_dir"], **{key: value}
+        )
+        assert main(["search", "great food", "--mode", "lexical", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: invalid configuration: {key} must be"), captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "p.jsonl", "--k", "5"],
+            ["ingest", "--alpha", "0.3"],
+            ["search", "q", "--seed", "7"],
+        ],
+        ids=["eval-k", "ingest-alpha", "search-seed"],
+    )
+    def test_flag_outside_its_subcommand_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_invalid_alpha_flag_fails(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", tmp_path / "idx")
         assert main(["search", "q", "--alpha", "1.5", "--config", config]) == 1

@@ -1,13 +1,17 @@
+import dataclasses
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from conftest import WORDS, corrupt_artifact, faults_of, random_corpus
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import brute_force_lexical
 
 from desksearch.lexical_index import (
     InvertedIndex,
-    Posting,
     build_index,
     load_index,
     save_index,
@@ -25,25 +29,25 @@ class TestBuildIndex:
         idx = build_index([["a"], ["a", "b"]])
         a_id = idx.vocabulary.term_to_id["a"]
         b_id = idx.vocabulary.term_to_id["b"]
-        assert idx.postings[a_id] == [Posting(0, 1), Posting(1, 1)]
-        assert idx.postings[b_id] == [Posting(1, 1)]
-        assert idx.n_docs == 2
+        assert idx.postings[a_id] == [[0, 1], [1, 1]]
+        assert idx.postings[b_id] == [[1, 1]]
+        assert idx.vocabulary.n_docs == 2
 
     def test_term_frequency_counted(self):
         idx = build_index([["x", "x", "y", "x"]])
         x_id = idx.vocabulary.term_to_id["x"]
-        assert idx.postings[x_id] == [Posting(0, 3)]
+        assert idx.postings[x_id] == [[0, 3]]
 
     def test_postings_sorted_by_doc_id(self):
         docs = random_corpus(random.Random(3), 40)
         idx = build_index(docs)
         for plist in idx.postings:
-            ids = [p.doc_id for p in plist]
+            ids = [doc_id for doc_id, _ in plist]
             assert ids == sorted(ids)
 
     def test_empty_corpus(self):
         idx = build_index([])
-        assert idx.n_docs == 0
+        assert idx.vocabulary.n_docs == 0
         assert idx.postings == []
 
     def test_doc_norms_match_vector_norms(self):
@@ -175,11 +179,30 @@ class TestPersistence:
         path = tmp_path / "index.json"
         save_index(idx, path)
         loaded = load_index(path)
-        assert loaded.n_docs == idx.n_docs
+        assert loaded.vocabulary.n_docs == idx.vocabulary.n_docs
         assert loaded.postings == idx.postings
         assert loaded.doc_norms == pytest.approx(idx.doc_norms, abs=0)
         assert loaded.vocabulary.term_to_id == idx.vocabulary.term_to_id
         assert loaded.vocabulary.doc_freq == idx.vocabulary.doc_freq
+
+    @given(
+        st.lists(st.lists(st.sampled_from(WORDS[:6]), max_size=6), max_size=10),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_property(self, docs, trailing_empty):
+        # Empty docs, trailing ones included, count toward n_docs with a zero norm.
+        docs = docs + [[]] * trailing_empty
+        idx = build_index(docs)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(idx, Path(tmp) / "lexical_index.json")
+            loaded = load_index(Path(tmp) / "lexical_index.json")
+        for field in dataclasses.fields(InvertedIndex):
+            assert getattr(loaded, field.name) == getattr(idx, field.name), field.name
+        assert loaded.vocabulary.n_docs == len(docs)
+        k = len(docs) + 1
+        for query in [*docs, WORDS[:6], ["zzz"]]:
+            assert search_lexical(loaded, query, k) == search_lexical(idx, query, k)
 
     def test_save_is_deterministic(self, tmp_path):
         docs = random_corpus(random.Random(11), 20)

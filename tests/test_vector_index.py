@@ -257,6 +257,18 @@ class TestHybridConfig:
         with pytest.raises(ValueError):
             HybridConfig(candidate_factor=0)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"k": 2.5}, {"k": True}, {"candidate_factor": 2.0}, {"alpha": True}, {"alpha": "0.5"}],
+    )
+    def test_mistyped_setting_rejected(self, setting):
+        with pytest.raises(ValueError, match="must be"):
+            HybridConfig(**setting)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = HybridConfig(alpha=np.float64(0.25), k=np.int64(3), candidate_factor=np.int32(2))
+        assert (cfg.alpha, cfg.k, cfg.candidate_factor) == (0.25, 3, 2)
+
 
 def build_hybrid_fixture(seed, n_docs, dim=12):
     rng = random.Random(seed)
