@@ -16,14 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, encoder, lexical_index, metrics, vector_index
-from .io_utils import atomic_write_text
+from .io_utils import atomic_write_text, require_int
 from .text_pipeline import TokenizerConfig, tokenize
 
 SNIPPET_LEN = 80
 
 LEXICAL_FILE = "lexical_index.json"
 VECTOR_FILE = "vectors.bin"
-WEIGHTS_FILE = "weights.npz"
+WEIGHTS_FILE = "weights.json"
 DOCS_FILE = "docs.jsonl"
 
 
@@ -35,7 +35,7 @@ class CliError(Exception):
 class RunConfig:
     corpus: str = "corpus.jsonl"
     index_dir: str = "index"
-    weights: str | None = None  # default: <index_dir>/weights.npz
+    weights: str | None = None  # default: <index_dir>/weights.json
     index_source: str | None = None  # default: <index_dir>/train.jsonl
     seed: int = 0
     n_classes: int = 5
@@ -53,8 +53,7 @@ class RunConfig:
     split_spec: dataset.SplitSpec = field(default_factory=dataset.SplitSpec)
 
     def __post_init__(self) -> None:
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
+        require_int("n_classes", self.n_classes, 2)
 
     @property
     def weights_path(self) -> Path:
@@ -109,8 +108,8 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         split_raw = _known_keys(raw.get("split", {}), SPLIT_KEYS, "split")
         seed = flag("seed", 0)
         encoder_params = {**RunConfig().encoder_params, **raw.get("encoder", {})}
-        # Shape-check the encoder parameters now, before any subcommand runs.
-        encoder.EncoderConfig(vocab_size=1, seed=0, **encoder_params)
+        # Check the encoder parameters and the seed now, before any subcommand runs.
+        encoder.EncoderConfig(vocab_size=1, seed=seed, **encoder_params)
         return RunConfig(
             **{key: raw[key] for key in PLAIN_KEYS if key in raw},
             seed=seed,
@@ -127,13 +126,17 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         raise CliError(f"invalid configuration: {exc}") from exc
 
 
+def _token_ids(tokens: list[str], vocab) -> list[int]:
+    """The ids of a document's or a query's in-vocabulary tokens, in order."""
+    return [vocab.term_to_id[t] for t in tokens if t in vocab.term_to_id]
+
+
 def _embed(
-    tokens: list[str], vocab, enc_cfg: encoder.EncoderConfig, weights: encoder.EncoderWeights
-) -> np.ndarray | None:
-    """Embed a document or a query: its in-vocabulary token ids, truncated to
-    max_seq_len, through the encoder; None when no id is left."""
-    ids = [vocab.term_to_id[t] for t in tokens if t in vocab.term_to_id][: enc_cfg.max_seq_len]
-    return encoder.encode(ids, enc_cfg, weights) if ids else None
+    ids: list[int], enc_cfg: encoder.EncoderConfig, weights: encoder.EncoderWeights
+) -> np.ndarray:
+    """Embed a document or a query from its non-empty ``_token_ids``,
+    truncated to max_seq_len."""
+    return encoder.encode(ids[: enc_cfg.max_seq_len], enc_cfg, weights)
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -197,10 +200,10 @@ def cmd_index(cfg: RunConfig) -> int:
         # Every term comes from some doc, so at least one doc is embedded.
         doc_ids, rows = [], []
         for doc_id, tokens in enumerate(token_lists):
-            embedding = _embed(tokens, lex.vocabulary, enc_cfg, weights)
-            if embedding is not None:
+            ids = _token_ids(tokens, lex.vocabulary)
+            if ids:
                 doc_ids.append(doc_id)
-                rows.append(embedding)
+                rows.append(_embed(ids, enc_cfg, weights))
         vec = vector_index.VectorIndex.from_arrays(doc_ids, np.array(rows))
     vector_index.save_vectors(vec, out_dir / VECTOR_FILE)
 
@@ -248,8 +251,9 @@ def cmd_search(cfg: RunConfig, query: str, mode: str, full_text: bool) -> int:
         if mode == "lexical":
             hits = lexical_index.search_lexical(lex, query_tokens, cfg.search.k)
         else:
-            enc_cfg, weights = encoder.load_weights(cfg.weights_path)
-            embedding = _embed(query_tokens, lex.vocabulary, enc_cfg, weights)
+            # Only an in-vocabulary token needs the weights; an index with no terms has none.
+            ids = _token_ids(query_tokens, lex.vocabulary)
+            embedding = _embed(ids, *encoder.load_weights(cfg.weights_path)) if ids else None
             if mode == "hybrid":
                 vec = vector_index.load_vectors(index_dir / VECTOR_FILE)
                 hits = vector_index.search_hybrid(lex, vec, query_tokens, embedding, cfg.search)

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .io_utils import atomic_write_text
+from .io_utils import atomic_write_text, require_int
 
 STAR_VALUES = (1, 2, 3, 4, 5)
 
@@ -41,12 +41,13 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.train_pct, self.val_pct, self.test_pct) <= 0:
-            raise ValueError("split proportions must be positive")
+        for name in ("train_pct", "val_pct", "test_pct"):
+            require_int(name, getattr(self, name), 1)
         if self.train_pct + self.val_pct + self.test_pct != 100:
             raise ValueError("split proportions must sum to 100")
-        if self.per_class_train is not None and self.per_class_train < 1:
-            raise ValueError("per_class_train must be positive when set")
+        if self.per_class_train is not None:
+            require_int("per_class_train", self.per_class_train, 1)
+        require_int("seed", self.seed, 0)
 
 
 @dataclass

@@ -3,17 +3,17 @@
 Architecture: token embeddings + sinusoidal positional encoding, then a stack
 of pre-norm blocks (x += Attention(RMSNorm(x)); x += SwiGLU(RMSNorm(x))),
 a final RMSNorm, mean pooling over positions, and L2 normalization.  Weights
-are deterministic seeded random draws, so every output is reproducible from
-(token ids, config, seed).  Gradients exist only for the two loss functions;
-there is no training loop.
+are seeded random draws, so every output is reproducible from (token ids,
+config, seed).  They are never stored: load_weights regenerates them and checks
+their CRC-32, as numpy does not promise the same seeded stream in every release
+(NEP 19).  Gradients exist only for the two loss functions; no training loop.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
-import zipfile
+import zlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -22,6 +22,8 @@ import numpy as np
 from . import io_utils
 
 DEFAULT_EPS = 1e-6
+WEIGHTS_FORMAT = "encoder-weights"
+WEIGHTS_VERSION = 2
 
 # Unit-norm float64 vector of length d_model, as emitted by encode().
 DenseEmbedding = np.ndarray
@@ -39,13 +41,13 @@ class EncoderConfig:
 
     def __post_init__(self) -> None:
         for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "max_seq_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            io_utils.require_int(name, getattr(self, name), 1)
         if self.d_model % 2 != 0:
             raise ValueError("d_model must be even")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if not 0 <= self.seed < 2**64:
+        io_utils.require_int("seed", self.seed, 0)
+        if self.seed >= 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
@@ -265,72 +267,40 @@ def mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def _npz_path(path: Path) -> Path:
-    # np.savez appends .npz to a file name that lacks it; reads must agree.
-    return path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
-
-
-def _array_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Archive name -> the shape ``cfg`` gives that array (see init_weights)."""
-    d, d_ff = cfg.d_model, cfg.d_ff
-    ffn = {"ffn_in": (d, d_ff), "ffn_gate": (d, d_ff), "ffn_out": (d_ff, d)}
-    shapes = {"token_embedding": (cfg.vocab_size, d)}
-    for i in range(cfg.n_layers):
-        for name in (f.name for f in fields(LayerWeights)):
-            shapes[f"layer{i}.{name}"] = ffn.get(name, (d,) if "_norm_" in name else (d, d))
-    return {**shapes, "final_norm_gain": (d,), "final_norm_bias": (d,)}
+def _checksum(weights: EncoderWeights) -> int:
+    """zlib.crc32 of the arrays' little-endian float64 bytes, in init_weights order."""
+    layers = [getattr(lw, f.name) for lw in weights.layers for f in fields(LayerWeights)]
+    crc = 0
+    for a in [weights.token_embedding, *layers, weights.final_norm_gain, weights.final_norm_bias]:
+        crc = zlib.crc32(np.ascontiguousarray(a, dtype="<f8"), crc)
+    return crc
 
 
 def save_weights(cfg: EncoderConfig, weights: EncoderWeights, path: str | Path) -> None:
-    """Persist weights to ``path`` (.npz) with a JSON sidecar holding the config.
-
-    The float64 arrays round-trip bit-exactly through load_weights.  Both files
-    are written atomically.
-    """
-    path = Path(path)
-    arrays: dict[str, np.ndarray] = {
-        "token_embedding": weights.token_embedding,
-        "final_norm_gain": weights.final_norm_gain,
-        "final_norm_bias": weights.final_norm_bias,
-    }
-    for i, lw in enumerate(weights.layers):
-        for f in fields(LayerWeights):
-            arrays[f"layer{i}.{f.name}"] = getattr(lw, f.name)
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    io_utils.atomic_write_bytes(_npz_path(path), buf.getvalue())
-    sidecar = {"format": "encoder-weights", "version": 1, "config": asdict(cfg)}
-    io_utils.atomic_write_text(path.with_suffix(".json"), json.dumps(sidecar, indent=2) + "\n")
+    """Write ``path.with_suffix(".json")`` atomically: the config and the
+    CRC-32 of ``weights``, which must be ``init_weights(cfg)``."""
+    sidecar = {"format": WEIGHTS_FORMAT, "version": WEIGHTS_VERSION, "config": asdict(cfg)}
+    sidecar["crc32"] = _checksum(weights)
+    path = Path(path).with_suffix(".json")
+    io_utils.atomic_write_text(path, json.dumps(sidecar, indent=2) + "\n")
 
 
 def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights]:
-    """Read a ``save_weights`` pair.  A malformed sidecar or archive raises
-    ValueError naming the file."""
-    path = Path(path)
-    sidecar_path, npz_path = path.with_suffix(".json"), _npz_path(path)
+    """Regenerate the weights a ``save_weights`` sidecar describes.  A malformed
+    sidecar or a CRC-32 mismatch raises ValueError naming the file."""
+    path = Path(path).with_suffix(".json")
     try:
-        sidecar = json.loads(sidecar_path.read_text())
-        if not isinstance(sidecar, dict) or sidecar.get("format") != "encoder-weights":
+        sidecar = json.loads(path.read_text())
+        if not isinstance(sidecar, dict) or sidecar.get("format") != WEIGHTS_FORMAT:
             raise ValueError("not an encoder weights sidecar")
-        cfg = EncoderConfig(**sidecar["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{sidecar_path}: {exc}") from None
-    shapes = _array_shapes(cfg)
-    try:
-        with np.load(npz_path) as data:
-            arrays = {key: data[key] for key in shapes}
-    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{npz_path}: not a readable weights archive: {exc}") from None
-    for key, shape in shapes.items():
-        if arrays[key].shape != shape:
-            raise ValueError(f"{npz_path}: {key} has shape {arrays[key].shape}, expected {shape}")
-    layers = [
-        LayerWeights(**{f.name: arrays[f"layer{i}.{f.name}"] for f in fields(LayerWeights)})
-        for i in range(cfg.n_layers)
-    ]
-    return cfg, EncoderWeights(
-        token_embedding=arrays["token_embedding"],
-        layers=layers,
-        final_norm_gain=arrays["final_norm_gain"],
-        final_norm_bias=arrays["final_norm_bias"],
-    )
+        if sidecar.get("version") != WEIGHTS_VERSION:
+            raise ValueError(f"unsupported weights version {sidecar.get('version')}")
+        cfg, crc32 = EncoderConfig(**sidecar["config"]), sidecar["crc32"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    weights = init_weights(cfg)
+    if _checksum(weights) != crc32:
+        raise ValueError(f"{path}: crc32 mismatch in weights regenerated by numpy {np.__version__}")
+    return cfg, weights

@@ -1,10 +1,21 @@
-"""Write-to-temp-then-rename helpers so failed runs never leave partial files."""
+"""Write-to-temp-then-rename helpers so failed runs never leave partial files,
+and the integer check every config dataclass shares."""
 
 from __future__ import annotations
 
 import os
 import tempfile
+from numbers import Integral
 from pathlib import Path
+
+
+def require_int(name: str, value: object, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``minimum``.
+
+    bool is an int subclass, but true is not a count, a size or a seed.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def atomic_write_bytes(path: str | Path, blob: bytes) -> None:

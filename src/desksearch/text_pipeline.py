@@ -13,6 +13,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .io_utils import require_int
+
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)  # alphanumeric runs, no underscore
 
 
@@ -22,8 +24,9 @@ class TokenizerConfig:
     min_token_len: int = 1
 
     def __post_init__(self) -> None:
-        if self.min_token_len < 1:
-            raise ValueError(f"min_token_len must be >= 1, got {self.min_token_len}")
+        if not isinstance(self.lowercase, bool):
+            raise ValueError(f"lowercase must be true or false, got {self.lowercase!r}")
+        require_int("min_token_len", self.min_token_len, 1)
 
 
 def tokenize(text: str, cfg: TokenizerConfig = TokenizerConfig()) -> list[str]:

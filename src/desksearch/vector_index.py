@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .io_utils import atomic_write_bytes
+from .io_utils import atomic_write_bytes, require_int
 from .lexical_index import InvertedIndex, SearchHit, search_lexical
 
 VECTOR_FORMAT = "desksearch-vector-index"
@@ -30,15 +30,13 @@ class HybridConfig:
     candidate_factor: int = 4  # each side contributes a top-(factor * k) pool
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, but true is not a weight or a count.
+        # bool is an int subclass, but true is not a weight.
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
             raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         for name in ("k", "candidate_factor"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            require_int(name, getattr(self, name), 1)
 
 
 class VectorIndex:

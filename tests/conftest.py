@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import json
 import random
 from operator import setitem
@@ -82,18 +81,6 @@ def _edit_json(edit):
     return apply
 
 
-def _edit_npz(edit):
-    def apply(raw: bytes) -> bytes:
-        with np.load(io.BytesIO(raw)) as data:
-            arrays = dict(data)
-        edit(arrays)
-        buf = io.BytesIO()
-        np.savez(buf, **arrays)
-        return buf.getvalue()
-
-    return apply
-
-
 def _shared_postings(payload):
     """The postings list of the first term that occurs in two or more docs."""
     return next(plist for plist in payload["postings"] if len(plist) > 1)
@@ -101,6 +88,7 @@ def _shared_postings(payload):
 
 LEX = "lexical_index.json"
 BAD_POSTING = "with doc ids increasing within"
+WEIGHTS_MISMATCH = "crc32 mismatch in weights regenerated by numpy"
 
 # fault name -> (file in the index directory, edit of its bytes (None deletes
 # the file), a fragment of the error message)
@@ -109,11 +97,19 @@ ARTIFACT_FAULTS = {
         "weights.json", _edit_json(lambda s: s["config"].update(bogus=1)), "unexpected keyword"
     ),
     "weights_sidecar_is_list": ("weights.json", lambda raw: b"[]", "not an encoder weights"),
-    "weights_truncated_npz": ("weights.npz", _half, "not a readable weights archive"),
-    "weights_wrong_shape": (
-        "weights.npz",
-        _edit_npz(lambda a: a.update(token_embedding=a["token_embedding"][:3])),
-        "token_embedding has shape",
+    "weights_checksum_mismatch": (
+        "weights.json", _edit_json(lambda s: s.update(crc32=s["crc32"] ^ 1)), WEIGHTS_MISMATCH
+    ),
+    "weights_checksum_missing": (
+        "weights.json", _edit_json(lambda s: s.pop("crc32")), "missing key 'crc32'"
+    ),
+    "weights_seed_edited": (
+        "weights.json",
+        _edit_json(lambda s: s["config"].update(seed=s["config"]["seed"] + 1)),
+        WEIGHTS_MISMATCH,
+    ),
+    "weights_version_1": (
+        "weights.json", _edit_json(lambda s: s.update(version=1)), "unsupported weights version 1"
     ),
     "lexical_truncated": (LEX, _half, "not valid JSON"),
     "lexical_missing_postings": (

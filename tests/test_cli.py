@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import importlib.util
 import json
 import random
 import re
@@ -10,7 +11,7 @@ import pytest
 from conftest import ARTIFACT_FAULTS, VECTOR_FILE_FAULTS, corrupt_artifact, corrupt_vectors_file
 
 from desksearch import encoder, lexical_index, vector_index
-from desksearch.cli import CONFIG_KEYS, SPLIT_KEYS, _embed, load_config, main
+from desksearch.cli import CONFIG_KEYS, SPLIT_KEYS, _embed, _token_ids, load_config, main
 from desksearch.text_pipeline import tokenize
 
 SMALL_ENCODER = {"d_model": 16, "n_heads": 4, "n_layers": 2, "d_ff": 32, "max_seq_len": 64}
@@ -115,8 +116,9 @@ class TestIngest:
 class TestIndex:
     def test_artifacts_and_counts(self, pipeline, capsys):
         index_dir = pipeline["index_dir"]
-        for name in ("lexical_index.json", "vectors.bin", "weights.npz", "docs.jsonl"):
+        for name in ("lexical_index.json", "vectors.bin", "weights.json", "docs.jsonl"):
             assert (index_dir / name).exists()
+        assert not (index_dir / "weights.npz").exists()
         assert main(["index", "--config", pipeline["config"]]) == 0
         counts = json.loads(capsys.readouterr().out.strip())
         assert counts["docs"] == 70
@@ -131,7 +133,7 @@ class TestIndex:
         assert main(["index", "--config", config]) == 0
         first = {
             name: (tmp_path / "idx" / name).read_bytes()
-            for name in ("lexical_index.json", "vectors.bin")
+            for name in ("lexical_index.json", "vectors.bin", "weights.json", "docs.jsonl")
         }
         assert main(["index", "--config", config]) == 0
         for name, payload in first.items():
@@ -151,6 +153,10 @@ class TestIndex:
         captured = capsys.readouterr()
         assert "warning" in captured.err
         assert json.loads(captured.out.strip()) == {"docs": 0, "terms": 0, "vectors": 0}
+        for mode in ("lexical", "vector", "hybrid"):
+            assert main(["search", "anything", "--mode", mode, "--config", config]) == 0
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", ""), mode
 
 
 class TestSearch:
@@ -254,10 +260,10 @@ class TestSearch:
         index_dir = pipeline["index_dir"]
         lex = lexical_index.load_index(index_dir / "lexical_index.json")
         vec = vector_index.load_vectors(index_dir / "vectors.bin")
-        enc_cfg, weights = encoder.load_weights(index_dir / "weights.npz")
+        enc_cfg, weights = encoder.load_weights(index_dir / "weights.json")
         for query in (pipeline["docs"][3], "great food service", "slow staff zzgblx"):
             tokens = tokenize(query)
-            embedding = _embed(tokens, lex.vocabulary, enc_cfg, weights)
+            embedding = _embed(_token_ids(tokens, lex.vocabulary), enc_cfg, weights)
             expected = {
                 "vector": vec.search(embedding, 10),
                 "hybrid": vector_index.search_hybrid(
@@ -426,7 +432,14 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key, value",
         [("k", 2.5), ("k", True), ("candidate_factor", 1.5), ("candidate_factor", True),
-         ("alpha", True), ("alpha", "0.5")],
+         ("alpha", True), ("alpha", "0.5"),
+         ("seed", 2.5), ("seed", "7"), ("seed", True), ("n_classes", 2.5),
+         *(pytest.param(section, {name: value}, id=f"{section}.{name}-{value}")
+           for section, name, value in [
+               ("encoder", "d_model", 64.0), ("encoder", "max_seq_len", 2.5),
+               ("encoder", "n_layers", True), ("tokenizer", "lowercase", "no"),
+               ("tokenizer", "min_token_len", 1.0), ("split", "per_class", 2.5),
+           ])],
     )
     def test_mistyped_search_setting_rejected(self, pipeline, tmp_path, capsys, key, value):
         config = write_config(
@@ -435,6 +448,9 @@ class TestConfig:
         assert main(["search", "great food", "--mode", "lexical", "--config", config]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        if isinstance(value, dict):  # a nested setting: the error names its field
+            (key,) = value
+            key = SPLIT_KEYS.get(key, key)
         assert captured.err.startswith(f"error: invalid configuration: {key} must be"), captured.err
 
     @pytest.mark.parametrize(
@@ -466,3 +482,16 @@ class TestConfig:
         Path(config).write_text(json.dumps(raw))
         assert main(["ingest", "--config", config]) == 1
         assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_demo_runs_end_to_end(tmp_path, capsys):
+    script = Path(__file__).parents[1] / "scripts" / "run_demo.py"
+    spec = importlib.util.spec_from_file_location("run_demo", script)
+    run_demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_demo)
+    run_demo.demo(tmp_path)  # a CLI step that exits nonzero raises SystemExit
+    assert sorted(p.name for p in (tmp_path / "index").iterdir()) == [
+        "confusion.csv", "confusion_normalized.csv", "distribution.json", "docs.jsonl",
+        "lexical_index.json", "report.json", "test.jsonl", "train.jsonl", "val.jsonl",
+        "vectors.bin", "weights.json",
+    ]
