@@ -1,0 +1,79 @@
+"""Print one sha256 over the hit lists an index returns, to check that two
+versions of desksearch rank bit-identically.
+
+Usage: python scripts/hit_digest.py INDEX_DIR
+
+The queries are drawn with a fixed seed from the index's own terms, plus
+tokens that are in no document (some queries hold only those).  Each query is
+searched at every k in KS in lexical, vector and hybrid mode, hybrid at every
+alpha in ALPHAS.  The script prints the number of hit lists and the sha256 of
+each list's doc ids and ``float.hex`` scores, taken in grid order.  Run it
+once per version on the same index directory with that version's ``src`` on
+PYTHONPATH, and compare the two lines.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import random
+from pathlib import Path
+
+from desksearch import encoder, lexical_index, vector_index
+from desksearch.cli import LEXICAL_FILE, VECTOR_FILE, WEIGHTS_FILE, _embed, _token_ids
+
+N_QUERIES = 1500
+SEED = 20240301
+KS = (1, 10, 40, 3000)
+ALPHAS = (0.0, 0.3, 0.5, 1.0)
+UNSEEN_SHARE = 0.1  # chance that a query token is in no document
+
+
+def make_queries(terms: list[str], n: int, seed: int) -> list[list[str]]:
+    """n token lists of 1-6 tokens, each an index term or, with probability
+    UNSEEN_SHARE, one of five tokens in no document."""
+    unseen = [f"unseen{i}" for i in range(5)]
+    if set(unseen) & set(terms):
+        raise SystemExit("error: the index holds a token reserved for unseen queries")
+    rng = random.Random(seed)
+    return [
+        [rng.choice(unseen) if rng.random() < UNSEEN_SHARE else rng.choice(terms)
+         for _ in range(rng.randint(1, 6))]
+        for _ in range(n)
+    ]
+
+
+def hit_lists(index_dir: Path):
+    """Yield (label, hits) for every query x k x mode (x alpha) of the grid."""
+    lex = lexical_index.load_index(index_dir / LEXICAL_FILE)
+    vec = vector_index.load_vectors(index_dir / VECTOR_FILE)
+    terms = lex.vocabulary.id_to_term()
+    enc_cfg, weights = encoder.load_weights(index_dir / WEIGHTS_FILE) if terms else (None, None)
+    for qi, tokens in enumerate(make_queries(terms, N_QUERIES, SEED)):
+        ids = _token_ids(tokens, lex.vocabulary)
+        embedding = _embed(ids, enc_cfg, weights) if ids else None
+        for k in KS:
+            yield f"{qi} lexical k={k}", lexical_index.search_lexical(lex, tokens, k)
+            yield f"{qi} vector k={k}", vec.search(embedding, k) if embedding is not None else []
+            for alpha in ALPHAS:
+                cfg = vector_index.HybridConfig(alpha=alpha, k=k)
+                yield (
+                    f"{qi} hybrid k={k} alpha={alpha}",
+                    vector_index.search_hybrid(lex, vec, tokens, embedding, cfg),
+                )
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("index_dir", type=Path)
+    args = parser.parse_args()
+    digest, count = hashlib.sha256(), 0
+    for label, hits in hit_lists(args.index_dir):
+        line = " ".join(f"{h.doc_id}:{float(h.score).hex()}" for h in hits)
+        digest.update(f"{label}: {line}\n".encode())
+        count += 1
+    print(f"{count} hit lists, sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -54,18 +54,19 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         require_int("n_classes", self.n_classes, 2)
+        required, nullable = ("corpus", "index_dir"), ("weights", "index_source")
+        for name in required + nullable:  # a null weights or index_source means the default
+            value = getattr(self, name)
+            if not isinstance(value, str) and (value is not None or name in required):
+                raise ValueError(f"{name} must be a path string, got {value!r}")
 
     @property
     def weights_path(self) -> Path:
-        return Path(self.weights) if self.weights else Path(self.index_dir) / WEIGHTS_FILE
+        return Path(self.weights or Path(self.index_dir) / WEIGHTS_FILE)
 
     @property
     def source_path(self) -> Path:
-        return (
-            Path(self.index_source)
-            if self.index_source
-            else Path(self.index_dir) / "train.jsonl"
-        )
+        return Path(self.index_source or Path(self.index_dir) / "train.jsonl")
 
 
 # Config keys that map one to one onto a RunConfig or HybridConfig field.
@@ -253,16 +254,24 @@ def cmd_search(cfg: RunConfig, query: str, mode: str, full_text: bool) -> int:
         else:
             # Only an in-vocabulary token needs the weights; an index with no terms has none.
             ids = _token_ids(query_tokens, lex.vocabulary)
-            embedding = _embed(ids, *encoder.load_weights(cfg.weights_path)) if ids else None
+            embedding = None
+            if ids:
+                enc_cfg, weights = encoder.load_weights(cfg.weights_path)
+                # The CRC-32 shows a sidecar is whole, not that it belongs to this build.
+                if enc_cfg.vocab_size != lex.vocabulary.size:
+                    raise CliError(f"{cfg.weights_path}: vocab_size {enc_cfg.vocab_size} is not "
+                                   f"the {lex.vocabulary.size} terms of {lex_path.name}")
+                embedding = _embed(ids, enc_cfg, weights)
+                del weights  # so the weights and the vector store are not held at once
+            vec_path = index_dir / VECTOR_FILE
+            vec = vector_index.load_vectors(vec_path) if ids or mode == "hybrid" else None
+            if ids and vec.dimension != enc_cfg.d_model:
+                raise CliError(f"{vec_path}: dimension {vec.dimension} is not the d_model "
+                               f"{enc_cfg.d_model} of {cfg.weights_path.name}")
             if mode == "hybrid":
-                vec = vector_index.load_vectors(index_dir / VECTOR_FILE)
                 hits = vector_index.search_hybrid(lex, vec, query_tokens, embedding, cfg.search)
-            elif embedding is None:
-                hits = []
             else:
-                hits = vector_index.load_vectors(index_dir / VECTOR_FILE).search(
-                    embedding, cfg.search.k
-                )
+                hits = vec.search(embedding, cfg.search.k) if embedding is not None else []
         texts = _doc_texts(index_dir / DOCS_FILE, [hit.doc_id for hit in hits])
     except OSError as exc:
         raise CliError(f"cannot load index artifacts: {exc}") from exc

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from .io_utils import atomic_write_text
 from .text_pipeline import Vocabulary, idf, tfidf_vectorize
 
@@ -25,6 +27,16 @@ INDEX_VERSION = 2
 class SearchHit(NamedTuple):
     doc_id: int
     score: float
+
+
+def top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> list[SearchHit]:
+    """The k best (id, score) pairs by descending score, ties by ascending id.
+    Every entry scoring at least the k-th best is a candidate, so a tie across
+    the k-th place is settled by id, as a full sort would settle it."""
+    n = len(scores)
+    top = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k]) if k < n else np.arange(n)
+    top = top[np.lexsort((ids[top], -scores[top]))[:k]]
+    return [SearchHit(i, s) for i, s in zip(ids[top].tolist(), scores[top].tolist())]
 
 
 @dataclass

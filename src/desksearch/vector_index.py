@@ -3,7 +3,8 @@
 The store is a brute-force exact scan (no approximate structures): fine for
 desk-scale corpora and trivially correct against an all-pairs oracle.  Hybrid
 search min-max normalizes the lexical and vector candidate scores to [0, 1]
-and blends them with a configurable lexical weight.
+and blends them, as arrays over the union of the two pools, with a
+configurable lexical weight.  Both rank through ``lexical_index.top_k``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .io_utils import atomic_write_bytes, require_int
-from .lexical_index import InvertedIndex, SearchHit, search_lexical
+from .lexical_index import InvertedIndex, SearchHit, search_lexical, top_k
 
 VECTOR_FORMAT = "desksearch-vector-index"
 VECTOR_VERSION = 1
@@ -113,8 +114,8 @@ class VectorIndex:
         return self._matrix[pos[0]]
 
     def search(self, query: np.ndarray, k: int) -> list[SearchHit]:
-        """Exact scan: cosine similarity against every stored vector, top-k by
-        descending score, ties broken by ascending doc id."""
+        """Exact scan: cosine similarity against every stored vector, ranked by
+        ``top_k``."""
         if k < 1:
             raise ValueError("k must be >= 1")
         q = np.asarray(query, dtype=float)
@@ -125,22 +126,7 @@ class VectorIndex:
             raise ValueError("cannot search with a zero-norm query")
         if not np.isfinite(q_norm):
             raise ValueError("cannot search with a non-finite query")
-        n = len(self._ids)
-        if n == 0:
-            return []
-        scores = (self._matrix @ q) / (self._norms * q_norm)
-        # Every row scoring at least the k-th best is a candidate, so a tie
-        # across the k-th place is settled by doc id, as a full sort would.
-        candidates = (
-            np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
-            if k < n
-            else np.arange(n)
-        )
-        top = candidates[np.lexsort((self._ids[candidates], -scores[candidates]))[:k]]
-        return [
-            SearchHit(doc_id, score)
-            for doc_id, score in zip(self._ids[top].tolist(), scores[top].tolist())
-        ]
+        return top_k(self._ids, (self._matrix @ q) / (self._norms * q_norm), k)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -148,15 +134,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def minmax_normalize(hits: list[SearchHit]) -> dict[int, float]:
-    """Map each hit's score into [0, 1]; a constant score list maps to all ones."""
-    if not hits:
-        return {}
-    scores = [h.score for h in hits]
-    lo, hi = min(scores), max(scores)
-    if hi == lo:
-        return {h.doc_id: 1.0 for h in hits}
-    return {h.doc_id: (h.score - lo) / (hi - lo) for h in hits}
+def minmax_normalize(scores: np.ndarray) -> np.ndarray:
+    """Map scores into [0, 1]; constant scores (a single one too) map to ones."""
+    scores = np.asarray(scores, dtype=float)
+    if not scores.size:
+        return scores
+    lo, hi = scores.min(), scores.max()
+    return np.ones_like(scores) if hi == lo else (scores - lo) / (hi - lo)
 
 
 def search_hybrid(
@@ -169,27 +153,21 @@ def search_hybrid(
     """Fuse lexical and vector rankings over a shared doc-id space.
 
     Each side contributes its top-(candidate_factor * k) list; scores are
-    min-max normalized per side and blended as
+    min-max normalized per side and blended over the union of the two pools as
     alpha * lexical + (1 - alpha) * vector, with a missing side contributing
     zero.  ``query_embedding=None`` (e.g. a fully out-of-vocabulary query)
     degrades to the lexical side only.
     """
     pool = cfg.candidate_factor * cfg.k
     lex_hits = search_lexical(lex_index, query_tokens, pool)
-    vec_hits = (
-        vec_index.search(query_embedding, pool) if query_embedding is not None else []
-    )
-    lex_norm = minmax_normalize(lex_hits)
-    vec_norm = minmax_normalize(vec_hits)
-
-    fused = []
-    for doc_id in sorted(set(lex_norm) | set(vec_norm)):
-        score = cfg.alpha * lex_norm.get(doc_id, 0.0) + (1.0 - cfg.alpha) * vec_norm.get(
-            doc_id, 0.0
-        )
-        fused.append(SearchHit(doc_id, score))
-    fused.sort(key=lambda h: (-h.score, h.doc_id))
-    return fused[: cfg.k]
+    vec_hits = vec_index.search(query_embedding, pool) if query_embedding is not None else []
+    # A set, not np.union1d: np.unique imports numpy.ma, about 1 MB, on first use.
+    ids = np.array(sorted({h.doc_id for h in lex_hits + vec_hits}), dtype=np.int64)
+    fused = np.zeros(len(ids))  # a side adds 0 for a doc outside its pool
+    for weight, hits in ((cfg.alpha, lex_hits), (1.0 - cfg.alpha, vec_hits)):
+        at = np.searchsorted(ids, [h.doc_id for h in hits])
+        fused[at] += weight * minmax_normalize([h.score for h in hits])
+    return top_k(ids, fused, cfg.k)
 
 
 def save_vectors(index: VectorIndex, path: str | Path) -> None:

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import random
+import tempfile
 from operator import setitem
+from pathlib import Path
 
 import numpy as np
 
@@ -86,6 +88,27 @@ def _shared_postings(payload):
     return next(plist for plist in payload["postings"] if len(plist) > 1)
 
 
+def _sidecar_of_another_build(raw: bytes) -> bytes:
+    """A whole sidecar, with a valid CRC-32, for a build with one more term."""
+    from desksearch.encoder import EncoderConfig, init_weights, save_weights
+
+    config = json.loads(raw)["config"]
+    cfg = EncoderConfig(**{**config, "vocab_size": config["vocab_size"] + 1})
+    with tempfile.TemporaryDirectory() as tmp:
+        save_weights(cfg, init_weights(cfg), Path(tmp) / "weights.json")
+        return (Path(tmp) / "weights.json").read_bytes()
+
+
+def _vectors_one_dimension_wider(raw: bytes) -> bytes:
+    """A whole vectors.bin whose unit rows gain a zero column."""
+    newline = raw.index(b"\n")
+    header = json.loads(raw[:newline])
+    rows = np.frombuffer(raw, dtype="<f8", offset=newline + 1)
+    rows = np.pad(rows.reshape(header["count"], header["dimension"]), ((0, 0), (0, 1)))
+    header["dimension"] += 1
+    return json.dumps(header).encode("utf-8") + b"\n" + rows.tobytes()
+
+
 LEX = "lexical_index.json"
 BAD_POSTING = "with doc ids increasing within"
 WEIGHTS_MISMATCH = "crc32 mismatch in weights regenerated by numpy"
@@ -151,6 +174,14 @@ ARTIFACT_FAULTS = {
     ),
     "lexical_nan_doc_norm": (
         LEX, _edit_json(lambda p: setitem(p["doc_norms"], 0, float("nan"))), "non-negative"
+    ),
+    # Each file is whole, but not of this build: only the CLI, which reads them
+    # together, can tell, so no loader test runs these.
+    "mixed_build_sidecar": (
+        "weights.json", _sidecar_of_another_build, "terms of lexical_index.json"
+    ),
+    "mixed_build_vectors_dimension": (
+        "vectors.bin", _vectors_one_dimension_wider, "is not the d_model"
     ),
     "docs_missing": ("docs.jsonl", None, "No such file"),
     "docs_short": ("docs.jsonl", lambda raw: raw.split(b"\n")[0] + b"\n", "is not doc"),

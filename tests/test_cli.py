@@ -454,6 +454,29 @@ class TestConfig:
         assert captured.err.startswith(f"error: invalid configuration: {key} must be"), captured.err
 
     @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["index"], "index_dir", 5),
+            (["search", "great food"], "index_dir", 5),
+            (["ingest"], "corpus", ["a"]),
+            (["index"], "index_source", True),
+            (["search", "great food", "--mode", "vector"], "weights", 7),
+        ],
+        ids=["index-index_dir", "search-index_dir", "ingest-corpus", "index-index_source",
+             "search-weights"],
+    )
+    def test_mistyped_path_setting_rejected(self, tmp_path, monkeypatch, capsys, argv, key, value):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: value}))
+        assert main([*argv, "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: invalid configuration: {key} must be a path string, got {value!r}\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["eval", "p.jsonl", "--k", "5"],

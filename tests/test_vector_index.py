@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_knn, dense_cosine, recompute_fusion
 
-from desksearch.lexical_index import SearchHit, build_index, search_lexical
+from desksearch.lexical_index import build_index, search_lexical
 from desksearch.vector_index import (
     HybridConfig,
     VectorIndex,
@@ -211,35 +211,77 @@ class TestTieExactTopK:
         assert [(h.doc_id, h.score) for h in got] == full
 
 
+# Docs drawn with repeats from this pool: identical docs get identical lexical
+# scores, so lexical ties are exact.
+HYBRID_DOCS = [["apple"], ["apple", "pie"], ["pie", "tart"], ["tart"], ["apple", "apple", "tart"]]
+
+
+class TestTieExactHybrid:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_sort_of_readme_fusion(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        docs = data.draw(
+            st.lists(st.sampled_from(HYBRID_DOCS), min_size=n, max_size=n), label="docs"
+        )
+        # Rows for a subset of the docs: a doc may have no embedding.
+        vec_ids = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), label="vec_ids"
+        )
+        rows = data.draw(
+            st.lists(st.sampled_from(DYADIC_ROWS), min_size=len(vec_ids), max_size=len(vec_ids)),
+            label="rows",
+        )
+        q_emb = np.array(
+            data.draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(any), label="q"),
+            dtype=float,
+        )
+        q_tokens = data.draw(
+            st.lists(st.sampled_from(["apple", "pie", "tart", "zzz"]), min_size=1, max_size=3),
+            label="q_tokens",
+        )
+        alpha = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="alpha")
+        factor = data.draw(st.integers(1, 3), label="candidate_factor")
+        k = data.draw(st.integers(1, n + 2), label="k")
+
+        lex = build_index(docs)
+        vec = VectorIndex.from_arrays(vec_ids, np.stack(rows))
+        cfg = HybridConfig(alpha=alpha, k=k, candidate_factor=factor)
+        got = search_hybrid(lex, vec, q_tokens, q_emb, cfg)
+
+        pool = factor * k
+        lex_pool = [(h.doc_id, h.score) for h in search_lexical(lex, q_tokens, pool)]
+        vec_pool = [(h.doc_id, h.score) for h in vec.search(q_emb, pool)]
+        want = recompute_fusion(lex_pool, vec_pool, alpha, k)
+        # Equal score bits, not only equal values.
+        assert [(h.doc_id, h.score.hex()) for h in got] == [(d, s.hex()) for d, s in want]
+
+
 class TestMinmaxNormalize:
     def test_empty_list(self):
-        assert minmax_normalize([]) == {}
+        assert minmax_normalize(np.array([])).tolist() == []
 
     def test_constant_list_maps_to_ones(self):
-        hits = [SearchHit(0, 0.4), SearchHit(1, 0.4)]
-        assert minmax_normalize(hits) == {0: 1.0, 1: 1.0}
+        assert minmax_normalize(np.array([0.4, 0.4])).tolist() == [1.0, 1.0]
 
     def test_single_hit_maps_to_one(self):
-        assert minmax_normalize([SearchHit(5, -0.2)]) == {5: 1.0}
+        assert minmax_normalize(np.array([-0.2])).tolist() == [1.0]
 
     def test_endpoints(self):
-        hits = [SearchHit(0, 2.0), SearchHit(1, 6.0), SearchHit(2, 4.0)]
-        out = minmax_normalize(hits)
-        assert out == {0: 0.0, 1: 1.0, 2: 0.5}
+        assert minmax_normalize(np.array([2.0, 6.0, 4.0])).tolist() == [0.0, 1.0, 0.5]
 
     def test_preserves_order(self):
         rng = random.Random(13)
-        hits = [SearchHit(i, rng.uniform(-1, 1)) for i in range(20)]
-        out = minmax_normalize(hits)
-        ranked_before = sorted(hits, key=lambda h: -h.score)
-        ranked_after = sorted(hits, key=lambda h: -out[h.doc_id])
-        assert [h.doc_id for h in ranked_before] == [h.doc_id for h in ranked_after]
+        scores = np.array([rng.uniform(-1, 1) for _ in range(20)])
+        out = minmax_normalize(scores)
+        ranked_before = np.argsort(-scores, kind="stable")
+        ranked_after = np.argsort(-out, kind="stable")
+        assert ranked_before.tolist() == ranked_after.tolist()
 
     def test_range(self):
         rng = random.Random(14)
-        hits = [SearchHit(i, rng.uniform(-5, 5)) for i in range(50)]
-        for v in minmax_normalize(hits).values():
-            assert 0.0 <= v <= 1.0
+        out = minmax_normalize(np.array([rng.uniform(-5, 5) for _ in range(50)]))
+        assert ((0.0 <= out) & (out <= 1.0)).all()
 
 
 class TestHybridConfig:
@@ -281,6 +323,12 @@ def build_hybrid_fixture(seed, n_docs, dim=12):
     return docs, lex, vec
 
 
+def normalized(hits):
+    """doc id -> min-max normalized score of one side's hits."""
+    scores = minmax_normalize(np.array([h.score for h in hits]))
+    return dict(zip([h.doc_id for h in hits], scores.tolist()))
+
+
 class TestSearchHybrid:
     def test_alpha_one_reduces_to_lexical_order(self):
         docs, lex, vec = build_hybrid_fixture(15, 50)
@@ -315,8 +363,8 @@ class TestSearchHybrid:
         cfg = HybridConfig(alpha=0.5, k=4, candidate_factor=4)
         q_tokens, q_emb = ["apple"], np.array([1.0, 0.0])
         fused = search_hybrid(lex, vec, q_tokens, q_emb, cfg)
-        lex_norm = minmax_normalize(search_lexical(lex, q_tokens, 16))
-        vec_norm = minmax_normalize(vec.search(q_emb, 16))
+        lex_norm = normalized(search_lexical(lex, q_tokens, 16))
+        vec_norm = normalized(vec.search(q_emb, 16))
         expected = {
             d: 0.5 * lex_norm.get(d, 0.0) + 0.5 * vec_norm.get(d, 0.0)
             for d in set(lex_norm) | set(vec_norm)
@@ -339,7 +387,7 @@ class TestSearchHybrid:
         docs, lex, vec = build_hybrid_fixture(18, 30)
         cfg = HybridConfig(alpha=0.5, k=5)
         fused = search_hybrid(lex, vec, docs[2], None, cfg)
-        lex_norm = minmax_normalize(search_lexical(lex, docs[2], 20))
+        lex_norm = normalized(search_lexical(lex, docs[2], 20))
         expected = sorted(
             ((d, 0.5 * s) for d, s in lex_norm.items()), key=lambda t: (-t[1], t[0])
         )[:5]
