@@ -35,7 +35,6 @@ class CliError(Exception):
 class RunConfig:
     corpus: str = "corpus.jsonl"
     index_dir: str = "index"
-    weights: str | None = None  # default: <index_dir>/weights.json
     index_source: str | None = None  # default: <index_dir>/train.jsonl
     seed: int = 0
     n_classes: int = 5
@@ -54,15 +53,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         require_int("n_classes", self.n_classes, 2)
-        required, nullable = ("corpus", "index_dir"), ("weights", "index_source")
-        for name in required + nullable:  # a null weights or index_source means the default
+        for name in ("corpus", "index_dir", "index_source"):  # a null index_source is the default
             value = getattr(self, name)
-            if not isinstance(value, str) and (value is not None or name in required):
+            if not isinstance(value, str) and (value is not None or name != "index_source"):
                 raise ValueError(f"{name} must be a path string, got {value!r}")
-
-    @property
-    def weights_path(self) -> Path:
-        return Path(self.weights or Path(self.index_dir) / WEIGHTS_FILE)
 
     @property
     def source_path(self) -> Path:
@@ -70,7 +64,7 @@ class RunConfig:
 
 
 # Config keys that map one to one onto a RunConfig or HybridConfig field.
-PLAIN_KEYS = ("corpus", "index_dir", "weights", "index_source", "n_classes")
+PLAIN_KEYS = ("corpus", "index_dir", "index_source", "n_classes")
 SEARCH_KEYS = tuple(f.name for f in fields(vector_index.HybridConfig))
 CONFIG_KEYS = (*PLAIN_KEYS, "seed", *SEARCH_KEYS, "split", "encoder", "tokenizer")
 # "split" key -> SplitSpec field
@@ -197,7 +191,7 @@ def cmd_index(cfg: RunConfig) -> int:
             vocab_size=lex.vocabulary.size, seed=cfg.seed, **cfg.encoder_params
         )
         weights = encoder.init_weights(enc_cfg)
-        encoder.save_weights(enc_cfg, weights, cfg.weights_path)
+        encoder.save_weights(enc_cfg, weights, out_dir / WEIGHTS_FILE)
         # Every term comes from some doc, so at least one doc is embedded.
         doc_ids, rows = [], []
         for doc_id, tokens in enumerate(token_lists):
@@ -249,29 +243,21 @@ def cmd_search(cfg: RunConfig, query: str, mode: str, full_text: bool) -> int:
     query_tokens = tokenize(query, cfg.tokenizer)
 
     try:
+        # Only an in-vocabulary token needs the weights and the vectors; an index
+        # with no terms has none.  The loaders check each against the one before.
+        ids = _token_ids(query_tokens, lex.vocabulary) if mode != "lexical" else []
+        embedding = vec = None
+        if ids:
+            enc_cfg, weights = encoder.load_weights(index_dir / WEIGHTS_FILE, lex.vocabulary.size)
+            embedding = _embed(ids, enc_cfg, weights)
+            del weights  # so the weights and the vector store are not held at once
+            vec = vector_index.load_vectors(index_dir / VECTOR_FILE, enc_cfg.d_model)
         if mode == "lexical":
             hits = lexical_index.search_lexical(lex, query_tokens, cfg.search.k)
+        elif mode == "hybrid":
+            hits = vector_index.search_hybrid(lex, vec, query_tokens, embedding, cfg.search)
         else:
-            # Only an in-vocabulary token needs the weights; an index with no terms has none.
-            ids = _token_ids(query_tokens, lex.vocabulary)
-            embedding = None
-            if ids:
-                enc_cfg, weights = encoder.load_weights(cfg.weights_path)
-                # The CRC-32 shows a sidecar is whole, not that it belongs to this build.
-                if enc_cfg.vocab_size != lex.vocabulary.size:
-                    raise CliError(f"{cfg.weights_path}: vocab_size {enc_cfg.vocab_size} is not "
-                                   f"the {lex.vocabulary.size} terms of {lex_path.name}")
-                embedding = _embed(ids, enc_cfg, weights)
-                del weights  # so the weights and the vector store are not held at once
-            vec_path = index_dir / VECTOR_FILE
-            vec = vector_index.load_vectors(vec_path) if ids or mode == "hybrid" else None
-            if ids and vec.dimension != enc_cfg.d_model:
-                raise CliError(f"{vec_path}: dimension {vec.dimension} is not the d_model "
-                               f"{enc_cfg.d_model} of {cfg.weights_path.name}")
-            if mode == "hybrid":
-                hits = vector_index.search_hybrid(lex, vec, query_tokens, embedding, cfg.search)
-            else:
-                hits = vec.search(embedding, cfg.search.k) if embedding is not None else []
+            hits = vec.search(embedding, cfg.search.k) if vec is not None else []
         texts = _doc_texts(index_dir / DOCS_FILE, [hit.doc_id for hit in hits])
     except OSError as exc:
         raise CliError(f"cannot load index artifacts: {exc}") from exc

@@ -4,14 +4,14 @@ Architecture: token embeddings + sinusoidal positional encoding, then a stack
 of pre-norm blocks (x += Attention(RMSNorm(x)); x += SwiGLU(RMSNorm(x))),
 a final RMSNorm, mean pooling over positions, and L2 normalization.  Weights
 are seeded random draws, so every output is reproducible from (token ids,
-config, seed).  They are never stored: load_weights regenerates them and checks
-their CRC-32, as numpy does not promise the same seeded stream in every release
-(NEP 19).  Gradients exist only for the two loss functions; no training loop.
+config, seed).  They are never stored: the sidecar's one header line holds the
+config and their CRC-32, and load_weights regenerates them and checks it, as
+numpy does not promise the same seeded stream in every release (NEP 19).
+Gradients exist only for the two loss functions; no training loop.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from dataclasses import asdict, dataclass, fields
@@ -23,7 +23,7 @@ from . import io_utils
 
 DEFAULT_EPS = 1e-6
 WEIGHTS_FORMAT = "encoder-weights"
-WEIGHTS_VERSION = 2
+WEIGHTS_VERSION = 3
 
 # Unit-norm float64 vector of length d_model, as emitted by encode().
 DenseEmbedding = np.ndarray
@@ -277,29 +277,32 @@ def _checksum(weights: EncoderWeights) -> int:
 
 
 def save_weights(cfg: EncoderConfig, weights: EncoderWeights, path: str | Path) -> None:
-    """Write ``path.with_suffix(".json")`` atomically: the config and the
-    CRC-32 of ``weights``, which must be ``init_weights(cfg)``."""
-    sidecar = {"format": WEIGHTS_FORMAT, "version": WEIGHTS_VERSION, "config": asdict(cfg)}
-    sidecar["crc32"] = _checksum(weights)
+    """Write ``path.with_suffix(".json")`` atomically: one header line holding
+    the config and the CRC-32 of ``weights``, which must be ``init_weights(cfg)``."""
     path = Path(path).with_suffix(".json")
-    io_utils.atomic_write_text(path, json.dumps(sidecar, indent=2) + "\n")
+    fields = {"config": asdict(cfg), "crc32": _checksum(weights)}
+    io_utils.write_artifact(path, WEIGHTS_FORMAT, WEIGHTS_VERSION, fields)
 
 
-def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights]:
+def load_weights(
+    path: str | Path, vocab_size: int | None = None
+) -> tuple[EncoderConfig, EncoderWeights]:
     """Regenerate the weights a ``save_weights`` sidecar describes.  A malformed
-    sidecar or a CRC-32 mismatch raises ValueError naming the file."""
+    sidecar, a ``vocab_size`` other than the given one (checked before any
+    weight is drawn) or a CRC-32 mismatch raises ValueError naming the file."""
     path = Path(path).with_suffix(".json")
+    sidecar, payload = io_utils.read_artifact(path, WEIGHTS_FORMAT, WEIGHTS_VERSION)
     try:
-        sidecar = json.loads(path.read_text())
-        if not isinstance(sidecar, dict) or sidecar.get("format") != WEIGHTS_FORMAT:
-            raise ValueError("not an encoder weights sidecar")
-        if sidecar.get("version") != WEIGHTS_VERSION:
-            raise ValueError(f"unsupported weights version {sidecar.get('version')}")
         cfg, crc32 = EncoderConfig(**sidecar["config"]), sidecar["crc32"]
+        if payload:
+            raise ValueError(f"{len(payload)} bytes after the header")
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if vocab_size is not None and cfg.vocab_size != vocab_size:
+        raise ValueError(f"{path}: vocab_size {cfg.vocab_size} is not the {vocab_size} terms "
+                         "of the lexical index")
     weights = init_weights(cfg)
     if _checksum(weights) != crc32:
         raise ValueError(f"{path}: crc32 mismatch in weights regenerated by numpy {np.__version__}")

@@ -8,7 +8,6 @@ zero are omitted.  Because idf can be negative, scores live in [-1, 1].
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .io_utils import atomic_write_text
+from .io_utils import read_artifact, write_artifact
 from .text_pipeline import Vocabulary, idf, tfidf_vectorize
 
 INDEX_FORMAT = "desksearch-lexical-index"
@@ -99,31 +98,24 @@ def search_lexical(index: InvertedIndex, query_tokens: list[str], k: int) -> lis
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    """Write the index as a single versioned JSON file (atomically)."""
-    payload = {
-        "format": INDEX_FORMAT,
-        "version": INDEX_VERSION,
+    """Write the index as one header line with no payload (atomically)."""
+    fields = {
         "terms": index.vocabulary.id_to_term(),
         "postings": index.postings,
         "doc_norms": index.doc_norms,
     }
-    atomic_write_text(Path(path), json.dumps(payload) + "\n")
+    write_artifact(path, INDEX_FORMAT, INDEX_VERSION, fields)
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    """Read a ``save_index`` file; df and n_docs are derived from it.  Malformed
-    JSON, a missing key, a value of the wrong type or a posting that does not
-    fit the terms and doc norms raises ValueError naming the file."""
+    """Read a ``save_index`` file; df and n_docs are derived from it.  A bad header,
+    a missing key, a value of the wrong type, a posting that does not fit the
+    terms and doc norms or a payload raises ValueError naming the file."""
+    header, payload = read_artifact(path, INDEX_FORMAT, INDEX_VERSION)
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # malformed JSON or not UTF-8
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
-        raise ValueError(f"{path}: not a lexical index file")
-    if payload.get("version") != INDEX_VERSION:
-        raise ValueError(f"{path}: unsupported index version {payload.get('version')}")
-    try:
-        terms, postings, doc_norms = payload["terms"], payload["postings"], payload["doc_norms"]
+        terms, postings, doc_norms = header["terms"], header["postings"], header["doc_norms"]
+        if payload:
+            raise ValueError(f"{len(payload)} bytes after the header")
         term_to_id = {term: tid for tid, term in enumerate(terms)}
         if len(term_to_id) != len(terms) or not all(type(term) is str for term in terms):
             raise ValueError("terms must be unique strings")
@@ -135,10 +127,12 @@ def load_index(path: str | Path) -> InvertedIndex:
         for term, plist in zip(terms, postings):
             prev = -1
             for doc_id, tf in plist:
-                if not (type(doc_id) is type(tf) is int and prev < doc_id < n_docs and tf >= 1):
+                if not (
+                    type(doc_id) is type(tf) is int and prev < doc_id < n_docs and 0 < tf < 2**31
+                ):
                     raise ValueError(
-                        f"term {term!r}: [{doc_id}, {tf}] is not [doc id, tf >= 1] with doc ids "
-                        f"increasing within [0, {n_docs})"
+                        f"term {term!r}: [{doc_id}, {tf}] is not [doc id, 1 <= tf < 2**31] with "
+                        f"doc ids increasing within [0, {n_docs})"
                     )
                 prev = doc_id
         vocab = Vocabulary(term_to_id, [len(plist) for plist in postings], n_docs)

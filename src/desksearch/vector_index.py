@@ -9,14 +9,14 @@ configurable lexical weight.  Both rank through ``lexical_index.top_k``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .io_utils import atomic_write_bytes, require_int
+from .io_utils import atomic_write_bytes  # noqa: F401  perfbench/layers.py wraps it here
+from .io_utils import read_artifact, require_int, write_artifact
 from .lexical_index import InvertedIndex, SearchHit, search_lexical, top_k
 
 VECTOR_FORMAT = "desksearch-vector-index"
@@ -98,7 +98,8 @@ class VectorIndex:
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if repeated.size:
             raise ValueError(f"duplicate doc id {repeated[0]}: already present")
-        norms = np.linalg.norm(rows, axis=1)
+        with np.errstate(over="ignore"):  # an overflowing row has norm inf, rejected below
+            norms = np.linalg.norm(rows, axis=1)
         off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN is off too
         if off.size:
             i = off[0]
@@ -121,7 +122,8 @@ class VectorIndex:
         q = np.asarray(query, dtype=float)
         if q.shape != (self.dimension,):
             raise ValueError(f"expected dimension {self.dimension}, got shape {q.shape}")
-        q_norm = float(np.linalg.norm(q))
+        with np.errstate(over="ignore"):  # an overflowing query has norm inf, rejected below
+            q_norm = float(np.linalg.norm(q))
         if q_norm == 0.0:
             raise ValueError("cannot search with a zero-norm query")
         if not np.isfinite(q_norm):
@@ -145,7 +147,7 @@ def minmax_normalize(scores: np.ndarray) -> np.ndarray:
 
 def search_hybrid(
     lex_index: InvertedIndex,
-    vec_index: VectorIndex,
+    vec_index: VectorIndex | None,
     query_tokens: list[str],
     query_embedding: np.ndarray | None,
     cfg: HybridConfig,
@@ -156,7 +158,8 @@ def search_hybrid(
     min-max normalized per side and blended over the union of the two pools as
     alpha * lexical + (1 - alpha) * vector, with a missing side contributing
     zero.  ``query_embedding=None`` (e.g. a fully out-of-vocabulary query)
-    degrades to the lexical side only.
+    degrades to the lexical side only and reads no ``vec_index``, which may
+    then be None.
     """
     pool = cfg.candidate_factor * cfg.k
     lex_hits = search_lexical(lex_index, query_tokens, pool)
@@ -171,56 +174,42 @@ def search_hybrid(
 
 
 def save_vectors(index: VectorIndex, path: str | Path) -> None:
-    """Persist as a JSON header line (dimension, count, doc ids) followed by the
+    """Persist as a header line (dimension, count, doc ids) followed by the
     raw little-endian float64 matrix, rows in ascending doc-id order.
 
     The byte stream is a pure function of the stored vectors, so identical
     indexes serialize to identical files.
     """
     order = np.argsort(index._ids, kind="stable")
-    header = {
-        "format": VECTOR_FORMAT,
-        "version": VECTOR_VERSION,
-        "dimension": index.dimension,
-        "count": len(order),
-        "doc_ids": index._ids[order].tolist(),
-    }
+    ids = index._ids[order].tolist()
+    fields = {"dimension": index.dimension, "count": len(order), "doc_ids": ids}
     matrix = index._matrix.take(order, axis=0).astype("<f8", copy=False)
-    blob = json.dumps(header).encode("utf-8") + b"\n" + matrix.tobytes(order="C")
-    atomic_write_bytes(path, blob)
+    write_artifact(path, VECTOR_FORMAT, VECTOR_VERSION, fields, matrix.tobytes(order="C"))
 
 
-def load_vectors(path: str | Path) -> VectorIndex:
+def load_vectors(path: str | Path, dimension: int | None = None) -> VectorIndex:
     """Read a ``save_vectors`` file.  A header that does not match its payload
-    raises ValueError naming the file, never a partial index."""
-    raw = Path(path).read_bytes()
-    newline = raw.find(b"\n")
-    try:
-        header = json.loads(raw[:newline]) if newline >= 0 else None
-    except ValueError:  # undecodable or malformed JSON
-        header = None
-    if not isinstance(header, dict) or header.get("format") != VECTOR_FORMAT:
-        raise ValueError(f"{path}: not a vector index file")
-    if header.get("version") != VECTOR_VERSION:
-        raise ValueError(f"{path}: unsupported vector index version {header.get('version')}")
-    dimension, count, doc_ids = header.get("dimension"), header.get("count"), header.get("doc_ids")
+    or a given ``dimension`` raises ValueError naming the file, never a partial index."""
+    header, payload = read_artifact(path, VECTOR_FORMAT, VECTOR_VERSION)
+    dim, count, doc_ids = header.get("dimension"), header.get("count"), header.get("doc_ids")
     if not (
-        type(dimension) is int and dimension >= 1 and type(count) is int and count >= 0
+        type(dim) is int and dim >= 1 and type(count) is int and count >= 0
         and isinstance(doc_ids, list)
     ):
         raise ValueError(f"{path}: malformed header (dimension, count or doc_ids)")
+    if dimension is not None and dim != dimension:
+        raise ValueError(f"{path}: dimension {dim} is not the d_model {dimension} of the encoder")
     if len(doc_ids) != count:
         raise ValueError(f"{path}: header lists {len(doc_ids)} doc ids for count {count}")
-    payload = len(raw) - newline - 1
-    if payload != count * dimension * 8:
+    if len(payload) != count * dim * 8:
         raise ValueError(
-            f"{path}: payload is {payload} bytes, expected {count * dimension * 8} "
-            f"for {count} rows of {dimension} float64"
+            f"{path}: payload is {len(payload)} bytes, expected {count * dim * 8} "
+            f"for {count} rows of {dim} float64"
         )
     if not set(map(type, doc_ids)) <= {int}:  # bool and float are not ids
         raise ValueError(f"{path}: doc ids must be integers")
-    matrix = np.frombuffer(raw, dtype="<f8", offset=newline + 1).reshape(count, dimension)
     try:
+        matrix = np.frombuffer(payload, dtype="<f8").reshape(count, dim)
         return VectorIndex.from_arrays(doc_ids, matrix)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -52,6 +52,7 @@ VECTOR_FILE_FAULTS = {
     "duplicate_id": (lambda ids: [ids[0], ids[0]] + ids[2:], None, "already present"),
     "non_unit_row": (None, lambda p: _scale_first_row(p, 2.0), "unit-norm"),
     "nan_row": (None, lambda p: _scale_first_row(p, float("nan")), "unit-norm"),
+    "overflowing_row": (None, lambda p: _scale_first_row(p, 1e300), "unit-norm"),
 }
 
 
@@ -119,7 +120,9 @@ ARTIFACT_FAULTS = {
     "weights_unknown_config_key": (
         "weights.json", _edit_json(lambda s: s["config"].update(bogus=1)), "unexpected keyword"
     ),
-    "weights_sidecar_is_list": ("weights.json", lambda raw: b"[]", "not an encoder weights"),
+    "weights_sidecar_is_list": (
+        "weights.json", lambda raw: b"[]", "format is not 'encoder-weights'"
+    ),
     "weights_checksum_mismatch": (
         "weights.json", _edit_json(lambda s: s.update(crc32=s["crc32"] ^ 1)), WEIGHTS_MISMATCH
     ),
@@ -132,7 +135,15 @@ ARTIFACT_FAULTS = {
         WEIGHTS_MISMATCH,
     ),
     "weights_version_1": (
-        "weights.json", _edit_json(lambda s: s.update(version=1)), "unsupported weights version 1"
+        "weights.json",
+        _edit_json(lambda s: s.update(version=1)),
+        "unsupported encoder-weights version 1",
+    ),
+    # A version-2 sidecar spread the same object over indented lines.
+    "weights_version_2_indented": (
+        "weights.json",
+        lambda raw: json.dumps({**json.loads(raw), "version": 2}, indent=2).encode("utf-8"),
+        "header is not valid JSON",
     ),
     "lexical_truncated": (LEX, _half, "not valid JSON"),
     "lexical_missing_postings": (
@@ -154,6 +165,9 @@ ARTIFACT_FAULTS = {
         LEX, _edit_json(lambda p: _shared_postings(p).reverse()), BAD_POSTING
     ),
     "lexical_tf_zero": (LEX, _edit_json(lambda p: setitem(p["postings"][0][0], 1, 0)), BAD_POSTING),
+    "lexical_tf_huge": (
+        LEX, _edit_json(lambda p: setitem(p["postings"][0][0], 1, 10**400)), BAD_POSTING
+    ),
     "lexical_tf_fraction": (
         LEX, _edit_json(lambda p: setitem(p["postings"][0][0], 1, 1.5)), BAD_POSTING
     ),
@@ -175,10 +189,11 @@ ARTIFACT_FAULTS = {
     "lexical_nan_doc_norm": (
         LEX, _edit_json(lambda p: setitem(p["doc_norms"], 0, float("nan"))), "non-negative"
     ),
-    # Each file is whole, but not of this build: only the CLI, which reads them
-    # together, can tell, so no loader test runs these.
+    # Each file is whole, but not of this build: only a loader told the lexical
+    # index's term count or the encoder's d_model can tell.  The CLI passes them;
+    # the loader tests of single files do not run these.
     "mixed_build_sidecar": (
-        "weights.json", _sidecar_of_another_build, "terms of lexical_index.json"
+        "weights.json", _sidecar_of_another_build, "terms of the lexical index"
     ),
     "mixed_build_vectors_dimension": (
         "vectors.bin", _vectors_one_dimension_wider, "is not the d_model"

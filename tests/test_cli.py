@@ -184,14 +184,43 @@ class TestSearch:
         )
         assert hyb[0]["doc_id"] == lex[0]["doc_id"]
 
-    def test_out_of_vocabulary_query_is_empty(self, pipeline, capsys):
-        for mode in ("lexical", "vector"):
+    def test_out_of_vocabulary_query_is_empty(self, pipeline, capsys, monkeypatch):
+        # With no query embedding, nothing reads the weights or the vectors.
+        def fail(*args):
+            raise AssertionError("artifact loaded")
+
+        monkeypatch.setattr(encoder, "load_weights", fail)
+        monkeypatch.setattr(vector_index, "load_vectors", fail)
+        for mode in ("lexical", "vector", "hybrid"):
             code, hits = search_lines(
                 capsys,
                 ["search", "zzgblx", "--mode", mode, "--config", pipeline["config"]],
             )
             assert code == 0
             assert hits == []
+
+    def test_edited_vocab_size_fails_before_regenerating(
+        self, pipeline, tmp_path, capsys, monkeypatch
+    ):
+        index_dir = tmp_path / "idx"
+        shutil.copytree(pipeline["index_dir"], index_dir)
+        config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", index_dir)
+        sidecar = json.loads((index_dir / "weights.json").read_text())
+        n_terms = sidecar["config"]["vocab_size"]
+        sidecar["config"]["vocab_size"] = 200_000
+        (index_dir / "weights.json").write_text(json.dumps(sidecar) + "\n")
+
+        def fail(cfg):
+            raise AssertionError("init_weights called")
+
+        monkeypatch.setattr(encoder, "init_weights", fail)
+        assert main(["search", pipeline["docs"][0], "--mode", "vector", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {index_dir / 'weights.json'}: vocab_size 200000 is not the {n_terms} terms "
+            "of the lexical index\n"
+        )
 
     def test_snippet_truncation_and_full_flag(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -404,7 +433,8 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "extra, key",
-        [({"batch_size": 16}, "batch_size"), ({"split": {"trian": 80}}, "trian")],
+        [({"batch_size": 16}, "batch_size"), ({"split": {"trian": 80}}, "trian"),
+         ({"weights": "index/weights.json"}, "weights")],
     )
     def test_unknown_key_rejected(self, tmp_path, capsys, extra, key):
         corpus = tmp_path / "corpus.jsonl"
@@ -421,8 +451,8 @@ class TestConfig:
         path.write_text(example)
         cfg = load_config(str(path), argparse.Namespace())
         default = load_config(None, argparse.Namespace())
-        assert (cfg.weights_path, cfg.source_path) == (default.weights_path, default.source_path)
-        assert dataclasses.replace(cfg, weights=None, index_source=None) == default
+        assert cfg.source_path == default.source_path
+        assert dataclasses.replace(cfg, index_source=None) == default
         # ...and it lists every accepted key.
         raw = json.loads(example)
         assert set(raw) == set(CONFIG_KEYS) and set(raw["split"]) == set(SPLIT_KEYS)
@@ -460,10 +490,8 @@ class TestConfig:
             (["search", "great food"], "index_dir", 5),
             (["ingest"], "corpus", ["a"]),
             (["index"], "index_source", True),
-            (["search", "great food", "--mode", "vector"], "weights", 7),
         ],
-        ids=["index-index_dir", "search-index_dir", "ingest-corpus", "index-index_source",
-             "search-weights"],
+        ids=["index-index_dir", "search-index_dir", "ingest-corpus", "index-index_source"],
     )
     def test_mistyped_path_setting_rejected(self, tmp_path, monkeypatch, capsys, argv, key, value):
         monkeypatch.chdir(tmp_path)

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import corrupt_artifact, faults_of
 from hypothesis.extra.numpy import arrays
 
-from desksearch import io_utils
+from desksearch import encoder, io_utils
 from desksearch.encoder import (
     EncoderConfig,
     cross_entropy,
@@ -415,8 +416,6 @@ class TestPersistence:
         assert np.array_equal(encode([1, 2, 3], CFG, weights), encode([1, 2, 3], CFG, loaded))
 
     def test_sidecar_records_config_and_seed(self, tmp_path, weights):
-        import json
-
         path = tmp_path / "weights.json"
         save_weights(CFG, weights, path)
         sidecar = json.loads(path.read_text())
@@ -430,6 +429,25 @@ class TestPersistence:
         with pytest.raises(ValueError, match=message) as exc:
             load_weights(tmp_path / "weights.json")
         assert name in str(exc.value)
+
+    def test_sidecar_is_one_header_line(self, tmp_path, weights):
+        path = tmp_path / "weights.json"
+        save_weights(CFG, weights, path)
+        assert path.read_bytes().count(b"\n") == 1 and path.read_bytes().endswith(b"\n")
+
+    def test_other_vocab_size_rejected_before_regenerating(self, tmp_path, weights, monkeypatch):
+        path = tmp_path / "weights.json"
+        save_weights(CFG, weights, path)
+        sidecar = json.loads(path.read_text())
+        sidecar["config"]["vocab_size"] = 200_000
+        path.write_text(json.dumps(sidecar) + "\n")
+
+        def fail(cfg):
+            raise AssertionError("init_weights called")
+
+        monkeypatch.setattr(encoder, "init_weights", fail)
+        with pytest.raises(ValueError, match="weights.json: vocab_size 200000 is not the 50 terms"):
+            load_weights(path, vocab_size=CFG.vocab_size)
 
     def test_suffixless_path_round_trips(self, tmp_path, weights):
         # Only the sidecar is written, under the path's stem with a .json suffix.

@@ -1,0 +1,98 @@
+import random
+import re
+import warnings
+
+import numpy as np
+import pytest
+from conftest import random_corpus
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from desksearch.encoder import EncoderConfig, init_weights, load_weights, save_weights
+from desksearch.io_utils import read_artifact, write_artifact
+from desksearch.lexical_index import build_index, load_index, save_index
+from desksearch.vector_index import VectorIndex, load_vectors, save_vectors
+
+
+class TestArtifactCodec:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "a.bin"
+        write_artifact(path, "fmt", 3, {"n": 2, "s": "x"}, b"\x00\n\xff")
+        assert path.read_bytes() == b'{"format": "fmt", "version": 3, "n": 2, "s": "x"}\n\x00\n\xff'
+        header, payload = read_artifact(path, "fmt", 3)
+        assert header == {"format": "fmt", "version": 3, "n": 2, "s": "x"}
+        assert bytes(payload) == b"\x00\n\xff"
+
+    def test_file_without_newline_is_all_header(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text('{"format": "fmt", "version": 1}')
+        header, payload = read_artifact(path, "fmt", 1)
+        assert header == {"format": "fmt", "version": 1} and not payload
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"", "header is not valid JSON"),
+            (b"\xff\n", "header is not valid JSON"),
+            (b'{"format": "fmt",\n "version": 1}\n', "header is not valid JSON"),
+            (b"[1, 2]\n", "format is not 'fmt'"),
+            (b'{"format": "other", "version": 1}\n', "format is not 'fmt'"),
+            (b'{"version": 1}\n', "format is not 'fmt'"),
+            (b'{"format": "fmt", "version": 2}\n', "unsupported fmt version 2"),
+            (b'{"format": "fmt", "version": "1"}\n', "unsupported fmt version '1'"),
+            (b'{"format": "fmt", "version": true}\n', "unsupported fmt version True"),
+            (b'{"format": "fmt", "version": 1.0}\n', "unsupported fmt version 1.0"),
+            (b'{"format": "fmt"}\n', "unsupported fmt version None"),
+        ],
+    )
+    def test_bad_header_rejected_naming_the_file(self, tmp_path, raw, message):
+        path = tmp_path / "a.bin"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+            read_artifact(path, "fmt", 1)
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """One small build's three artifacts, as bytes, the loader of each and a
+    directory for damaged copies."""
+    root = tmp_path_factory.mktemp("built")
+    docs = random_corpus(random.Random(31), 12, max_len=6)
+    lex = build_index(docs)
+    save_index(lex, root / "lexical_index.json")
+    cfg = EncoderConfig(vocab_size=lex.vocabulary.size, d_model=8, n_heads=2, n_layers=1, d_ff=16)
+    save_weights(cfg, init_weights(cfg), root / "weights.json")
+    rows = np.random.default_rng(31).normal(size=(len(docs), cfg.d_model))
+    vec = VectorIndex.from_arrays(range(len(docs)), rows / np.linalg.norm(rows, axis=1)[:, None])
+    save_vectors(vec, root / "vectors.bin")
+    loaders = {"lexical_index.json": load_index, "vectors.bin": load_vectors,
+               "weights.json": load_weights}
+    (root / "damaged").mkdir()
+    return {name: ((root / name).read_bytes(), load, root / "damaged" / name)
+            for name, load in loaders.items()}
+
+
+@pytest.mark.parametrize("name", ["lexical_index.json", "vectors.bin", "weights.json"])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_damaged_artifact_loads_or_fails_naming_the_file(built, name, data):
+    """A truncated, overwritten or grown artifact either loads or raises one
+    ValueError naming the file; any other exception or a warning fails."""
+    raw, load, path = built[name]
+    edit = data.draw(st.sampled_from(["truncate", "overwrite", "insert"]), label="edit")
+    if edit == "truncate":
+        damaged = raw[: data.draw(st.integers(0, len(raw) - 1), label="at")]
+    elif edit == "overwrite":
+        damaged = bytearray(raw)
+        for at in data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=3)):
+            damaged[at] = data.draw(st.integers(0, 255), label=f"byte at {at}")
+    else:
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        damaged = raw[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[at:]
+    path.write_bytes(bytes(damaged))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            load(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc

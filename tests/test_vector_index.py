@@ -147,6 +147,8 @@ class TestVectorIndex:
             VectorIndex.from_arrays([4, 9, 4], random_unit_vectors(5, 3, 2))
         with pytest.raises(ValueError, match="unit-norm"):
             VectorIndex.from_arrays([0, 1], np.array([[1.0, 0.0], [3.0, 4.0]]))
+        with pytest.raises(ValueError, match=r"unit-norm \(\|v\| = inf\)"):
+            VectorIndex.from_arrays([0], np.array([[1e300, 0.0]]))
         with pytest.raises(ValueError, match="integers"):
             VectorIndex.from_arrays([0.0, 1.0], random_unit_vectors(6, 2, 2))
         with pytest.raises(ValueError, match="rows of dimension"):
@@ -165,6 +167,8 @@ class TestVectorIndex:
         idx = VectorIndex.from_arrays([0], np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError, match="non-finite"):
             idx.search(np.array([np.nan, 1.0]), k=1)
+        with pytest.raises(ValueError, match="non-finite"):
+            idx.search(np.array([1e300, 1.0]), k=1)
 
 
 # Unit rows with entries in {0, +-0.5, +-1}: with an integer query every
@@ -474,6 +478,13 @@ class TestPersistence:
         path.write_bytes(b'{"format": "nope", "version": 1}\n')
         with pytest.raises(ValueError):
             load_vectors(path)
+
+    def test_dimension_argument_checked(self, tmp_path):
+        path = tmp_path / "vectors.bin"
+        save_vectors(VectorIndex.from_arrays([0, 1], random_unit_vectors(29, 2, 3)), path)
+        assert load_vectors(path, dimension=3).dimension == 3
+        with pytest.raises(ValueError, match="vectors.bin: dimension 3 is not the d_model 4"):
+            load_vectors(path, dimension=4)
 
     @pytest.mark.parametrize("fault", sorted(VECTOR_FILE_FAULTS))
     def test_inconsistent_file_rejected(self, tmp_path, fault):
