@@ -51,7 +51,7 @@ def hit_lists(index_dir: Path):
     enc_cfg, weights = encoder.load_weights(index_dir / WEIGHTS_FILE) if terms else (None, None)
     for qi, tokens in enumerate(make_queries(terms, N_QUERIES, SEED)):
         ids = _token_ids(tokens, lex.vocabulary)
-        embedding = _embed(ids, enc_cfg, weights) if ids else None
+        embedding = _embed([ids], enc_cfg, weights)[0] if ids else None
         for k in KS:
             yield f"{qi} lexical k={k}", lexical_index.search_lexical(lex, tokens, k)
             yield f"{qi} vector k={k}", vec.search(embedding, k) if embedding is not None else []

@@ -25,6 +25,9 @@ LEXICAL_FILE = "lexical_index.json"
 VECTOR_FILE = "vectors.bin"
 WEIGHTS_FILE = "weights.json"
 DOCS_FILE = "docs.jsonl"
+# Tokens per encoder call in _embed.  Chunks much larger than this encode
+# slower per sequence: their attention tensors no longer fit in cache.
+ENCODE_TOKEN_BUDGET = 512
 
 
 class CliError(Exception):
@@ -127,11 +130,26 @@ def _token_ids(tokens: list[str], vocab) -> list[int]:
 
 
 def _embed(
-    ids: list[int], enc_cfg: encoder.EncoderConfig, weights: encoder.EncoderWeights
+    id_lists: list[list[int]], enc_cfg: encoder.EncoderConfig, weights: encoder.EncoderWeights
 ) -> np.ndarray:
-    """Embed a document or a query from its non-empty ``_token_ids``,
-    truncated to max_seq_len."""
-    return encoder.encode(ids[: enc_cfg.max_seq_len], enc_cfg, weights)
+    """Embed documents or queries from their non-empty ``_token_ids``, each
+    truncated to max_seq_len: one unit row per list, in input order.
+
+    Lists of one length are encoded together, max(1, ENCODE_TOKEN_BUDGET //
+    length) per call, which bounds the (chunk, n_heads, length, length)
+    attention tensor.  A row does not depend on the rest of its chunk.
+    """
+    rows = [ids[: enc_cfg.max_seq_len] for ids in id_lists]
+    by_length: dict[int, list[int]] = {}
+    for i, ids in enumerate(rows):
+        by_length.setdefault(len(ids), []).append(i)
+    out = np.empty((len(rows), enc_cfg.d_model))
+    for length, members in by_length.items():
+        step = max(1, ENCODE_TOKEN_BUDGET // length)
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            out[chunk] = encoder.encode([rows[i] for i in chunk], enc_cfg, weights)
+    return out
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -193,13 +211,11 @@ def cmd_index(cfg: RunConfig) -> int:
         weights = encoder.init_weights(enc_cfg)
         encoder.save_weights(enc_cfg, weights, out_dir / WEIGHTS_FILE)
         # Every term comes from some doc, so at least one doc is embedded.
-        doc_ids, rows = [], []
-        for doc_id, tokens in enumerate(token_lists):
-            ids = _token_ids(tokens, lex.vocabulary)
-            if ids:
-                doc_ids.append(doc_id)
-                rows.append(_embed(ids, enc_cfg, weights))
-        vec = vector_index.VectorIndex.from_arrays(doc_ids, np.array(rows))
+        id_lists = [_token_ids(tokens, lex.vocabulary) for tokens in token_lists]
+        doc_ids = [doc_id for doc_id, ids in enumerate(id_lists) if ids]
+        vec = vector_index.VectorIndex.from_arrays(
+            doc_ids, _embed([id_lists[doc_id] for doc_id in doc_ids], enc_cfg, weights)
+        )
     vector_index.save_vectors(vec, out_dir / VECTOR_FILE)
 
     doc_lines = [
@@ -249,7 +265,7 @@ def cmd_search(cfg: RunConfig, query: str, mode: str, full_text: bool) -> int:
         embedding = vec = None
         if ids:
             enc_cfg, weights = encoder.load_weights(index_dir / WEIGHTS_FILE, lex.vocabulary.size)
-            embedding = _embed(ids, enc_cfg, weights)
+            embedding = _embed([ids], enc_cfg, weights)[0]
             del weights  # so the weights and the vector store are not held at once
             vec = vector_index.load_vectors(index_dir / VECTOR_FILE, enc_cfg.d_model)
         if mode == "lexical":

@@ -2,7 +2,9 @@
 
 Architecture: token embeddings + sinusoidal positional encoding, then a stack
 of pre-norm blocks (x += Attention(RMSNorm(x)); x += SwiGLU(RMSNorm(x))),
-a final RMSNorm, mean pooling over positions, and L2 normalization.  Weights
+a final RMSNorm, mean pooling over positions, and L2 normalization.  Every
+stage takes one sequence or a batch of equal-length ones on a leading axis,
+and computes each batch row exactly as it would that sequence alone.  Weights
 are seeded random draws, so every output is reproducible from (token ids,
 config, seed).  They are never stored: the sidecar's one header line holds the
 config and their CRC-32, and load_weights regenerates them and checks it, as
@@ -25,7 +27,8 @@ DEFAULT_EPS = 1e-6
 WEIGHTS_FORMAT = "encoder-weights"
 WEIGHTS_VERSION = 3
 
-# Unit-norm float64 vector of length d_model, as emitted by encode().
+# Unit-norm float64 vector of length d_model, as encode() emits for one
+# sequence; a batch gives an (n, d_model) matrix of them.
 DenseEmbedding = np.ndarray
 
 
@@ -158,27 +161,30 @@ def self_attention(
     n_heads: int,
     return_weights: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Multi-head scaled dot-product self-attention over one sequence.
+    """Multi-head scaled dot-product self-attention over a (seq_len, d_model)
+    sequence or a (batch, seq_len, d_model) batch of them.
 
     With ``return_weights`` the (n_heads, seq_len, seq_len) attention weight
-    tensor is returned alongside the output; each weight row sums to one.
+    tensor, or (batch, n_heads, seq_len, seq_len) for a batch, is returned
+    alongside the output; each weight row sums to one.
     """
-    seq_len, d_model = x.shape
+    d_model = x.shape[-1]
     if d_model % n_heads != 0:
         raise ValueError("d_model must be divisible by n_heads")
     d_head = d_model // n_heads
+    head_shape = x.shape[:-1] + (n_heads, d_head)
 
     def split_heads(m: np.ndarray) -> np.ndarray:
-        return m.reshape(seq_len, n_heads, d_head).transpose(1, 0, 2)
+        return m.reshape(head_shape).swapaxes(-3, -2)
 
     q = split_heads(x @ lw.q_proj)
     k = split_heads(x @ lw.k_proj)
     v = split_heads(x @ lw.v_proj)
 
-    scores = q @ k.transpose(0, 2, 1) / math.sqrt(d_head)
+    scores = q @ k.swapaxes(-2, -1) / math.sqrt(d_head)
     weights = _softmax(scores)
-    context = weights @ v  # (n_heads, seq_len, d_head)
-    out = context.transpose(1, 0, 2).reshape(seq_len, d_model) @ lw.out_proj
+    context = weights @ v  # (..., n_heads, seq_len, d_head)
+    out = context.swapaxes(-3, -2).reshape(x.shape) @ lw.out_proj
     if return_weights:
         return out, weights
     return out
@@ -195,27 +201,33 @@ def swiglu_ffn(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
     return gated @ lw.ffn_out
 
 
-def _check_ids(token_ids: list[int], cfg: EncoderConfig) -> np.ndarray:
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError("token sequence must be a non-empty 1-D list of ids")
-    if ids.size > cfg.max_seq_len:
-        raise ValueError(f"sequence length {ids.size} exceeds max_seq_len {cfg.max_seq_len}")
+def _check_ids(token_ids, cfg: EncoderConfig) -> np.ndarray:
+    try:
+        ids = np.asarray(token_ids, dtype=np.int64)
+    except ValueError:  # a ragged batch
+        raise ValueError("token sequences in a batch must have equal lengths") from None
+    if ids.ndim not in (1, 2) or ids.size == 0:
+        raise ValueError(
+            "token ids must be a non-empty sequence or a batch of equal-length sequences"
+        )
+    if ids.shape[-1] > cfg.max_seq_len:
+        raise ValueError(f"sequence length {ids.shape[-1]} exceeds max_seq_len {cfg.max_seq_len}")
     if np.any(ids < 0) or np.any(ids >= cfg.vocab_size):
         raise ValueError(f"token id out of range for vocab_size {cfg.vocab_size}")
     return ids
 
 
 def encode_states(
-    token_ids: list[int],
+    token_ids,
     cfg: EncoderConfig,
     weights: EncoderWeights,
     eps: float = DEFAULT_EPS,
 ) -> np.ndarray:
-    """Run the full stack and return the (seq_len, d_model) matrix after the
-    final RMSNorm, before pooling."""
+    """Run the full stack over one sequence of ids (seq_len,) or a batch of
+    equal-length ones (batch, seq_len) and return the (..., seq_len, d_model)
+    states after the final RMSNorm, before pooling."""
     ids = _check_ids(token_ids, cfg)
-    x = weights.token_embedding[ids] + positional_encoding(ids.size, cfg.d_model)
+    x = weights.token_embedding[ids] + positional_encoding(ids.shape[-1], cfg.d_model)
     for lw in weights.layers:
         x = x + self_attention(
             rmsnorm(x, lw.attn_norm_gain, lw.attn_norm_bias, eps), lw, cfg.n_heads
@@ -225,17 +237,22 @@ def encode_states(
 
 
 def encode(
-    token_ids: list[int],
+    token_ids,
     cfg: EncoderConfig,
     weights: EncoderWeights,
     eps: float = DEFAULT_EPS,
 ) -> DenseEmbedding:
-    """Mean-pool the encoded sequence and L2-normalize to a unit vector."""
-    pooled = encode_states(token_ids, cfg, weights, eps=eps).mean(axis=0)
-    norm = float(np.linalg.norm(pooled))
-    if norm == 0.0:
-        raise ValueError("pooled representation is the zero vector; cannot normalize")
-    return pooled / norm
+    """Mean-pool the encoded sequence and L2-normalize it to a unit vector; a
+    batch gives one unit row per sequence."""
+    pooled = encode_states(token_ids, cfg, weights, eps=eps).mean(axis=-2)
+    # Each row by its own 1-D np.linalg.norm, as one sequence alone: a row-wise
+    # norm(pooled, axis=-1) sums in another order and can differ in the last bit.
+    for row in pooled.reshape(-1, cfg.d_model):
+        norm = np.linalg.norm(row)
+        if norm == 0.0:
+            raise ValueError("pooled representation is the zero vector; cannot normalize")
+        row /= norm
+    return pooled
 
 
 def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:

@@ -7,10 +7,11 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import ARTIFACT_FAULTS, VECTOR_FILE_FAULTS, corrupt_artifact, corrupt_vectors_file
 
-from desksearch import encoder, lexical_index, vector_index
+from desksearch import cli, encoder, lexical_index, vector_index
 from desksearch.cli import CONFIG_KEYS, SPLIT_KEYS, _embed, _token_ids, load_config, main
 from desksearch.text_pipeline import tokenize
 
@@ -138,6 +139,37 @@ class TestIndex:
         assert main(["index", "--config", config]) == 0
         for name, payload in first.items():
             assert (tmp_path / "idx" / name).read_bytes() == payload
+
+    @pytest.mark.parametrize("budget", [None, 20])
+    def test_each_row_is_its_doc_embedded_as_a_query(self, tmp_path, capsys, monkeypatch, budget):
+        # Docs of 1-20 tokens against max_seq_len 8, so those past 8 are cut
+        # and share one length group; each length twice, in shuffled order, and
+        # one empty doc, so a row written to the wrong doc shows.  A budget of
+        # 20 tokens also splits each group over several encoder calls.
+        if budget is not None:
+            monkeypatch.setattr(cli, "ENCODE_TOKEN_BUDGET", budget)
+        rng = random.Random(8)
+        lengths = list(range(1, 21)) * 2
+        rng.shuffle(lengths)
+        texts = [" ".join(rng.choices(FILLER, k=n)) for n in lengths]
+        texts.insert(5, "")
+        source = tmp_path / "source.jsonl"
+        source.write_text("".join(
+            json.dumps({"text": text, "stars": 1, "business_id": "b"}) + "\n" for text in texts
+        ))
+        index_dir = tmp_path / "idx"
+        config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", index_dir,
+                              index_source=str(source),
+                              encoder={**SMALL_ENCODER, "max_seq_len": 8})
+        assert main(["index", "--config", config]) == 0
+        capsys.readouterr()
+        lex = lexical_index.load_index(index_dir / "lexical_index.json")
+        vec = vector_index.load_vectors(index_dir / "vectors.bin")
+        enc_cfg, weights = encoder.load_weights(index_dir / "weights.json")
+        assert vec.doc_ids == [doc_id for doc_id in range(len(texts)) if doc_id != 5]
+        for doc_id in vec.doc_ids:
+            ids = _token_ids(tokenize(texts[doc_id]), lex.vocabulary)
+            assert np.array_equal(vec.get(doc_id), _embed([ids], enc_cfg, weights)[0]), doc_id
 
     def test_index_without_ingest_fails(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", tmp_path / "idx")
@@ -292,7 +324,7 @@ class TestSearch:
         enc_cfg, weights = encoder.load_weights(index_dir / "weights.json")
         for query in (pipeline["docs"][3], "great food service", "slow staff zzgblx"):
             tokens = tokenize(query)
-            embedding = _embed(_token_ids(tokens, lex.vocabulary), enc_cfg, weights)
+            embedding = _embed([_token_ids(tokens, lex.vocabulary)], enc_cfg, weights)[0]
             expected = {
                 "vector": vec.search(embedding, 10),
                 "hybrid": vector_index.search_hybrid(

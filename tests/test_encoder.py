@@ -1,7 +1,9 @@
 import json
 import math
+import random
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import corrupt_artifact, faults_of
 from hypothesis.extra.numpy import arrays
 
-from desksearch import encoder, io_utils
+from desksearch import cli, encoder, io_utils
 from desksearch.encoder import (
     EncoderConfig,
     cross_entropy,
@@ -380,6 +382,72 @@ def assert_weights_equal(got, want):
             assert np.array_equal(getattr(g, name), getattr(w, name))
     assert np.array_equal(got.final_norm_gain, want.final_norm_gain)
     assert np.array_equal(got.final_norm_bias, want.final_norm_bias)
+
+
+class TestBatches:
+    """A batch of equal-length sequences encodes each row exactly as that
+    sequence alone: the same bits, whatever its neighbours."""
+
+    def test_attention_weights_per_sequence(self, weights):
+        x = np.random.default_rng(9).normal(size=(3, 5, CFG.d_model))
+        lw = weights.layers[0]
+        out, attn = self_attention(x, lw, CFG.n_heads, return_weights=True)
+        assert out.shape == x.shape
+        assert attn.shape == (3, CFG.n_heads, 5, 5)
+        assert attn.sum(axis=-1) == pytest.approx(np.ones((3, CFG.n_heads, 5)), abs=1e-9)
+        for row, row_out, row_attn in zip(x, out, attn):
+            alone_out, alone_attn = self_attention(row, lw, CFG.n_heads, return_weights=True)
+            assert np.array_equal(row_out, alone_out)
+            assert np.array_equal(row_attn, alone_attn)
+
+    def test_batch_rows_equal_sequences_alone(self, weights):
+        batch = [[3, 1, 4, 1], [5, 9, 2, 6], [49, 0, 0, 7]]
+        rows = encode(batch, CFG, weights)
+        assert rows.shape == (3, CFG.d_model)
+        for ids, row in zip(batch, rows):
+            assert np.array_equal(row, encode(ids, CFG, weights))
+        assert encode_states(batch, CFG, weights).shape == (3, 4, CFG.d_model)
+
+    @pytest.mark.parametrize(
+        "token_ids, message",
+        [
+            ([[[1, 2]]], "non-empty"),
+            ([], "non-empty"),
+            (np.zeros((0, 3), dtype=np.int64), "non-empty"),
+            ([[]], "non-empty"),
+            ([[1, 2], [3]], "equal lengths"),
+            ([[1] * (CFG.max_seq_len + 1)] * 2, "max_seq_len"),
+            ([[1, 2], [3, CFG.vocab_size]], "out of range"),
+            ([[1, -1], [3, 4]], "out of range"),
+            ([[1, 2], [3, 4], [CFG.vocab_size, 0]], "out of range"),
+        ],
+        ids=[
+            "3-D", "empty", "empty-batch", "empty-rows", "ragged", "too-long",
+            "out-of-range-last-row", "negative-first-row", "out-of-range-third-row",
+        ],
+    )
+    def test_bad_ids_rejected(self, token_ids, message):
+        with pytest.raises(ValueError, match=message):
+            encoder._check_ids(token_ids, CFG)
+
+    @given(
+        cfg=small_configs,
+        lengths=st.lists(st.integers(1, 11), min_size=1, max_size=24),
+        budget=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_embedded_rows_do_not_depend_on_neighbours(self, cfg, lengths, budget, seed):
+        rng = random.Random(seed)
+        sequences = [[rng.randrange(cfg.vocab_size) for _ in range(n)] for n in lengths]
+        rng.shuffle(sequences)
+        weights = init_weights(cfg)
+        # A small token budget splits a length group over several chunks.
+        with mock.patch.object(cli, "ENCODE_TOKEN_BUDGET", budget):
+            rows = cli._embed(sequences, cfg, weights)
+        assert rows.shape == (len(sequences), cfg.d_model)
+        for ids, row in zip(sequences, rows):
+            assert np.array_equal(row, encode(ids[: cfg.max_seq_len], cfg, weights))
 
 
 class TestPersistence:
