@@ -37,11 +37,16 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def write_artifact(path: str | Path, fmt: str, version: int, fields: dict, payload=b"") -> None:
+def write_artifact(
+    path: str | Path, fmt: str, version: int, fields: dict, payload=b"", align: int = 1
+) -> None:
     """Atomically write an artifact: the JSON header line ``{"format",
-    "version", **fields}``, a newline and the raw ``payload``, maybe empty."""
-    header = json.dumps({"format": fmt, "version": version, **fields}) + "\n"
-    atomic_write_bytes(path, header.encode("utf-8") + payload)
+    "version", **fields}``, a newline and the raw ``payload``, maybe empty.
+    Spaces pad the header line so that the payload starts at a multiple of
+    ``align`` bytes."""
+    header = json.dumps({"format": fmt, "version": version, **fields}).encode("utf-8")
+    padding = b" " * (-(len(header) + 1) % align)
+    atomic_write_bytes(path, header + padding + b"\n" + payload)
 
 
 def read_artifact(path: str | Path, fmt: str, version: int) -> tuple[dict, memoryview]:

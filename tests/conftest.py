@@ -71,22 +71,64 @@ def corrupt_vectors_file(path, fault: str) -> str:
     return message
 
 
-def _half(raw: bytes) -> bytes:
-    return raw[: len(raw) // 2]
+LEXICAL_DTYPES = {"term_ptr": "<i8", "doc_norms": "<f8", "doc_ids": "<i4", "tf": "<i4"}
 
 
-def _edit_json(edit):
+def _lexical_arrays(raw: bytes) -> tuple[dict, dict]:
+    """The header of a lexical_index.json and writable copies of its payload
+    arrays, read by the layout README documents."""
+    newline = raw.index(b"\n")
+    header = json.loads(raw[:newline])
+    n_postings = header["n_postings"]
+    counts = (len(header["terms"]) + 1, header["n_docs"], n_postings, n_postings)
+    arrays, offset = {}, newline + 1
+    for (name, dtype), count in zip(LEXICAL_DTYPES.items(), counts):
+        arrays[name] = np.frombuffer(raw, dtype, count, offset).copy()
+        offset += arrays[name].nbytes
+    assert offset == len(raw)
+    return header, arrays
+
+
+def _edit_payload(edit):
+    """An edit of lexical_index.json's payload arrays in place; the header
+    line keeps its bytes."""
     def apply(raw: bytes) -> bytes:
-        payload = json.loads(raw)
-        edit(payload)
-        return json.dumps(payload).encode("utf-8")
+        _, arrays = _lexical_arrays(raw)
+        edit(arrays)
+        return raw[: raw.index(b"\n") + 1] + b"".join(a.tobytes() for a in arrays.values())
 
     return apply
 
 
-def _shared_postings(payload):
-    """The postings list of the first term that occurs in two or more docs."""
-    return next(plist for plist in payload["postings"] if len(plist) > 1)
+def _edit_header(edit):
+    """An edit of an artifact's header line; the payload keeps its bytes."""
+    def apply(raw: bytes) -> bytes:
+        newline = raw.index(b"\n")
+        header = json.loads(raw[:newline])
+        edit(header)
+        return json.dumps(header).encode("utf-8") + raw[newline:]
+
+    return apply
+
+
+def _shared_postings(arrays: dict) -> np.ndarray:
+    """A writable view of the doc ids of the first term in two or more docs."""
+    ptr = arrays["term_ptr"].tolist()
+    lo, hi = next((lo, hi) for lo, hi in zip(ptr, ptr[1:]) if hi - lo > 1)
+    return arrays["doc_ids"][lo:hi]
+
+
+def _lexical_version_2(raw: bytes) -> bytes:
+    """The same index as the version-2 file: one JSON line whose postings are
+    [doc_id, tf] lists."""
+    header, arrays = _lexical_arrays(raw)
+    ptr = arrays["term_ptr"].tolist()
+    rows = np.column_stack((arrays["doc_ids"], arrays["tf"])).tolist()
+    return json.dumps({
+        "format": header["format"], "version": 2, "terms": header["terms"],
+        "postings": [rows[lo:hi] for lo, hi in zip(ptr, ptr[1:])],
+        "doc_norms": arrays["doc_norms"].tolist(),
+    }).encode("utf-8")
 
 
 def _sidecar_of_another_build(raw: bytes) -> bytes:
@@ -111,32 +153,35 @@ def _vectors_one_dimension_wider(raw: bytes) -> bytes:
 
 
 LEX = "lexical_index.json"
-BAD_POSTING = "with doc ids increasing within"
+NOT_COUNTS = "n_docs and n_postings must be non-negative integers"
+BAD_TERM_PTR = "term_ptr must rise strictly from 0 to n_postings"
+NOT_RISING = "doc ids must rise within each term"
+BAD_TF = "tf must be >= 1"
 WEIGHTS_MISMATCH = "crc32 mismatch in weights regenerated by numpy"
 
 # fault name -> (file in the index directory, edit of its bytes (None deletes
 # the file), a fragment of the error message)
 ARTIFACT_FAULTS = {
     "weights_unknown_config_key": (
-        "weights.json", _edit_json(lambda s: s["config"].update(bogus=1)), "unexpected keyword"
+        "weights.json", _edit_header(lambda s: s["config"].update(bogus=1)), "unexpected keyword"
     ),
     "weights_sidecar_is_list": (
         "weights.json", lambda raw: b"[]", "format is not 'encoder-weights'"
     ),
     "weights_checksum_mismatch": (
-        "weights.json", _edit_json(lambda s: s.update(crc32=s["crc32"] ^ 1)), WEIGHTS_MISMATCH
+        "weights.json", _edit_header(lambda s: s.update(crc32=s["crc32"] ^ 1)), WEIGHTS_MISMATCH
     ),
     "weights_checksum_missing": (
-        "weights.json", _edit_json(lambda s: s.pop("crc32")), "missing key 'crc32'"
+        "weights.json", _edit_header(lambda s: s.pop("crc32")), "missing key 'crc32'"
     ),
     "weights_seed_edited": (
         "weights.json",
-        _edit_json(lambda s: s["config"].update(seed=s["config"]["seed"] + 1)),
+        _edit_header(lambda s: s["config"].update(seed=s["config"]["seed"] + 1)),
         WEIGHTS_MISMATCH,
     ),
     "weights_version_1": (
         "weights.json",
-        _edit_json(lambda s: s.update(version=1)),
+        _edit_header(lambda s: s.update(version=1)),
         "unsupported encoder-weights version 1",
     ),
     # A version-2 sidecar spread the same object over indented lines.
@@ -145,49 +190,50 @@ ARTIFACT_FAULTS = {
         lambda raw: json.dumps({**json.loads(raw), "version": 2}, indent=2).encode("utf-8"),
         "header is not valid JSON",
     ),
-    "lexical_truncated": (LEX, _half, "not valid JSON"),
+    "lexical_truncated": (LEX, lambda raw: raw[:-1], "payload is"),
+    "lexical_one_byte_long": (LEX, lambda raw: raw + b"\0", "payload is"),
     "lexical_missing_postings": (
-        LEX, _edit_json(lambda p: p.pop("postings")), "missing key 'postings'"
+        LEX, _edit_header(lambda h: h.pop("n_postings")), "missing key 'n_postings'"
     ),
-    "lexical_postings_not_lists": (LEX, _edit_json(lambda p: p.update(postings=5)), "malformed"),
-    "lexical_version_1": (LEX, _edit_json(lambda p: p.update(version=1)), "version 1"),
-    "lexical_doc_id_past_n_docs": (
-        LEX,
-        _edit_json(lambda p: setitem(p["postings"][-1][-1], 0, len(p["doc_norms"]))),
-        BAD_POSTING,
+    "lexical_posting_count_not_an_int": (
+        LEX, _edit_header(lambda h: h.update(n_postings=h["n_postings"] + 0.0)), NOT_COUNTS
     ),
-    "lexical_doc_id_repeated": (
-        LEX,
-        _edit_json(lambda p: setitem(_shared_postings(p), 1, _shared_postings(p)[0])),
-        BAD_POSTING,
-    ),
-    "lexical_doc_ids_out_of_order": (
-        LEX, _edit_json(lambda p: _shared_postings(p).reverse()), BAD_POSTING
-    ),
-    "lexical_tf_zero": (LEX, _edit_json(lambda p: setitem(p["postings"][0][0], 1, 0)), BAD_POSTING),
-    "lexical_tf_huge": (
-        LEX, _edit_json(lambda p: setitem(p["postings"][0][0], 1, 10**400)), BAD_POSTING
-    ),
-    "lexical_tf_fraction": (
-        LEX, _edit_json(lambda p: setitem(p["postings"][0][0], 1, 1.5)), BAD_POSTING
-    ),
-    "lexical_posting_of_three": (
-        LEX, _edit_json(lambda p: p["postings"][0][0].append(1)), "too many values"
-    ),
-    "lexical_duplicate_term": (
-        LEX, _edit_json(lambda p: setitem(p["terms"], 1, p["terms"][0])), "unique strings"
-    ),
-    "lexical_fewer_postings_than_terms": (
-        LEX, _edit_json(lambda p: p["postings"].pop()), "one non-empty postings list"
+    "lexical_version_1": (LEX, _edit_header(lambda h: h.update(version=1)), "version 1"),
+    "lexical_version_2_json": (
+        LEX, _lexical_version_2, "unsupported desksearch-lexical-index version 2"
     ),
     "lexical_term_without_postings": (
-        LEX, _edit_json(lambda p: setitem(p["postings"], 0, [])), "one non-empty postings list"
+        LEX, _edit_payload(lambda a: setitem(a["term_ptr"], 1, 0)), BAD_TERM_PTR
+    ),
+    "lexical_fewer_postings_than_terms": (
+        LEX, _edit_payload(lambda a: setitem(a["term_ptr"], -1, a["term_ptr"][-1] + 1)),
+        BAD_TERM_PTR,
+    ),
+    "lexical_doc_id_past_n_docs": (
+        LEX, _edit_payload(lambda a: setitem(a["doc_ids"], -1, len(a["doc_norms"]))),
+        "doc ids must lie in",
+    ),
+    "lexical_doc_id_repeated": (
+        LEX, _edit_payload(lambda a: setitem(_shared_postings(a), 1, _shared_postings(a)[0])),
+        NOT_RISING,
+    ),
+    "lexical_doc_ids_out_of_order": (
+        LEX,
+        _edit_payload(lambda a: setitem(
+            _shared_postings(a), slice(None), _shared_postings(a)[::-1]
+        )),
+        NOT_RISING,
+    ),
+    "lexical_tf_zero": (LEX, _edit_payload(lambda a: setitem(a["tf"], 0, 0)), BAD_TF),
+    "lexical_tf_minus_one": (LEX, _edit_payload(lambda a: setitem(a["tf"], 0, -1)), BAD_TF),
+    "lexical_duplicate_term": (
+        LEX, _edit_header(lambda h: setitem(h["terms"], 1, h["terms"][0])), "unique strings"
     ),
     "lexical_negative_doc_norm": (
-        LEX, _edit_json(lambda p: setitem(p["doc_norms"], 0, -1.0)), "non-negative"
+        LEX, _edit_payload(lambda a: setitem(a["doc_norms"], 0, -1.0)), "non-negative"
     ),
     "lexical_nan_doc_norm": (
-        LEX, _edit_json(lambda p: setitem(p["doc_norms"], 0, float("nan"))), "non-negative"
+        LEX, _edit_payload(lambda a: setitem(a["doc_norms"], 0, np.nan)), "non-negative"
     ),
     # Each file is whole, but not of this build: only a loader told the lexical
     # index's term count or the encoder's d_model can tell.  The CLI passes them;

@@ -1,9 +1,12 @@
 import dataclasses
+import json
 import math
 import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import WORDS, corrupt_artifact, faults_of, random_corpus
 from hypothesis import given, settings
@@ -29,14 +32,14 @@ class TestBuildIndex:
         idx = build_index([["a"], ["a", "b"]])
         a_id = idx.vocabulary.term_to_id["a"]
         b_id = idx.vocabulary.term_to_id["b"]
-        assert idx.postings[a_id] == [[0, 1], [1, 1]]
-        assert idx.postings[b_id] == [[1, 1]]
+        assert idx.postings[a_id].tolist() == [[0, 1], [1, 1]]
+        assert idx.postings[b_id].tolist() == [[1, 1]]
         assert idx.vocabulary.n_docs == 2
 
     def test_term_frequency_counted(self):
         idx = build_index([["x", "x", "y", "x"]])
         x_id = idx.vocabulary.term_to_id["x"]
-        assert idx.postings[x_id] == [[0, 3]]
+        assert idx.postings[x_id].tolist() == [[0, 3]]
 
     def test_postings_sorted_by_doc_id(self):
         docs = random_corpus(random.Random(3), 40)
@@ -48,7 +51,7 @@ class TestBuildIndex:
     def test_empty_corpus(self):
         idx = build_index([])
         assert idx.vocabulary.n_docs == 0
-        assert idx.postings == []
+        assert len(idx.postings) == 0 and len(idx.doc_norms) == 0
 
     def test_doc_norms_match_vector_norms(self):
         # norm stored per doc must equal the tf-idf vector's own norm
@@ -65,8 +68,38 @@ class TestBuildIndex:
         docs = random_corpus(random.Random(5), 30)
         a, b = build_index(docs), build_index(docs)
         assert a.postings == b.postings
-        assert a.doc_norms == b.doc_norms
+        assert a.doc_norms.tolist() == b.doc_norms.tolist()
         assert a.vocabulary.term_to_id == b.vocabulary.term_to_id
+
+
+def tied_reference(docs, query):
+    """Every (doc_id, cosine) with a nonzero score, fully sorted by (-score,
+    doc_id).  Term ids follow first occurrence; each sum runs in term-id order
+    from 0.0, and each product and quotient groups as search_lexical's do."""
+    term_ids = {}
+    for doc in docs:
+        for token in doc:
+            term_ids.setdefault(token, len(term_ids))
+    counts = [Counter(doc) for doc in docs]
+    idf = {t: math.log(len(docs) / (1 + sum(t in c for c in counts))) for t in term_ids}
+    q_counts = Counter(t for t in query if t in term_ids)
+    q = sorted((term_ids[t], t, q_counts[t] * idf[t]) for t in q_counts)
+    q = [(t, w) for _, t, w in q if w != 0.0]
+    q_norm = math.sqrt(sum(w * w for _, w in q))
+    if q_norm == 0.0:
+        return []
+    hits = []
+    for doc_id, c in enumerate(counts):
+        dot = sq = 0.0
+        for t, w in q:
+            if t in c:
+                dot = dot + w * (c[t] * idf[t])
+        for t in sorted(c, key=term_ids.get):
+            sq += (c[t] * idf[t]) * (c[t] * idf[t])
+        norm = math.sqrt(sq)
+        if dot != 0.0 and norm != 0.0:
+            hits.append((doc_id, dot / (q_norm * norm)))
+    return sorted(hits, key=lambda h: (-h[1], h[0]))
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +195,22 @@ class TestSearchLexical:
         for doc in docs:
             assert all(h.score >= 0 for h in search_lexical(idx, doc, k=80))
 
+    @given(
+        shapes=st.lists(st.lists(st.sampled_from(WORDS[:4]), max_size=4), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ties_rank_as_a_full_sort(self, shapes, data):
+        """Docs repeat a few token lists, so scores tie exactly; at every k the
+        hits are a full (-score, doc_id) sort of the cosine recomputed here in
+        the production operation order, compared bit for bit."""
+        docs = data.draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=40), label="docs")
+        query = data.draw(st.lists(st.sampled_from(WORDS[:5]), min_size=1, max_size=4), label="q")
+        k = data.draw(st.integers(1, len(docs) + 2), label="k")
+        got = search_lexical(build_index(docs), query, k)
+        want = tied_reference(docs, query)[:k]
+        assert [(h.doc_id, h.score.hex()) for h in got] == [(d, s.hex()) for d, s in want]
+
 
 class TestPersistence:
     def test_round_trip_preserves_results(self, tmp_path):
@@ -198,11 +247,39 @@ class TestPersistence:
             save_index(idx, Path(tmp) / "lexical_index.json")
             loaded = load_index(Path(tmp) / "lexical_index.json")
         for field in dataclasses.fields(InvertedIndex):
-            assert getattr(loaded, field.name) == getattr(idx, field.name), field.name
+            got, want = getattr(loaded, field.name), getattr(idx, field.name)
+            if isinstance(want, np.ndarray):
+                got, want = got.tolist(), want.tolist()
+            assert got == want, field.name
         assert loaded.vocabulary.n_docs == len(docs)
         k = len(docs) + 1
         for query in [*docs, WORDS[:6], ["zzz"]]:
             assert search_lexical(loaded, query, k) == search_lexical(idx, query, k)
+
+    @pytest.mark.parametrize("docs", [[], [[]], [[], []]])
+    def test_index_with_no_terms_round_trips(self, tmp_path, docs):
+        save_index(build_index(docs), tmp_path / "lexical_index.json")
+        loaded = load_index(tmp_path / "lexical_index.json")
+        assert loaded.vocabulary.n_docs == len(docs) and len(loaded.postings) == 0
+        assert loaded.doc_norms.tolist() == [0.0] * len(docs)
+        assert search_lexical(loaded, ["a"], 3) == []
+
+    def test_header_fields_and_aligned_payload(self, tmp_path):
+        idx = build_index(corpus_of("b a", "a c a", "d"))
+        save_index(idx, tmp_path / "lexical_index.json")
+        raw = (tmp_path / "lexical_index.json").read_bytes()
+        newline = raw.index(b"\n")
+        assert json.loads(raw[:newline]) == {
+            "format": "desksearch-lexical-index", "version": 3,
+            "terms": ["b", "a", "c", "d"], "n_docs": 3, "n_postings": 5,
+        }
+        assert (newline + 1) % 8 == 0
+        payload = raw[newline + 1 :]
+        assert np.frombuffer(payload, "<i8", 5).tolist() == [0, 1, 3, 4, 5]
+        assert np.frombuffer(payload, "<f8", 3, 40).tolist() == idx.doc_norms.tolist()
+        assert np.frombuffer(payload, "<i4", 5, 64).tolist() == [0, 0, 1, 1, 2]
+        assert np.frombuffer(payload, "<i4", 5, 84).tolist() == [1, 1, 2, 1, 1]
+        assert len(payload) == 104
 
     def test_save_is_deterministic(self, tmp_path):
         docs = random_corpus(random.Random(11), 20)
@@ -232,10 +309,9 @@ class TestPersistence:
         idx = build_index(docs)
         path = tmp_path / "index.json"
         save_index(idx, path)
-        import json
-
-        payload = json.loads(path.read_text())
-        payload["version"] = 42
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
+        raw = path.read_bytes()
+        newline = raw.index(b"\n")
+        header = {**json.loads(raw[:newline]), "version": 42}
+        path.write_bytes(json.dumps(header).encode("utf-8") + raw[newline:])
+        with pytest.raises(ValueError, match="unsupported desksearch-lexical-index version 42"):
             load_index(path)

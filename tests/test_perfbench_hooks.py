@@ -1,7 +1,8 @@
 """The benchmark's traced runs wrap desksearch functions by name; a renamed or
 dropped name would only break ``perfbench/run.py --trace 1``, or zero its
-metrics without an error, so check here that every name it wraps still exists
-and that a traced build still reaches the encoder's spans."""
+metrics without an error, so check here that every name it wraps still exists,
+that a traced build still reaches the encoder's spans and that a traced search
+still counts each query term's df as its postings scanned."""
 
 import json
 import types
@@ -60,6 +61,33 @@ def test_traced_index_reports_encoder_spans(perfbench, tmp_path):
     finally:
         tracer.end()
     for span in ("encoder.encode", "encoder.self_attention", "encoder.swiglu_ffn",
-                 "encoder.positional_encoding"):
+                 "encoder.positional_encoding", "text_pipeline.build_vocabulary",
+                 "lexical_index.build_index"):
         assert tracer.layer_value(span, tracing.BUILD, "incl") > 0, span
     assert tracer.layer_value("encoder.encode_calls", tracing.BUILD, "count") > 0
+
+
+def test_traced_searches_count_the_query_terms_postings(perfbench):
+    """perfbench counts postings as len(index.postings[t]); through a lexical
+    search and through the lexical side of a hybrid search, that must be the
+    sum of the query terms' df."""
+    _, tracing = perfbench
+    docs = [text_pipeline.tokenize(text) for text in (
+        "great food", "slow service and cold food", "great staff", "", "food food food",
+    )]
+    lex = lexical_index.build_index(docs)
+    query = ["food", "great", "food", "zzz"]
+    df_sum = sum(sum(term in doc for doc in docs) for term in {"food", "great"})
+    tracer = installed_tracer(perfbench)
+    searches = (
+        lambda: lexical_index.search_lexical(lex, query, 3),
+        lambda: vector_index.search_hybrid(lex, None, query, None, vector_index.HybridConfig(k=3)),
+    )
+    for search in searches:
+        tracer.begin(tracing.QUERY)
+        try:
+            assert search()
+        finally:
+            tracer.end()
+    counts = [tracer.counts[(op, "lexical_index.postings_scanned")] for op in tracer.ops]
+    assert counts == [df_sum, df_sum] == [5, 5]
