@@ -19,8 +19,8 @@ import hashlib
 import random
 from pathlib import Path
 
-from desksearch import encoder, lexical_index, vector_index
-from desksearch.cli import LEXICAL_FILE, VECTOR_FILE, WEIGHTS_FILE, _embed, _token_ids
+from desksearch import lexical_index, vector_index
+from desksearch.cli import LEXICAL_FILE, VECTOR_FILE, WEIGHTS_FILE, _embed_query, _token_ids
 
 N_QUERIES = 1500
 SEED = 20240301
@@ -48,10 +48,13 @@ def hit_lists(index_dir: Path):
     lex = lexical_index.load_index(index_dir / LEXICAL_FILE)
     vec = vector_index.load_vectors(index_dir / VECTOR_FILE)
     terms = lex.vocabulary.id_to_term()
-    enc_cfg, weights = encoder.load_weights(index_dir / WEIGHTS_FILE) if terms else (None, None)
     for qi, tokens in enumerate(make_queries(terms, N_QUERIES, SEED)):
+        # As `desksearch search` embeds it: the sidecar read and only the
+        # query's token rows drawn, once per query.
         ids = _token_ids(tokens, lex.vocabulary)
-        embedding = _embed([ids], enc_cfg, weights)[0] if ids else None
+        embedding = (
+            _embed_query(index_dir / WEIGHTS_FILE, ids, lex.vocabulary.size)[1] if ids else None
+        )
         for k in KS:
             yield f"{qi} lexical k={k}", lexical_index.search_lexical(lex, tokens, k)
             yield f"{qi} vector k={k}", vec.search(embedding, k) if embedding is not None else []

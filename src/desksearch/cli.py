@@ -152,6 +152,17 @@ def _embed(
     return out
 
 
+def _embed_query(
+    weights_path: Path, ids: list[int], vocab_size: int
+) -> tuple[encoder.EncoderConfig, np.ndarray]:
+    """The encoder config and the ``_embed`` row of one query's non-empty
+    ``_token_ids``, drawing only the token rows the query uses: each id becomes
+    its position in that small table, so the bits are those of the full weights."""
+    rows = sorted(set(ids))
+    enc_cfg, weights = encoder.load_weights(weights_path, vocab_size, rows)
+    return enc_cfg, _embed([np.searchsorted(rows, ids)], enc_cfg, weights)[0]
+
+
 def cmd_ingest(cfg: RunConfig) -> int:
     try:
         result = dataset.load_reviews(cfg.corpus)
@@ -264,9 +275,7 @@ def cmd_search(cfg: RunConfig, query: str, mode: str, full_text: bool) -> int:
         ids = _token_ids(query_tokens, lex.vocabulary) if mode != "lexical" else []
         embedding = vec = None
         if ids:
-            enc_cfg, weights = encoder.load_weights(index_dir / WEIGHTS_FILE, lex.vocabulary.size)
-            embedding = _embed([ids], enc_cfg, weights)[0]
-            del weights  # so the weights and the vector store are not held at once
+            enc_cfg, embedding = _embed_query(index_dir / WEIGHTS_FILE, ids, lex.vocabulary.size)
             vec = vector_index.load_vectors(index_dir / VECTOR_FILE, enc_cfg.d_model)
         if mode == "lexical":
             hits = lexical_index.search_lexical(lex, query_tokens, cfg.search.k)

@@ -7,9 +7,11 @@ stage takes one sequence or a batch of equal-length ones on a leading axis,
 and computes each batch row exactly as it would that sequence alone.  Weights
 are seeded random draws, so every output is reproducible from (token ids,
 config, seed).  They are never stored: the sidecar's one header line holds the
-config and their CRC-32, and load_weights regenerates them and checks it, as
-numpy does not promise the same seeded stream in every release (NEP 19).
-Gradients exist only for the two loss functions; no training loop.
+config and the CRC-32 of the arrays drawn after the token table, and
+load_weights regenerates them and checks it, as numpy does not promise the same
+seeded stream in every release (NEP 19).  A query needs only its own token
+rows, and load_weights can draw just those.  Gradients exist only for the two
+loss functions; no training loop.
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ from . import io_utils
 
 DEFAULT_EPS = 1e-6
 WEIGHTS_FORMAT = "encoder-weights"
-WEIGHTS_VERSION = 3
+WEIGHTS_VERSION = 4
+# Asked for more than one token row in ROW_DRAW_SHARE, init_weights draws the
+# whole table: one row drawn alone costs about as much as ten drawn in bulk.
+ROW_DRAW_SHARE = 10
 
 # Unit-norm float64 vector of length d_model, as encode() emits for one
 # sequence; a batch gives an (n, d_model) matrix of them.
@@ -77,18 +82,41 @@ class EncoderWeights:
     final_norm_bias: np.ndarray
 
 
-def init_weights(cfg: EncoderConfig) -> EncoderWeights:
+def init_weights(cfg: EncoderConfig, rows: list[int] | None = None) -> EncoderWeights:
     """Seeded uniform init in [-1/sqrt(d_model), +1/sqrt(d_model)); norm gains
-    start at one and norm biases at zero."""
-    rng = np.random.default_rng(cfg.seed)
+    start at one and norm biases at zero.
+
+    The (vocab_size, d_model) token table is drawn first, then the layers.
+    Each uniform draw takes exactly one PCG64 step, so token row r is the
+    d_model draws after ``advance(r * d_model)``, and the layers follow
+    ``advance(vocab_size * d_model)``.  Given ``rows``, a sorted list of
+    distinct token ids, the table holds only those rows, in that order, each
+    bit-equal to its row of the full table: each is drawn alone, or taken
+    from the whole table when that is cheaper (see ROW_DRAW_SHARE).
+    """
+    bitgen = np.random.PCG64(cfg.seed)  # what default_rng(seed) wraps
+    rng = np.random.Generator(bitgen)
     bound = 1.0 / math.sqrt(cfg.d_model)
     d, f = cfg.d_model, cfg.d_ff
 
     def draw(*shape: int) -> np.ndarray:
         return rng.uniform(-bound, bound, size=shape)
 
+    if rows is not None:
+        _check_rows(rows, cfg.vocab_size)
+    if rows is None or len(rows) * ROW_DRAW_SHARE > cfg.vocab_size:
+        token_embedding = draw(cfg.vocab_size, d)
+        if rows is not None:
+            token_embedding = token_embedding[rows]
+    else:
+        token_embedding = np.empty((len(rows), d))
+        at = 0  # the table row the stream stands at
+        for i, row in enumerate(rows):
+            bitgen.advance((row - at) * d)
+            token_embedding[i] = draw(d)
+            at = row + 1
+        bitgen.advance((cfg.vocab_size - at) * d)
     layers = []
-    token_embedding = draw(cfg.vocab_size, d)
     for _ in range(cfg.n_layers):
         layers.append(
             LayerWeights(
@@ -111,6 +139,15 @@ def init_weights(cfg: EncoderConfig) -> EncoderWeights:
         final_norm_gain=np.ones(d),
         final_norm_bias=np.zeros(d),
     )
+
+
+def _check_rows(rows: list[int], vocab_size: int) -> None:
+    ids = np.asarray(rows)  # bools, floats and ints past 64 bits are no integer dtype
+    if ids.ndim != 1 or ids.size and not (
+        ids.dtype.kind in "iu" and 0 <= ids[0] and ids[-1] < vocab_size
+        and (ids[1:] > ids[:-1]).all()
+    ):
+        raise ValueError(f"rows must be sorted, distinct token ids in [0, {vocab_size})")
 
 
 def positional_encoding(seq_len: int, d_model: int) -> np.ndarray:
@@ -285,26 +322,31 @@ def mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _checksum(weights: EncoderWeights) -> int:
-    """zlib.crc32 of the arrays' little-endian float64 bytes, in init_weights order."""
+    """zlib.crc32 of the little-endian float64 bytes of every array after the
+    token table, in init_weights order.  They are drawn after the whole table,
+    so a changed seeded stream changes them too, and a table of some rows has
+    the same checksum as the full one."""
     layers = [getattr(lw, f.name) for lw in weights.layers for f in fields(LayerWeights)]
     crc = 0
-    for a in [weights.token_embedding, *layers, weights.final_norm_gain, weights.final_norm_bias]:
+    for a in [*layers, weights.final_norm_gain, weights.final_norm_bias]:
         crc = zlib.crc32(np.ascontiguousarray(a, dtype="<f8"), crc)
     return crc
 
 
 def save_weights(cfg: EncoderConfig, weights: EncoderWeights, path: str | Path) -> None:
     """Write ``path.with_suffix(".json")`` atomically: one header line holding
-    the config and the CRC-32 of ``weights``, which must be ``init_weights(cfg)``."""
+    the config and the CRC-32 of ``weights``, which must be ``init_weights(cfg)``
+    or ``init_weights(cfg, rows)``."""
     path = Path(path).with_suffix(".json")
     fields = {"config": asdict(cfg), "crc32": _checksum(weights)}
     io_utils.write_artifact(path, WEIGHTS_FORMAT, WEIGHTS_VERSION, fields)
 
 
 def load_weights(
-    path: str | Path, vocab_size: int | None = None
+    path: str | Path, vocab_size: int | None = None, rows: list[int] | None = None
 ) -> tuple[EncoderConfig, EncoderWeights]:
-    """Regenerate the weights a ``save_weights`` sidecar describes.  A malformed
+    """Regenerate the weights a ``save_weights`` sidecar describes, with only
+    the token ``rows`` given, as ``init_weights`` draws them.  A malformed
     sidecar, a ``vocab_size`` other than the given one (checked before any
     weight is drawn) or a CRC-32 mismatch raises ValueError naming the file."""
     path = Path(path).with_suffix(".json")
@@ -320,7 +362,7 @@ def load_weights(
     if vocab_size is not None and cfg.vocab_size != vocab_size:
         raise ValueError(f"{path}: vocab_size {cfg.vocab_size} is not the {vocab_size} terms "
                          "of the lexical index")
-    weights = init_weights(cfg)
+    weights = init_weights(cfg, rows)
     if _checksum(weights) != crc32:
         raise ValueError(f"{path}: crc32 mismatch in weights regenerated by numpy {np.__version__}")
     return cfg, weights

@@ -49,10 +49,13 @@ def write_artifact(
     atomic_write_bytes(path, header + padding + b"\n" + payload)
 
 
-def read_artifact(path: str | Path, fmt: str, version: int) -> tuple[dict, memoryview]:
+def read_artifact(
+    path: str | Path, fmt: str, version: int, align: int = 1
+) -> tuple[dict, memoryview]:
     """The header and the payload of a ``write_artifact`` file.  A header that
-    is not a JSON object of this format and version raises ValueError naming
-    the file; a file with no newline is all header."""
+    is not a JSON object of this format and version, or a payload that does not
+    start at a multiple of ``align`` bytes, raises ValueError naming the file;
+    a file with no newline is all header."""
     raw = Path(path).read_bytes()
     end = raw.find(b"\n") if b"\n" in raw else len(raw)
     try:
@@ -64,4 +67,6 @@ def read_artifact(path: str | Path, fmt: str, version: int) -> tuple[dict, memor
     found = header.get("version")
     if type(found) is not int or found != version:  # true and 1.0 equal 1 but are no version
         raise ValueError(f"{path}: unsupported {fmt} version {found!r}")
+    if (end + 1) % align:
+        raise ValueError(f"{path}: payload starts at byte {end + 1}, not a multiple of {align}")
     return header, memoryview(raw)[end + 1 :]

@@ -20,8 +20,9 @@ from .io_utils import read_artifact, require_int, write_artifact
 from .lexical_index import InvertedIndex, SearchHit, search_lexical, top_k
 
 VECTOR_FORMAT = "desksearch-vector-index"
-VECTOR_VERSION = 1
+VECTOR_VERSION = 2
 UNIT_NORM_TOL = 1e-6
+NORM_CHUNK = 4096  # rows per step of _row_norms
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,8 @@ class VectorIndex:
 
     The rows live in one contiguous (n, dimension) float64 matrix beside an
     int64 doc-id array and the row norms, which are computed once, when the
-    rows arrive.  All three arrays are read-only; ``get`` returns a view.
+    rows arrive.  All three arrays are read-only; ``get`` returns a view.  A
+    loaded index scans the file's rows in place.
     """
 
     def __init__(self, dimension: int):
@@ -60,7 +62,7 @@ class VectorIndex:
     def from_arrays(cls, doc_ids, matrix: np.ndarray) -> VectorIndex:
         """Build an index from n doc ids and an (n, dimension) matrix of unit
         rows in one vectorized pass; the index keeps its own copy."""
-        rows = np.asarray(matrix, dtype=float)
+        rows = np.array(matrix, dtype=float, order="C")
         if rows.ndim != 2:
             raise ValueError(f"expected an (n, dimension) matrix, got shape {rows.shape}")
         index = cls(rows.shape[1])
@@ -77,13 +79,15 @@ class VectorIndex:
     def add(self, doc_id: int, embedding: np.ndarray) -> None:
         """Append one row.  Each call copies the stored matrix, so build large
         indexes with ``from_arrays``."""
-        vec = np.asarray(embedding, dtype=float)
+        vec = np.array(embedding, dtype=float)
         if vec.shape != (self.dimension,):
             raise ValueError(f"expected dimension {self.dimension}, got shape {vec.shape}")
         self._append([doc_id], vec[None, :])
 
     def _append(self, doc_ids, rows: np.ndarray) -> None:
-        # The checks every row passes on its way in, whether by add or in bulk.
+        # The checks every row passes on its way in, by add, in bulk or from a
+        # file.  The index takes ``rows`` as they are, without a copy: callers
+        # pass a C-contiguous array that nothing else writes to.
         ids = np.asarray(doc_ids)
         if ids.ndim != 1 or (
             ids.size and (ids.dtype.kind not in "iu" or not np.can_cast(ids.dtype, np.int64))
@@ -98,15 +102,17 @@ class VectorIndex:
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if repeated.size:
             raise ValueError(f"duplicate doc id {repeated[0]}: already present")
-        with np.errstate(over="ignore"):  # an overflowing row has norm inf, rejected below
-            norms = np.linalg.norm(rows, axis=1)
+        norms = _row_norms(rows)
         off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN is off too
         if off.size:
             i = off[0]
             raise ValueError(f"embedding for doc {ids[i]} is not unit-norm (|v| = {norms[i]:.6g})")
+        if len(self):
+            rows = np.concatenate([self._matrix, rows])
+            norms = np.concatenate([self._norms, norms])
         self._ids = _frozen(all_ids)
-        self._matrix = _frozen(np.concatenate([self._matrix, rows]))
-        self._norms = _frozen(np.concatenate([self._norms, norms]))
+        self._matrix = _frozen(rows)
+        self._norms = _frozen(norms)
 
     def get(self, doc_id: int) -> np.ndarray:
         pos = np.flatnonzero(self._ids == doc_id)
@@ -129,6 +135,20 @@ class VectorIndex:
         if not np.isfinite(q_norm):
             raise ValueError("cannot search with a non-finite query")
         return top_k(self._ids, (self._matrix @ q) / (self._norms * q_norm), k)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(rows, axis=1)``, bit for bit: the same squares summed
+    by the same ``np.add.reduce``, but NORM_CHUNK rows at a time through one
+    reused buffer, not a temporary the size of ``rows``."""
+    norms = np.empty(len(rows))
+    squares = np.empty((min(len(rows), NORM_CHUNK), rows.shape[1]))
+    with np.errstate(over="ignore"):  # an overflowing row has norm inf, which is off unit
+        for start in range(0, len(rows), NORM_CHUNK):
+            chunk = rows[start : start + NORM_CHUNK]
+            np.multiply(chunk, chunk, out=squares[: len(chunk)])
+            np.add.reduce(squares[: len(chunk)], axis=1, out=norms[start : start + len(chunk)])
+    return np.sqrt(norms, out=norms)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -175,7 +195,8 @@ def search_hybrid(
 
 def save_vectors(index: VectorIndex, path: str | Path) -> None:
     """Persist as a header line (dimension, count, doc ids) followed by the
-    raw little-endian float64 matrix, rows in ascending doc-id order.
+    raw little-endian float64 matrix, 8-byte aligned, rows in ascending doc-id
+    order.
 
     The byte stream is a pure function of the stored vectors, so identical
     indexes serialize to identical files.
@@ -184,13 +205,16 @@ def save_vectors(index: VectorIndex, path: str | Path) -> None:
     ids = index._ids[order].tolist()
     fields = {"dimension": index.dimension, "count": len(order), "doc_ids": ids}
     matrix = index._matrix.take(order, axis=0).astype("<f8", copy=False)
-    write_artifact(path, VECTOR_FORMAT, VECTOR_VERSION, fields, matrix.tobytes(order="C"))
+    write_artifact(
+        path, VECTOR_FORMAT, VECTOR_VERSION, fields, matrix.tobytes(order="C"), align=8
+    )
 
 
 def load_vectors(path: str | Path, dimension: int | None = None) -> VectorIndex:
-    """Read a ``save_vectors`` file.  A header that does not match its payload
-    or a given ``dimension`` raises ValueError naming the file, never a partial index."""
-    header, payload = read_artifact(path, VECTOR_FORMAT, VECTOR_VERSION)
+    """Read a ``save_vectors`` file; the index scans its rows in place, read-only.
+    A header that does not match its payload or a given ``dimension``, or an
+    unaligned payload, raises ValueError naming the file, never a partial index."""
+    header, payload = read_artifact(path, VECTOR_FORMAT, VECTOR_VERSION, align=8)
     dim, count, doc_ids = header.get("dimension"), header.get("count"), header.get("doc_ids")
     if not (
         type(dim) is int and dim >= 1 and type(count) is int and count >= 0
@@ -208,8 +232,9 @@ def load_vectors(path: str | Path, dimension: int | None = None) -> VectorIndex:
         )
     if not set(map(type, doc_ids)) <= {int}:  # bool and float are not ids
         raise ValueError(f"{path}: doc ids must be integers")
+    index = VectorIndex(dim)
     try:
-        matrix = np.frombuffer(payload, dtype="<f8").reshape(count, dim)
-        return VectorIndex.from_arrays(doc_ids, matrix)
+        index._append(doc_ids, np.frombuffer(payload, dtype="<f8").reshape(count, dim))
+        return index
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -56,6 +56,13 @@ VECTOR_FILE_FAULTS = {
 }
 
 
+def _vectors_file(header: dict, payload: bytes) -> bytes:
+    """A vectors.bin from its header and payload, the header line padded as
+    save_vectors pads it, so that the payload starts 8-byte aligned."""
+    line = json.dumps(header).encode("utf-8")
+    return line + b" " * (-(len(line) + 1) % 8) + b"\n" + payload
+
+
 def corrupt_vectors_file(path, fault: str) -> str:
     """Rewrite a vectors.bin in place with one header/payload inconsistency
     from VECTOR_FILE_FAULTS; returns the message fragment the loader must give."""
@@ -67,7 +74,7 @@ def corrupt_vectors_file(path, fault: str) -> str:
         header["doc_ids"] = edit_ids(header["doc_ids"])
     if edit_payload is not None:
         payload = edit_payload(payload)
-    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+    path.write_bytes(_vectors_file(header, payload))
     return message
 
 
@@ -149,7 +156,19 @@ def _vectors_one_dimension_wider(raw: bytes) -> bytes:
     rows = np.frombuffer(raw, dtype="<f8", offset=newline + 1)
     rows = np.pad(rows.reshape(header["count"], header["dimension"]), ((0, 0), (0, 1)))
     header["dimension"] += 1
-    return json.dumps(header).encode("utf-8") + b"\n" + rows.tobytes()
+    return _vectors_file(header, rows.tobytes())
+
+
+def _flip_in_last_row(raw: bytes) -> bytes:
+    """The top exponent bit of the last float64 flipped: that entry, at most
+    1 in magnitude, becomes at least 2 in magnitude, infinite or NaN."""
+    return raw[:-1] + bytes([raw[-1] ^ 0x40])
+
+
+def _unaligned(raw: bytes) -> bytes:
+    """One more space of header padding, so the payload starts one byte late."""
+    newline = raw.index(b"\n")
+    return raw[:newline] + b" " + raw[newline:]
 
 
 LEX = "lexical_index.json"
@@ -183,6 +202,12 @@ ARTIFACT_FAULTS = {
         "weights.json",
         _edit_header(lambda s: s.update(version=1)),
         "unsupported encoder-weights version 1",
+    ),
+    # A version-3 sidecar's crc32 also covered the token table.
+    "weights_version_3": (
+        "weights.json",
+        _edit_header(lambda s: s.update(version=3)),
+        "unsupported encoder-weights version 3",
     ),
     # A version-2 sidecar spread the same object over indented lines.
     "weights_version_2_indented": (
@@ -244,6 +269,15 @@ ARTIFACT_FAULTS = {
     "mixed_build_vectors_dimension": (
         "vectors.bin", _vectors_one_dimension_wider, "is not the d_model"
     ),
+    # A version-1 file had no header padding; _edit_header drops it as well.
+    "vectors_version_1": (
+        "vectors.bin",
+        _edit_header(lambda h: h.update(version=1)),
+        "unsupported desksearch-vector-index version 1",
+    ),
+    "vectors_byte_flipped_in_last_row": ("vectors.bin", _flip_in_last_row, "is not unit-norm"),
+    "vectors_truncated": ("vectors.bin", lambda raw: raw[:-1], "payload is"),
+    "vectors_unaligned_payload": ("vectors.bin", _unaligned, "not a multiple of 8"),
     "docs_missing": ("docs.jsonl", None, "No such file"),
     "docs_short": ("docs.jsonl", lambda raw: raw.split(b"\n")[0] + b"\n", "is not doc"),
     "docs_reordered": (

@@ -339,6 +339,37 @@ class TestSearch:
                     (h.doc_id, h.score) for h in library_hits
                 ]
 
+    def test_search_embeds_the_query_as_the_full_weights_do(self, pipeline, capsys, monkeypatch):
+        # The search path draws only the query's distinct token rows; the
+        # vector it scans with must still be _embed's with every row drawn.
+        index_dir = pipeline["index_dir"]
+        lex = lexical_index.load_index(index_dir / "lexical_index.json")
+        enc_cfg, weights = encoder.load_weights(index_dir / "weights.json")
+        tables, queries = [], []
+        load_weights, vector_search = encoder.load_weights, vector_index.VectorIndex.search
+
+        def load_rows(*args):
+            loaded = load_weights(*args)
+            tables.append(loaded[1].token_embedding)
+            return loaded
+
+        def search(self, query, k):
+            queries.append(query)
+            return vector_search(self, query, k)
+
+        monkeypatch.setattr(encoder, "load_weights", load_rows)
+        monkeypatch.setattr(vector_index.VectorIndex, "search", search)
+        # A doc, repeated tokens, and more tokens than max_seq_len keeps.
+        for query in (pipeline["docs"][3], "staff great great staff zzgblx", " ".join(FILLER * 9)):
+            ids = _token_ids(tokenize(query), lex.vocabulary)
+            code, _ = search_lines(
+                capsys, ["search", query, "--mode", "vector", "--config", pipeline["config"]]
+            )
+            assert code == 0
+            assert len(tables[-1]) == len(set(ids)) < enc_cfg.vocab_size
+            assert np.array_equal(queries[-1], _embed([ids], enc_cfg, weights)[0])
+        assert len(ids) > enc_cfg.max_seq_len
+
     def test_text_with_unicode_line_separators(self, tmp_path, capsys):
         # json.dumps leaves U+2028 and U+0085 unescaped; str.splitlines splits on them.
         corpus = tmp_path / "corpus.jsonl"

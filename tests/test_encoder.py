@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import corrupt_artifact, faults_of
 from hypothesis.extra.numpy import arrays
@@ -371,6 +371,10 @@ small_configs = st.builds(
 )
 
 
+# The LayerWeights arrays init_weights draws; the norm gains and biases are constants.
+DRAWN = ("q_proj", "k_proj", "v_proj", "out_proj", "ffn_in", "ffn_gate", "ffn_out")
+
+
 def assert_weights_equal(got, want):
     assert np.array_equal(got.token_embedding, want.token_embedding)
     assert len(got.layers) == len(want.layers)
@@ -450,6 +454,77 @@ class TestBatches:
             assert np.array_equal(row, encode(ids[: cfg.max_seq_len], cfg, weights))
 
 
+# A config and a sorted list of distinct token rows for it.
+configs_and_rows = small_configs.flatmap(lambda cfg: st.tuples(
+    st.just(cfg),
+    st.lists(st.integers(0, cfg.vocab_size - 1), unique=True, max_size=12).map(sorted),
+))
+
+
+def edge_config(vocab_size, seed):
+    return EncoderConfig(vocab_size=vocab_size, d_model=4, n_heads=2, n_layers=2, d_ff=3, seed=seed)
+
+
+class TestTokenRows:
+    """init_weights(cfg, rows) draws the given token rows by advancing the
+    PCG64 stream past the others, then the layers after the whole table."""
+
+    # A share of 1 draws every row alone; a huge one takes every row from the whole table.
+    @pytest.mark.parametrize("share", [1, encoder.ROW_DRAW_SHARE, 2**62])
+    @given(case=configs_and_rows)
+    @example(case=(edge_config(1, 0), [0]))
+    @example(case=(edge_config(1, 2**64 - 1), [0]))
+    @example(case=(edge_config(1, 7), []))
+    @example(case=(edge_config(30, 0), [0, 29]))
+    @example(case=(edge_config(30, 2**64 - 1), [29]))
+    @example(case=(edge_config(30, 2**64 - 1), [0, 3, 4, 17, 28]))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_the_full_tables_rows(self, share, case):
+        cfg, rows = case
+        full = init_weights(cfg)
+        with mock.patch.object(encoder, "ROW_DRAW_SHARE", share):
+            part = init_weights(cfg, rows)
+        assert part.token_embedding.shape == (len(rows), cfg.d_model)
+        assert np.array_equal(part.token_embedding, full.token_embedding[rows])
+        part.token_embedding = full.token_embedding
+        assert_weights_equal(part, full)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[-1], [CFG.vocab_size], [0, CFG.vocab_size], [3, 2], [4, 4], [1, 4, 4, 9], [True], [1.0]],
+        ids=["negative", "out-of-range", "last-out-of-range", "unsorted", "repeated",
+             "repeated-inside", "bool", "float"],
+    )
+    def test_bad_rows_rejected(self, rows):
+        with pytest.raises(ValueError, match="row"):
+            init_weights(CFG, rows)
+
+    @given(case=configs_and_rows)
+    @settings(max_examples=40, deadline=None)
+    def test_sidecar_loads_with_rows(self, tmp_path_factory, case):
+        cfg, rows = case
+        path = tmp_path_factory.mktemp("weights") / "weights.json"
+        save_weights(cfg, init_weights(cfg), path)
+        cfg2, loaded = load_weights(path, cfg.vocab_size, rows)
+        assert cfg2 == cfg
+        assert np.array_equal(loaded.token_embedding, init_weights(cfg).token_embedding[rows])
+
+    @pytest.mark.parametrize("fault", ["weights_checksum_mismatch", "weights_seed_edited"])
+    def test_row_path_checks_crc32(self, tmp_path, weights, fault):
+        save_weights(CFG, weights, tmp_path / "weights.json")
+        _, message = corrupt_artifact(tmp_path, fault)
+        with pytest.raises(ValueError, match=message):
+            load_weights(tmp_path / "weights.json", CFG.vocab_size, [0, 7])
+
+    def test_a_partial_table_has_the_full_tables_checksum(self, tmp_path, weights):
+        # crc32 leaves out the token table, so a table of any rows passes it.
+        path = tmp_path / "weights.json"
+        save_weights(CFG, weights, path)
+        sidecar = path.read_bytes()
+        save_weights(CFG, init_weights(CFG, [2, 5]), path)
+        assert path.read_bytes() == sidecar
+
+
 class TestPersistence:
     def test_round_trip_is_bit_exact(self, tmp_path, weights):
         path = tmp_path / "weights.json"
@@ -468,8 +543,10 @@ class TestPersistence:
         assert cfg2 == cfg
         assert_weights_equal(loaded, init_weights(cfg))
         # One element off by one ulp stands in for a numpy release whose
-        # seeded stream differs from the one that wrote the sidecar.
-        flat = weights.token_embedding.reshape(-1)
+        # seeded stream differs from the one that wrote the sidecar.  Such a
+        # stream moves the layer draws too, and those are what crc32 covers.
+        drawn = [getattr(lw, name).reshape(-1) for lw in weights.layers for name in DRAWN]
+        flat = drawn[nudge_at % len(drawn)]
         flat[nudge_at % flat.size] = np.nextafter(flat[nudge_at % flat.size], np.inf)
         save_weights(cfg, weights, path)
         message = f"crc32 mismatch in weights regenerated by numpy {np.__version__}"

@@ -23,6 +23,17 @@ class TestArtifactCodec:
         assert header == {"format": "fmt", "version": 3, "n": 2, "s": "x"}
         assert bytes(payload) == b"\x00\n\xff"
 
+    def test_aligned_payload(self, tmp_path):
+        path = tmp_path / "a.bin"
+        header = b'{"format": "fmt", "version": 1, "n": 20}'  # 40 bytes
+        write_artifact(path, "fmt", 1, {"n": 20}, b"\x01" * 8, align=8)
+        assert path.read_bytes() == header + b" " * 7 + b"\n" + b"\x01" * 8
+        assert bytes(read_artifact(path, "fmt", 1, align=8)[1]) == b"\x01" * 8
+        path.write_bytes(header + b"\n" + b"\x01" * 8)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: payload starts at byte 41, "
+                                                       "not a multiple of 8")):
+            read_artifact(path, "fmt", 1, align=8)
+
     def test_file_without_newline_is_all_header(self, tmp_path):
         path = tmp_path / "a.json"
         path.write_text('{"format": "fmt", "version": 1}')

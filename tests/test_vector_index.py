@@ -1,14 +1,24 @@
+import json
 import random
 
 import numpy as np
 import pytest
-from conftest import VECTOR_FILE_FAULTS, WORDS, corrupt_vectors_file, random_corpus
+from conftest import (
+    VECTOR_FILE_FAULTS,
+    WORDS,
+    corrupt_artifact,
+    corrupt_vectors_file,
+    faults_of,
+    random_corpus,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_knn, dense_cosine, recompute_fusion
 
+from desksearch import vector_index
 from desksearch.lexical_index import build_index, search_lexical
 from desksearch.vector_index import (
+    NORM_CHUNK,
     HybridConfig,
     VectorIndex,
     load_vectors,
@@ -162,6 +172,41 @@ class TestVectorIndex:
             idx.get(5)[0] = 1.0
         with pytest.raises(KeyError):
             idx.get(6)
+
+    @pytest.mark.parametrize("n", [0, 1, NORM_CHUNK - 1, NORM_CHUNK, NORM_CHUNK + 1, 2 * NORM_CHUNK + 3])
+    @pytest.mark.parametrize("dim", [1, 3, 64])
+    def test_chunked_norms_equal_linalg_norm(self, n, dim):
+        rows = np.random.default_rng(n + dim).normal(size=(n, dim))
+        rows *= np.logspace(-150, 150, n)[:, None] if n else 1.0  # tiny to huge rows
+        got = vector_index._row_norms(rows)
+        assert got.tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+
+    @pytest.mark.parametrize("at", [0, NORM_CHUNK, NORM_CHUNK + 6])
+    @pytest.mark.parametrize("entry", [1e200, np.nan])
+    def test_row_with_a_huge_or_nan_entry_rejected(self, at, entry):
+        # In the first chunk, the first row of the second and the last row.
+        rows = random_unit_vectors(30, NORM_CHUNK + 7, 4)
+        rows[at, 2] = entry
+        with pytest.raises(ValueError, match=f"embedding for doc {at} is not unit-norm"):
+            VectorIndex.from_arrays(range(len(rows)), rows)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_from_arrays_neither_aliases_nor_freezes_the_callers_array(self, order):
+        rows = np.asarray(random_unit_vectors(31, 5, 3), order=order)
+        idx = VectorIndex.from_arrays(range(5), rows)
+        assert not np.shares_memory(idx._matrix, rows)
+        assert rows.flags.writeable and idx._matrix.flags.c_contiguous
+        before = rows.copy()
+        rows[:] = 0.0
+        assert np.array_equal(idx._matrix, before)
+        with pytest.raises(ValueError):
+            idx._matrix[0, 0] = 1.0
+
+    def test_add_neither_aliases_nor_freezes_the_callers_row(self):
+        row = unit([1.0, 2.0])
+        idx = VectorIndex(2)
+        idx.add(0, row)
+        assert not np.shares_memory(idx._matrix, row) and row.flags.writeable
 
     def test_non_finite_query_rejected(self):
         idx = VectorIndex.from_arrays([0], np.array([[1.0, 0.0]]))
@@ -497,6 +542,46 @@ class TestPersistence:
         with pytest.raises(ValueError, match=message) as exc:
             load_vectors(path)
         assert str(path) in str(exc.value)
+
+    def test_loaded_rows_are_the_payload_read_only(self, tmp_path, monkeypatch):
+        path = tmp_path / "vectors.bin"
+        save_vectors(VectorIndex.from_arrays([3, 1, 2], random_unit_vectors(32, 3, 4)), path)
+        payloads = []
+        read_artifact = vector_index.read_artifact
+
+        def keep_payload(*args, **kwargs):
+            header, payload = read_artifact(*args, **kwargs)
+            payloads.append(payload)
+            return header, payload
+
+        monkeypatch.setattr(vector_index, "read_artifact", keep_payload)
+        loaded = load_vectors(path)
+        assert np.shares_memory(loaded._matrix, np.frombuffer(payloads[0], dtype=np.uint8))
+        assert not loaded._matrix.flags.writeable and loaded._matrix.flags.aligned
+        with pytest.raises(ValueError):
+            loaded.get(1)[0] = 0.0
+
+    def test_payload_is_aligned_and_holds_only_the_rows(self, tmp_path):
+        path = tmp_path / "vectors.bin"
+        vecs = random_unit_vectors(33, 3, 5)
+        save_vectors(VectorIndex.from_arrays([9, 4, 6], vecs), path)
+        raw = path.read_bytes()
+        start = raw.index(b"\n") + 1
+        assert start % 8 == 0
+        assert json.loads(raw[:start]) == {
+            "format": "desksearch-vector-index", "version": 2,
+            "dimension": 5, "count": 3, "doc_ids": [4, 6, 9],
+        }
+        assert raw[start:] == vecs[[1, 2, 0]].astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("fault", faults_of("vectors_"))
+    def test_corrupt_file_rejected(self, tmp_path, fault):
+        save_vectors(VectorIndex.from_arrays([0, 2, 5], random_unit_vectors(34, 3, 4)),
+                     tmp_path / "vectors.bin")
+        name, message = corrupt_artifact(tmp_path, fault)
+        with pytest.raises(ValueError, match=message) as exc:
+            load_vectors(tmp_path / name)
+        assert name in str(exc.value)
 
     @pytest.mark.parametrize(
         "raw",
