@@ -156,11 +156,13 @@ def _embed_query(
     weights_path: Path, ids: list[int], vocab_size: int
 ) -> tuple[encoder.EncoderConfig, np.ndarray]:
     """The encoder config and the ``_embed`` row of one query's non-empty
-    ``_token_ids``, drawing only the token rows the query uses: each id becomes
-    its position in that small table, so the bits are those of the full weights."""
-    rows = sorted(set(ids))
-    enc_cfg, weights = encoder.load_weights(weights_path, vocab_size, rows)
-    return enc_cfg, _embed([np.searchsorted(rows, ids)], enc_cfg, weights)[0]
+    ``_token_ids``, drawing only the token rows its first max_seq_len ids use:
+    each id becomes its position in that small table, so the bits are those of
+    the full weights."""
+    enc_cfg, weights = encoder.load_weights(weights_path, vocab_size, ids)
+    ids = ids[: enc_cfg.max_seq_len]
+    local = np.searchsorted(encoder.token_rows(enc_cfg, ids), ids)
+    return enc_cfg, _embed([local], enc_cfg, weights)[0]
 
 
 def cmd_ingest(cfg: RunConfig) -> int:

@@ -28,9 +28,6 @@ from . import io_utils
 DEFAULT_EPS = 1e-6
 WEIGHTS_FORMAT = "encoder-weights"
 WEIGHTS_VERSION = 4
-# Asked for more than one token row in ROW_DRAW_SHARE, init_weights draws the
-# whole table: one row drawn alone costs about as much as ten drawn in bulk.
-ROW_DRAW_SHARE = 10
 
 # Unit-norm float64 vector of length d_model, as encode() emits for one
 # sequence; a batch gives an (n, d_model) matrix of them.
@@ -91,8 +88,7 @@ def init_weights(cfg: EncoderConfig, rows: list[int] | None = None) -> EncoderWe
     d_model draws after ``advance(r * d_model)``, and the layers follow
     ``advance(vocab_size * d_model)``.  Given ``rows``, a sorted list of
     distinct token ids, the table holds only those rows, in that order, each
-    bit-equal to its row of the full table: each is drawn alone, or taken
-    from the whole table when that is cheaper (see ROW_DRAW_SHARE).
+    drawn alone and bit-equal to its row of the full table.
     """
     bitgen = np.random.PCG64(cfg.seed)  # what default_rng(seed) wraps
     rng = np.random.Generator(bitgen)
@@ -102,13 +98,10 @@ def init_weights(cfg: EncoderConfig, rows: list[int] | None = None) -> EncoderWe
     def draw(*shape: int) -> np.ndarray:
         return rng.uniform(-bound, bound, size=shape)
 
-    if rows is not None:
-        _check_rows(rows, cfg.vocab_size)
-    if rows is None or len(rows) * ROW_DRAW_SHARE > cfg.vocab_size:
+    if rows is None:
         token_embedding = draw(cfg.vocab_size, d)
-        if rows is not None:
-            token_embedding = token_embedding[rows]
     else:
+        _check_rows(rows, cfg.vocab_size)
         token_embedding = np.empty((len(rows), d))
         at = 0  # the table row the stream stands at
         for i, row in enumerate(rows):
@@ -139,6 +132,12 @@ def init_weights(cfg: EncoderConfig, rows: list[int] | None = None) -> EncoderWe
         final_norm_gain=np.ones(d),
         final_norm_bias=np.zeros(d),
     )
+
+
+def token_rows(cfg: EncoderConfig, ids: list[int]) -> list[int]:
+    """The sorted, distinct token rows that a sequence of ``ids`` cut to
+    max_seq_len reads: the ``rows`` to draw for it."""
+    return sorted(set(ids[: cfg.max_seq_len]))
 
 
 def _check_rows(rows: list[int], vocab_size: int) -> None:
@@ -343,12 +342,13 @@ def save_weights(cfg: EncoderConfig, weights: EncoderWeights, path: str | Path) 
 
 
 def load_weights(
-    path: str | Path, vocab_size: int | None = None, rows: list[int] | None = None
+    path: str | Path, vocab_size: int | None = None, ids: list[int] | None = None
 ) -> tuple[EncoderConfig, EncoderWeights]:
-    """Regenerate the weights a ``save_weights`` sidecar describes, with only
-    the token ``rows`` given, as ``init_weights`` draws them.  A malformed
-    sidecar, a ``vocab_size`` other than the given one (checked before any
-    weight is drawn) or a CRC-32 mismatch raises ValueError naming the file."""
+    """Regenerate the weights a ``save_weights`` sidecar describes.  Given one
+    sequence's token ``ids``, the token table holds only ``token_rows(cfg, ids)``,
+    as ``init_weights`` draws them.  A malformed sidecar, a ``vocab_size`` other
+    than the given one (checked before any weight is drawn) or a CRC-32
+    mismatch raises ValueError naming the file."""
     path = Path(path).with_suffix(".json")
     sidecar, payload = io_utils.read_artifact(path, WEIGHTS_FORMAT, WEIGHTS_VERSION)
     try:
@@ -362,7 +362,7 @@ def load_weights(
     if vocab_size is not None and cfg.vocab_size != vocab_size:
         raise ValueError(f"{path}: vocab_size {cfg.vocab_size} is not the {vocab_size} terms "
                          "of the lexical index")
-    weights = init_weights(cfg, rows)
+    weights = init_weights(cfg, None if ids is None else token_rows(cfg, ids))
     if _checksum(weights) != crc32:
         raise ValueError(f"{path}: crc32 mismatch in weights regenerated by numpy {np.__version__}")
     return cfg, weights

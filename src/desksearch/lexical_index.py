@@ -151,9 +151,10 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> InvertedIndex:
     """Read a ``save_index`` file; df comes from ``term_ptr``.  A bad header, a
-    missing key, a value of the wrong type, a payload of the wrong length or
-    arrays that do not fit the terms and docs raise ValueError naming the file."""
-    header, payload = read_artifact(path, INDEX_FORMAT, INDEX_VERSION)
+    missing key, a value of the wrong type, an unaligned payload or one of the
+    wrong length, or arrays that do not fit the terms and docs raise ValueError
+    naming the file."""
+    header, payload = read_artifact(path, INDEX_FORMAT, INDEX_VERSION, align=8)
     try:
         terms, n_docs, n_postings = header["terms"], header["n_docs"], header["n_postings"]
     except KeyError as exc:

@@ -56,9 +56,10 @@ VECTOR_FILE_FAULTS = {
 }
 
 
-def _vectors_file(header: dict, payload: bytes) -> bytes:
-    """A vectors.bin from its header and payload, the header line padded as
-    save_vectors pads it, so that the payload starts 8-byte aligned."""
+def _artifact_file(header: dict, payload: bytes) -> bytes:
+    """A vectors.bin or lexical_index.json from its header and payload, the
+    header line padded as write_artifact pads it, so that the payload starts
+    8-byte aligned."""
     line = json.dumps(header).encode("utf-8")
     return line + b" " * (-(len(line) + 1) % 8) + b"\n" + payload
 
@@ -74,7 +75,7 @@ def corrupt_vectors_file(path, fault: str) -> str:
         header["doc_ids"] = edit_ids(header["doc_ids"])
     if edit_payload is not None:
         payload = edit_payload(payload)
-    path.write_bytes(_vectors_file(header, payload))
+    path.write_bytes(_artifact_file(header, payload))
     return message
 
 
@@ -108,12 +109,13 @@ def _edit_payload(edit):
 
 
 def _edit_header(edit):
-    """An edit of an artifact's header line; the payload keeps its bytes."""
+    """An edit of an artifact's header line, padded again; the payload keeps
+    its bytes."""
     def apply(raw: bytes) -> bytes:
         newline = raw.index(b"\n")
         header = json.loads(raw[:newline])
         edit(header)
-        return json.dumps(header).encode("utf-8") + raw[newline:]
+        return _artifact_file(header, raw[newline + 1 :])
 
     return apply
 
@@ -156,7 +158,7 @@ def _vectors_one_dimension_wider(raw: bytes) -> bytes:
     rows = np.frombuffer(raw, dtype="<f8", offset=newline + 1)
     rows = np.pad(rows.reshape(header["count"], header["dimension"]), ((0, 0), (0, 1)))
     header["dimension"] += 1
-    return _vectors_file(header, rows.tobytes())
+    return _artifact_file(header, rows.tobytes())
 
 
 def _flip_in_last_row(raw: bytes) -> bytes:
@@ -249,6 +251,7 @@ ARTIFACT_FAULTS = {
         )),
         NOT_RISING,
     ),
+    "lexical_unaligned_payload": (LEX, _unaligned, "not a multiple of 8"),
     "lexical_tf_zero": (LEX, _edit_payload(lambda a: setitem(a["tf"], 0, 0)), BAD_TF),
     "lexical_tf_minus_one": (LEX, _edit_payload(lambda a: setitem(a["tf"], 0, -1)), BAD_TF),
     "lexical_duplicate_term": (
@@ -269,7 +272,6 @@ ARTIFACT_FAULTS = {
     "mixed_build_vectors_dimension": (
         "vectors.bin", _vectors_one_dimension_wider, "is not the d_model"
     ),
-    # A version-1 file had no header padding; _edit_header drops it as well.
     "vectors_version_1": (
         "vectors.bin",
         _edit_header(lambda h: h.update(version=1)),

@@ -359,16 +359,19 @@ class TestSearch:
 
         monkeypatch.setattr(encoder, "load_weights", load_rows)
         monkeypatch.setattr(vector_index.VectorIndex, "search", search)
-        # A doc, repeated tokens, and more tokens than max_seq_len keeps.
-        for query in (pipeline["docs"][3], "staff great great staff zzgblx", " ".join(FILLER * 9)):
+        # A doc, repeated tokens, and more tokens than max_seq_len keeps: the
+        # markers past it are in the vocabulary but must not be drawn.
+        markers = [f"marker{i:03d}" for i in range(100)]
+        for query in (pipeline["docs"][3], "staff great great staff zzgblx",
+                      " ".join(FILLER * 5 + markers)):
             ids = _token_ids(tokenize(query), lex.vocabulary)
             code, _ = search_lines(
                 capsys, ["search", query, "--mode", "vector", "--config", pipeline["config"]]
             )
             assert code == 0
-            assert len(tables[-1]) == len(set(ids)) < enc_cfg.vocab_size
+            assert len(tables[-1]) == len(set(ids[: enc_cfg.max_seq_len])) < enc_cfg.vocab_size
             assert np.array_equal(queries[-1], _embed([ids], enc_cfg, weights)[0])
-        assert len(ids) > enc_cfg.max_seq_len
+        assert len(ids) > enc_cfg.max_seq_len and len(tables[-1]) == len(FILLER) < len(set(ids))
 
     def test_text_with_unicode_line_separators(self, tmp_path, capsys):
         # json.dumps leaves U+2028 and U+0085 unescaped; str.splitlines splits on them.

@@ -460,6 +460,11 @@ configs_and_rows = small_configs.flatmap(lambda cfg: st.tuples(
     st.lists(st.integers(0, cfg.vocab_size - 1), unique=True, max_size=12).map(sorted),
 ))
 
+# A config and a sequence of token ids for it, repeats and any order allowed.
+configs_and_ids = small_configs.flatmap(lambda cfg: st.tuples(
+    st.just(cfg), st.lists(st.integers(0, cfg.vocab_size - 1), max_size=20),
+))
+
 
 def edge_config(vocab_size, seed):
     return EncoderConfig(vocab_size=vocab_size, d_model=4, n_heads=2, n_layers=2, d_ff=3, seed=seed)
@@ -469,8 +474,6 @@ class TestTokenRows:
     """init_weights(cfg, rows) draws the given token rows by advancing the
     PCG64 stream past the others, then the layers after the whole table."""
 
-    # A share of 1 draws every row alone; a huge one takes every row from the whole table.
-    @pytest.mark.parametrize("share", [1, encoder.ROW_DRAW_SHARE, 2**62])
     @given(case=configs_and_rows)
     @example(case=(edge_config(1, 0), [0]))
     @example(case=(edge_config(1, 2**64 - 1), [0]))
@@ -479,11 +482,10 @@ class TestTokenRows:
     @example(case=(edge_config(30, 2**64 - 1), [29]))
     @example(case=(edge_config(30, 2**64 - 1), [0, 3, 4, 17, 28]))
     @settings(max_examples=100, deadline=None)
-    def test_rows_equal_the_full_tables_rows(self, share, case):
+    def test_rows_equal_the_full_tables_rows(self, case):
         cfg, rows = case
         full = init_weights(cfg)
-        with mock.patch.object(encoder, "ROW_DRAW_SHARE", share):
-            part = init_weights(cfg, rows)
+        part = init_weights(cfg, rows)
         assert part.token_embedding.shape == (len(rows), cfg.d_model)
         assert np.array_equal(part.token_embedding, full.token_embedding[rows])
         part.token_embedding = full.token_embedding
@@ -499,14 +501,16 @@ class TestTokenRows:
         with pytest.raises(ValueError, match="row"):
             init_weights(CFG, rows)
 
-    @given(case=configs_and_rows)
+    @given(case=configs_and_ids)
     @settings(max_examples=40, deadline=None)
-    def test_sidecar_loads_with_rows(self, tmp_path_factory, case):
-        cfg, rows = case
+    def test_sidecar_loads_a_sequences_rows(self, tmp_path_factory, case):
+        # Only the rows of the first max_seq_len ids, sorted and distinct.
+        cfg, ids = case
         path = tmp_path_factory.mktemp("weights") / "weights.json"
         save_weights(cfg, init_weights(cfg), path)
-        cfg2, loaded = load_weights(path, cfg.vocab_size, rows)
-        assert cfg2 == cfg
+        cfg2, loaded = load_weights(path, cfg.vocab_size, ids)
+        rows = sorted(set(ids[: cfg.max_seq_len]))
+        assert cfg2 == cfg and encoder.token_rows(cfg, ids) == rows
         assert np.array_equal(loaded.token_embedding, init_weights(cfg).token_embedding[rows])
 
     @pytest.mark.parametrize("fault", ["weights_checksum_mismatch", "weights_seed_edited"])
