@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -16,7 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, encoder, lexical_index, metrics, vector_index
-from .io_utils import atomic_write_text, require_int
+from .io_utils import (
+    atomic_write_bytes, atomic_write_text, read_artifact, require_int, write_artifact
+)
 from .text_pipeline import TokenizerConfig, tokenize
 
 SNIPPET_LEN = 80
@@ -25,6 +28,9 @@ LEXICAL_FILE = "lexical_index.json"
 VECTOR_FILE = "vectors.bin"
 WEIGHTS_FILE = "weights.json"
 DOCS_FILE = "docs.jsonl"
+OFFSETS_FILE = "doc_offsets.bin"
+OFFSETS_FORMAT = "desksearch-doc-offsets"
+OFFSETS_VERSION = 1
 # Tokens per encoder call in _embed.  Chunks much larger than this encode
 # slower per sequence: their attention tensors no longer fit in cache.
 ENCODE_TOKEN_BUDGET = 512
@@ -126,7 +132,8 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
 
 def _token_ids(tokens: list[str], vocab) -> list[int]:
     """The ids of a document's or a query's in-vocabulary tokens, in order."""
-    return [vocab.term_to_id[t] for t in tokens if t in vocab.term_to_id]
+    get = vocab.term_to_id.get
+    return [tid for t in tokens if (tid := get(t)) is not None]
 
 
 def _embed(
@@ -231,11 +238,7 @@ def cmd_index(cfg: RunConfig) -> int:
         )
     vector_index.save_vectors(vec, out_dir / VECTOR_FILE)
 
-    doc_lines = [
-        json.dumps({"doc_id": i, "text": r.text, "stars": r.stars}, ensure_ascii=False)
-        for i, r in enumerate(docs)
-    ]
-    atomic_write_text(out_dir / DOCS_FILE, "\n".join(doc_lines) + ("\n" if doc_lines else ""))
+    _write_docs(out_dir, docs)
 
     print(
         json.dumps(
@@ -245,21 +248,79 @@ def cmd_index(cfg: RunConfig) -> int:
     return 0
 
 
-def _doc_texts(docs_path: Path, doc_ids: list[int]) -> list[str]:
-    """The text of each listed doc.  ``index`` writes doc i on line i, so only
-    those lines are parsed; each must be the record of its doc."""
-    # Split on b"\n" alone: str.splitlines would also split inside a text
-    # holding U+2028 or U+0085, which json.dumps leaves unescaped.
-    lines = docs_path.read_bytes().split(b"\n")
+def _write_docs(out_dir: Path, docs: list[dataset.Review]) -> None:
+    """Write doc d's record as line d of ``docs.jsonl``, then the byte where
+    each line starts, and the file's size, to ``doc_offsets.bin``."""
+    doc_lines = [
+        json.dumps({"doc_id": i, "text": r.text, "stars": r.stars}, ensure_ascii=False)
+        for i, r in enumerate(docs)
+    ]
+    blob = ("\n".join(doc_lines) + ("\n" if doc_lines else "")).encode("utf-8")
+    atomic_write_bytes(out_dir / DOCS_FILE, blob)
+    # Line d starts after the d-th newline: json.dumps escapes a text's
+    # newlines, and no other character's UTF-8 bytes hold 0x0A.
+    starts = np.zeros(len(docs) + 1, dtype="<i8")
+    starts[1:] = np.flatnonzero(np.frombuffer(blob, np.uint8) == 0x0A) + 1
+    write_artifact(
+        out_dir / OFFSETS_FILE, OFFSETS_FORMAT, OFFSETS_VERSION, {"n_docs": len(docs)},
+        starts.tobytes(), align=8,
+    )
+
+
+def _load_offsets(path: Path, n_docs: int) -> np.ndarray:
+    """The ``n_docs + 1`` line starts of a ``doc_offsets.bin`` written for the
+    lexical index's ``n_docs``; another doc count, a payload of another length
+    or starts that do not rise strictly from 0 raise ValueError naming the file."""
+    header, payload = read_artifact(path, OFFSETS_FORMAT, OFFSETS_VERSION, align=8)
+    found = header.get("n_docs")
+    if type(found) is not int or found != n_docs:
+        raise ValueError(
+            f"{path}: n_docs {found!r} is not the {n_docs} docs of the lexical index"
+        )
+    if len(payload) != 8 * (n_docs + 1):
+        raise ValueError(
+            f"{path}: payload is {len(payload)} bytes, expected {8 * (n_docs + 1)} "
+            f"for {n_docs} docs"
+        )
+    starts = np.frombuffer(payload, "<i8")
+    if starts[0] != 0 or not (starts[1:] > starts[:-1]).all():
+        raise ValueError(f"{path}: line starts must rise strictly from 0")
+    return starts
+
+
+def _doc_texts(index_dir: Path, n_docs: int, doc_ids: list[int]) -> list[str]:
+    """The text of each listed doc.  Doc d is the line of ``docs.jsonl`` from
+    byte ``starts[d]`` to ``starts[d + 1]``, the ``doc_offsets.bin`` entries;
+    only those lines are read, and each must be the record of its doc.  An
+    empty list reads no file."""
+    if not doc_ids:
+        return []
+    offsets_path, docs_path = index_dir / OFFSETS_FILE, index_dir / DOCS_FILE
+    starts = _load_offsets(offsets_path, n_docs)
     texts = []
-    for doc_id in doc_ids:
-        try:
-            record = json.loads(lines[doc_id])
-            if record["doc_id"] != doc_id or not isinstance(record["text"], str):
-                raise ValueError("doc_id or text does not match")
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"{docs_path}: line {doc_id + 1} is not doc {doc_id}: {exc}") from exc
-        texts.append(record["text"])
+    with open(docs_path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size != starts[-1]:
+            raise CliError(
+                f"{docs_path}: {size} bytes, but {offsets_path} ends its last line at byte "
+                f"{starts[-1]}"
+            )
+        for doc_id in doc_ids:
+            try:
+                if not 0 <= doc_id < n_docs:
+                    raise ValueError("no such line")
+                f.seek(starts[doc_id])
+                line = f.read(starts[doc_id + 1] - starts[doc_id])
+                if not line.endswith(b"\n"):
+                    raise ValueError(f"it does not end where {OFFSETS_FILE} starts the next")
+                record = json.loads(line)
+                if record["doc_id"] != doc_id or not isinstance(record["text"], str):
+                    raise ValueError("doc_id or text does not match")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CliError(
+                    f"{docs_path}: line {doc_id + 1} is not doc {doc_id}: {exc}"
+                ) from exc
+            texts.append(record["text"])
     return texts
 
 
@@ -285,7 +346,7 @@ def cmd_search(cfg: RunConfig, query: str, mode: str, full_text: bool) -> int:
             hits = vector_index.search_hybrid(lex, vec, query_tokens, embedding, cfg.search)
         else:
             hits = vec.search(embedding, cfg.search.k) if vec is not None else []
-        texts = _doc_texts(index_dir / DOCS_FILE, [hit.doc_id for hit in hits])
+        texts = _doc_texts(index_dir, lex.vocabulary.n_docs, [hit.doc_id for hit in hits])
     except OSError as exc:
         raise CliError(f"cannot load index artifacts: {exc}") from exc
 

@@ -7,13 +7,23 @@ the length of its slice.  Scores are cosine similarities between the query's
 tf-idf vector and each document's, computed by walking the query terms'
 slices; documents whose score is exactly zero are omitted.  Because idf can
 be negative, scores live in [-1, 1].
+
+On disk the terms are a sorted table, as in a Lucene terms dictionary: their
+UTF-8 bytes in ascending order, NUL-separated, and ``term_ids``, the id of
+each.  Ids keep their first-occurrence numbering, so the postings and the
+norms do not depend on the order.  A loaded index looks a term up by
+bisection in that table (``TermTable``) and builds no dict of the terms.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,11 +34,13 @@ from .io_utils import read_artifact, write_artifact
 from .text_pipeline import Vocabulary, idf, tfidf_vectorize
 
 INDEX_FORMAT = "desksearch-lexical-index"
-INDEX_VERSION = 3
-# The dtypes of the payload's arrays term_ptr, doc_norms, doc_ids and tf, in
-# file order: widest first, so that each starts at an offset aligned to its
-# item size once the payload itself starts 8-byte aligned.
-PAYLOAD_DTYPES = ("<i8", "<f8", "<i4", "<i4")
+INDEX_VERSION = 4
+# The dtypes of the payload's arrays term_ptr, doc_norms, doc_ids, tf and
+# term_ids, in file order: widest first, so that each starts at an offset
+# aligned to its item size once the payload itself starts 8-byte aligned.
+# The terms' bytes follow them.
+PAYLOAD_DTYPES = ("<i8", "<f8", "<i4", "<i4", "<i4")
+HEADER_COUNTS = ("n_terms", "n_docs", "n_postings", "term_bytes")
 
 
 class SearchHit(NamedTuple):
@@ -44,6 +56,56 @@ def top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> list[SearchHit]:
     top = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k]) if k < n else np.arange(n)
     top = top[np.lexsort((ids[top], -scores[top]))[:k]]
     return [SearchHit(i, s) for i, s in zip(ids[top].tolist(), scores[top].tolist())]
+
+
+class TermTable:
+    """A read-only term -> id mapping over terms in ascending code-point
+    order: ``ids[i]`` is the id of ``terms[i]``.  ``get``, ``[]`` and ``in``
+    are each one bisection of the terms."""
+
+    __slots__ = ("_terms", "_ids")
+
+    def __init__(self, terms: list[str], ids: np.ndarray) -> None:
+        self._terms, self._ids = terms, ids
+
+    def get(self, term: str, default=None):
+        terms = self._terms
+        i = bisect_left(terms, term)
+        return self._ids.item(i) if i < len(terms) and terms[i] == term else default
+
+    def __getitem__(self, term: str) -> int:
+        tid = self.get(term)
+        if tid is None:
+            raise KeyError(term)
+        return tid
+
+    def __contains__(self, term: object) -> bool:
+        terms = self._terms
+        i = bisect_left(terms, term)
+        return i < len(terms) and terms[i] == term
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __iter__(self):
+        return iter(self._terms)
+
+    def keys(self):
+        return iter(self._terms)
+
+    def values(self):
+        return iter(self._ids.tolist())
+
+    def items(self):
+        return zip(self._terms, self._ids.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return dict(self.items()) == dict(other.items())
+
+
+Mapping.register(TermTable)
 
 
 @dataclass(eq=False)
@@ -134,55 +196,76 @@ def search_lexical(index: InvertedIndex, query_tokens: list[str], k: int) -> lis
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    """Write the index atomically: a header line with the terms, n_docs and
-    the posting count, then the PAYLOAD_DTYPES arrays, 8-byte aligned."""
+    """Write the index atomically: a header line with the HEADER_COUNTS, then
+    the PAYLOAD_DTYPES arrays, 8-byte aligned, and last the terms' UTF-8 bytes
+    in ascending order, NUL-separated; ``term_ids[i]`` is the id of the i-th.
+    A term that is empty, holds NUL or is no UTF-8 (a lone surrogate) could not
+    be read back: ValueError."""
+    terms = index.vocabulary.id_to_term()
+    order = sorted(range(len(terms)), key=terms.__getitem__)
+    blob = "\0".join([terms[tid] for tid in order]).encode("utf-8")
+    if not all(terms) or blob.count(b"\0") != max(len(terms) - 1, 0):
+        raise ValueError("a term is empty or holds NUL")
     p = index.postings
-    fields = {
-        "terms": index.vocabulary.id_to_term(),
-        "n_docs": index.vocabulary.n_docs,
-        "n_postings": len(p.doc_ids),
-    }
-    arrays = (p.term_ptr, index.doc_norms, p.doc_ids, p.tf)
+    counts = (len(terms), index.vocabulary.n_docs, len(p.doc_ids), len(blob))
+    arrays = (p.term_ptr, index.doc_norms, p.doc_ids, p.tf, np.array(order, dtype=np.int32))
     payload = b"".join(
         a.astype(dtype, copy=False).tobytes() for a, dtype in zip(arrays, PAYLOAD_DTYPES)
     )
-    write_artifact(path, INDEX_FORMAT, INDEX_VERSION, fields, payload, align=8)
+    write_artifact(
+        path, INDEX_FORMAT, INDEX_VERSION, dict(zip(HEADER_COUNTS, counts)), payload + blob,
+        align=8,
+    )
 
 
 def load_index(path: str | Path) -> InvertedIndex:
     """Read a ``save_index`` file; df comes from ``term_ptr``.  A bad header, a
-    missing key, a value of the wrong type, an unaligned payload or one of the
-    wrong length, or arrays that do not fit the terms and docs raise ValueError
+    missing key, a count that is not a non-negative integer, an unaligned
+    payload or one of the wrong length, terms that are not UTF-8 or do not rise
+    strictly, or arrays that do not fit the terms and docs raise ValueError
     naming the file."""
     header, payload = read_artifact(path, INDEX_FORMAT, INDEX_VERSION, align=8)
     try:
-        terms, n_docs, n_postings = header["terms"], header["n_docs"], header["n_postings"]
+        counts = [header[key] for key in HEADER_COUNTS]
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
 
     def malformed(why: str) -> ValueError:
         return ValueError(f"{path}: malformed lexical index: {why}")
 
-    if type(terms) is not list or not all(type(term) is str for term in terms):
-        raise malformed("terms must be a list of strings")
-    term_to_id = {term: tid for tid, term in enumerate(terms)}
-    if len(term_to_id) != len(terms):
-        raise malformed("terms must be unique strings")
-    if not (type(n_docs) is type(n_postings) is int and n_docs >= 0 and n_postings >= 0):
-        raise malformed("n_docs and n_postings must be non-negative integers")
-    counts = (len(terms) + 1, n_docs, n_postings, n_postings)
-    expected = sum(n * np.dtype(dtype).itemsize for n, dtype in zip(counts, PAYLOAD_DTYPES))
+    if not all(type(n) is int and n >= 0 for n in counts):
+        raise malformed(f"{', '.join(HEADER_COUNTS)} must be non-negative integers")
+    n_terms, n_docs, n_postings, term_bytes = counts
+    sizes = (n_terms + 1, n_docs, n_postings, n_postings, n_terms)
+    expected = sum(n * np.dtype(dtype).itemsize for n, dtype in zip(sizes, PAYLOAD_DTYPES))
+    expected += term_bytes
     if len(payload) != expected:
         raise malformed(
-            f"payload is {len(payload)} bytes, expected {expected} for {len(terms)} terms, "
-            f"{n_docs} docs and {n_postings} postings"
+            f"payload is {len(payload)} bytes, expected {expected} for {n_terms} terms, "
+            f"{n_docs} docs, {n_postings} postings and {term_bytes} bytes of terms"
         )
     arrays, offset = [], 0
-    for n, dtype in zip(counts, PAYLOAD_DTYPES):
+    for n, dtype in zip(sizes, PAYLOAD_DTYPES):
         arrays.append(np.frombuffer(payload, dtype, n, offset))
         offset += n * arrays[-1].itemsize
-    term_ptr, doc_norms, doc_ids, tf = arrays
+    term_ptr, doc_norms, doc_ids, tf, term_ids = arrays
 
+    try:
+        terms = str(payload[offset:], "utf-8").split("\0") if term_bytes else []
+    except UnicodeDecodeError as exc:
+        raise malformed(f"terms are not UTF-8: {exc}") from None
+    if len(terms) != n_terms:
+        raise malformed(f"{len(terms)} NUL-separated terms, expected n_terms {n_terms}")
+    if terms and not terms[0]:
+        raise malformed("the first term is empty")
+    # Rising strictly, from a non-empty first term: unique and non-empty.
+    if not all(map(operator.lt, terms, islice(terms, 1, None))):
+        raise malformed("terms must rise strictly")
+    # n_terms ids, each in range, that cover every id: a permutation.
+    covered = np.zeros(n_terms, dtype=bool)
+    covered[term_ids[(term_ids >= 0) & (term_ids < n_terms)]] = True
+    if not covered.all():
+        raise malformed(f"term_ids must be a permutation of the {n_terms} term ids")
     # Comparisons, not np.diff, so that no wrapped int64 difference looks rising.
     if term_ptr[0] != 0 or term_ptr[-1] != n_postings or not (term_ptr[1:] > term_ptr[:-1]).all():
         raise malformed(f"term_ptr must rise strictly from 0 to n_postings {n_postings}")
@@ -196,5 +279,5 @@ def load_index(path: str | Path) -> InvertedIndex:
         raise malformed("tf must be >= 1")
     if not ((doc_norms >= 0.0) & (doc_norms < math.inf)).all():  # NaN fails both
         raise malformed("doc_norms must be finite non-negative floats")
-    vocab = Vocabulary(term_to_id, np.diff(term_ptr).tolist(), n_docs)
+    vocab = Vocabulary(TermTable(terms, term_ids), np.diff(term_ptr).tolist(), n_docs)
     return InvertedIndex(vocab, Postings(term_ptr, doc_ids, tf), doc_norms)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .io_utils import require_int
@@ -45,10 +46,12 @@ class Vocabulary:
 
     Ids are assigned in first-occurrence order over the corpus that built the
     vocabulary.  ``doc_freq[i]`` is the number of documents containing the term
-    with id ``i`` at least once; ``n_docs`` is the corpus size.
+    with id ``i`` at least once; ``n_docs`` is the corpus size.  ``term_to_id``
+    is any read-only mapping: ``build_vocabulary`` fills a dict, and
+    ``lexical_index.load_index`` gives a sorted ``TermTable``.
     """
 
-    term_to_id: dict[str, int] = field(default_factory=dict)
+    term_to_id: Mapping[str, int] = field(default_factory=dict)
     doc_freq: list[int] = field(default_factory=list)
     n_docs: int = 0
 
@@ -65,19 +68,19 @@ class Vocabulary:
 
 def build_vocabulary(corpus: list[list[str]]) -> Vocabulary:
     """Assign ids in first-occurrence order and count document frequencies."""
-    vocab = Vocabulary(n_docs=len(corpus))
+    term_to_id: dict[str, int] = {}
+    doc_freq: list[int] = []
     for tokens in corpus:
         seen: set[int] = set()
         for token in tokens:
-            tid = vocab.term_to_id.get(token)
+            tid = term_to_id.get(token)
             if tid is None:
-                tid = len(vocab.term_to_id)
-                vocab.term_to_id[token] = tid
-                vocab.doc_freq.append(0)
+                tid = term_to_id[token] = len(term_to_id)
+                doc_freq.append(0)
             seen.add(tid)
         for tid in seen:
-            vocab.doc_freq[tid] += 1
-    return vocab
+            doc_freq[tid] += 1
+    return Vocabulary(term_to_id, doc_freq, len(corpus))
 
 
 @dataclass(frozen=True)

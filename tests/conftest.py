@@ -79,33 +79,56 @@ def corrupt_vectors_file(path, fault: str) -> str:
     return message
 
 
-LEXICAL_DTYPES = {"term_ptr": "<i8", "doc_norms": "<f8", "doc_ids": "<i4", "tf": "<i4"}
+LEXICAL_DTYPES = {
+    "term_ptr": "<i8", "doc_norms": "<f8", "doc_ids": "<i4", "tf": "<i4", "term_ids": "<i4"
+}
 
 
-def _lexical_arrays(raw: bytes) -> tuple[dict, dict]:
-    """The header of a lexical_index.json and writable copies of its payload
-    arrays, read by the layout README documents."""
+def _lexical_arrays(raw: bytes) -> tuple[dict, dict, bytes]:
+    """The header of a lexical_index.json, writable copies of its payload
+    arrays and the terms' bytes after them, read by the layout README
+    documents."""
     newline = raw.index(b"\n")
     header = json.loads(raw[:newline])
-    n_postings = header["n_postings"]
-    counts = (len(header["terms"]) + 1, header["n_docs"], n_postings, n_postings)
+    n_terms, n_postings = header["n_terms"], header["n_postings"]
+    counts = (n_terms + 1, header["n_docs"], n_postings, n_postings, n_terms)
     arrays, offset = {}, newline + 1
     for (name, dtype), count in zip(LEXICAL_DTYPES.items(), counts):
         arrays[name] = np.frombuffer(raw, dtype, count, offset).copy()
         offset += arrays[name].nbytes
-    assert offset == len(raw)
-    return header, arrays
+    assert len(raw) - offset == header["term_bytes"]
+    return header, arrays, raw[offset:]
 
 
 def _edit_payload(edit):
     """An edit of lexical_index.json's payload arrays in place; the header
-    line keeps its bytes."""
+    line and the terms keep their bytes."""
     def apply(raw: bytes) -> bytes:
-        _, arrays = _lexical_arrays(raw)
+        _, arrays, terms = _lexical_arrays(raw)
         edit(arrays)
-        return raw[: raw.index(b"\n") + 1] + b"".join(a.tobytes() for a in arrays.values())
+        return (raw[: raw.index(b"\n") + 1] + b"".join(a.tobytes() for a in arrays.values())
+                + terms)
 
     return apply
+
+
+def _edit_terms(edit):
+    """An edit of lexical_index.json's sorted terms, a list of UTF-8 byte
+    strings; the header's term_bytes follows the new length."""
+    def apply(raw: bytes) -> bytes:
+        header, arrays, terms = _lexical_arrays(raw)
+        terms = b"\0".join(edit(terms.split(b"\0")))
+        header["term_bytes"] = len(terms)
+        return _artifact_file(header, b"".join(a.tobytes() for a in arrays.values()) + terms)
+
+    return apply
+
+
+def _terms_by_id(arrays: dict, terms: bytes) -> list[str]:
+    by_id = [""] * len(arrays["term_ids"])
+    for tid, term in zip(arrays["term_ids"].tolist(), terms.decode("utf-8").split("\0")):
+        by_id[tid] = term
+    return by_id
 
 
 def _edit_header(edit):
@@ -130,14 +153,51 @@ def _shared_postings(arrays: dict) -> np.ndarray:
 def _lexical_version_2(raw: bytes) -> bytes:
     """The same index as the version-2 file: one JSON line whose postings are
     [doc_id, tf] lists."""
-    header, arrays = _lexical_arrays(raw)
+    header, arrays, terms = _lexical_arrays(raw)
     ptr = arrays["term_ptr"].tolist()
     rows = np.column_stack((arrays["doc_ids"], arrays["tf"])).tolist()
     return json.dumps({
-        "format": header["format"], "version": 2, "terms": header["terms"],
+        "format": header["format"], "version": 2, "terms": _terms_by_id(arrays, terms),
         "postings": [rows[lo:hi] for lo, hi in zip(ptr, ptr[1:])],
         "doc_norms": arrays["doc_norms"].tolist(),
     }).encode("utf-8")
+
+
+def _lexical_version_3(raw: bytes) -> bytes:
+    """The same index as the version-3 file: the terms by id in the header,
+    and the four CSR arrays without term_ids or the sorted terms."""
+    header, arrays, terms = _lexical_arrays(raw)
+    v3 = {"format": header["format"], "version": 3, "terms": _terms_by_id(arrays, terms),
+          "n_docs": header["n_docs"], "n_postings": header["n_postings"]}
+    return _artifact_file(v3, b"".join(
+        arrays[name].tobytes() for name in ("term_ptr", "doc_norms", "doc_ids", "tf")
+    ))
+
+
+def _edit_offsets(edit):
+    """An edit of doc_offsets.bin's line starts in place."""
+    def apply(raw: bytes) -> bytes:
+        newline = raw.index(b"\n")
+        starts = np.frombuffer(raw, "<i8", offset=newline + 1).copy()
+        edit(starts)
+        return raw[: newline + 1] + starts.tobytes()
+
+    return apply
+
+
+def _offsets_one_doc_fewer(raw: bytes) -> bytes:
+    """A whole doc_offsets.bin for a build with one doc fewer."""
+    newline = raw.index(b"\n")
+    header = json.loads(raw[:newline])
+    header["n_docs"] -= 1
+    return _artifact_file(header, raw[newline + 1 : -8])
+
+
+def _first_text_one_char_longer(raw: bytes) -> bytes:
+    first, rest = raw.split(b"\n", 1)
+    record = json.loads(first)
+    record["text"] += "x"
+    return json.dumps(record, ensure_ascii=False).encode("utf-8") + b"\n" + rest
 
 
 def _sidecar_of_another_build(raw: bytes) -> bytes:
@@ -174,7 +234,9 @@ def _unaligned(raw: bytes) -> bytes:
 
 
 LEX = "lexical_index.json"
-NOT_COUNTS = "n_docs and n_postings must be non-negative integers"
+NOT_COUNTS = "n_terms, n_docs, n_postings, term_bytes must be non-negative integers"
+NOT_RISING_TERMS = "terms must rise strictly"
+DOCS_SIZE = "ends its last line at byte"
 BAD_TERM_PTR = "term_ptr must rise strictly from 0 to n_postings"
 NOT_RISING = "doc ids must rise within each term"
 BAD_TF = "tf must be >= 1"
@@ -254,8 +316,32 @@ ARTIFACT_FAULTS = {
     "lexical_unaligned_payload": (LEX, _unaligned, "not a multiple of 8"),
     "lexical_tf_zero": (LEX, _edit_payload(lambda a: setitem(a["tf"], 0, 0)), BAD_TF),
     "lexical_tf_minus_one": (LEX, _edit_payload(lambda a: setitem(a["tf"], 0, -1)), BAD_TF),
-    "lexical_duplicate_term": (
-        LEX, _edit_header(lambda h: setitem(h["terms"], 1, h["terms"][0])), "unique strings"
+    "lexical_duplicate_term": (LEX, _edit_terms(lambda t: [t[0], *t[:-1]]), NOT_RISING_TERMS),
+    "lexical_terms_out_of_order": (
+        LEX, _edit_terms(lambda t: [t[1], t[0], *t[2:]]), NOT_RISING_TERMS
+    ),
+    "lexical_empty_first_term": (
+        LEX, _edit_terms(lambda t: [b"", *t[1:]]), "the first term is empty"
+    ),
+    "lexical_nul_in_a_term": (
+        LEX, _edit_terms(lambda t: [t[0][:1] + b"\0" + t[0][1:], *t[1:]]),
+        "NUL-separated terms, expected n_terms",
+    ),
+    "lexical_terms_not_utf8": (
+        LEX, _edit_terms(lambda t: [b"\xff" + t[0][1:], *t[1:]]), "terms are not UTF-8"
+    ),
+    "lexical_term_id_repeated": (
+        LEX, _edit_payload(lambda a: setitem(a["term_ids"], 1, a["term_ids"][0])),
+        "term_ids must be a permutation",
+    ),
+    "lexical_n_terms_one_more": (
+        LEX, _edit_header(lambda h: h.update(n_terms=h["n_terms"] + 1)), "payload is"
+    ),
+    "lexical_term_bytes_one_less": (
+        LEX, _edit_header(lambda h: h.update(term_bytes=h["term_bytes"] - 1)), "payload is"
+    ),
+    "lexical_version_3": (
+        LEX, _lexical_version_3, "unsupported desksearch-lexical-index version 3"
     ),
     "lexical_negative_doc_norm": (
         LEX, _edit_payload(lambda a: setitem(a["doc_norms"], 0, -1.0)), "non-negative"
@@ -281,9 +367,29 @@ ARTIFACT_FAULTS = {
     "vectors_truncated": ("vectors.bin", lambda raw: raw[:-1], "payload is"),
     "vectors_unaligned_payload": ("vectors.bin", _unaligned, "not a multiple of 8"),
     "docs_missing": ("docs.jsonl", None, "No such file"),
-    "docs_short": ("docs.jsonl", lambda raw: raw.split(b"\n")[0] + b"\n", "is not doc"),
+    # doc_offsets.bin holds the file's size, so a docs.jsonl of another size
+    # fails before any line is read.
+    "docs_short": ("docs.jsonl", lambda raw: raw.split(b"\n")[0] + b"\n", DOCS_SIZE),
     "docs_reordered": (
-        "docs.jsonl", lambda raw: b"\n".join(raw.rstrip(b"\n").split(b"\n")[::-1]), "is not doc"
+        "docs.jsonl", lambda raw: b"\n".join(raw.rstrip(b"\n").split(b"\n")[::-1]), DOCS_SIZE
+    ),
+    "docs_reordered_same_size": (
+        "docs.jsonl", lambda raw: b"\n".join(raw.split(b"\n")[-2::-1]) + b"\n", "is not doc"
+    ),
+    "docs_first_text_one_char_longer": ("docs.jsonl", _first_text_one_char_longer, DOCS_SIZE),
+    "doc_offsets_missing": ("doc_offsets.bin", None, "No such file"),
+    "doc_offsets_truncated": ("doc_offsets.bin", lambda raw: raw[:-1], "payload is"),
+    "doc_offsets_not_rising": (
+        "doc_offsets.bin", _edit_offsets(lambda a: setitem(a, 2, a[1])),
+        "line starts must rise strictly from 0",
+    ),
+    # Each line but the last read without its newline, and from the one before.
+    "doc_offsets_lines_end_one_byte_early": (
+        "doc_offsets.bin", _edit_offsets(lambda a: np.subtract(a[1:-1], 1, out=a[1:-1])),
+        "it does not end where doc_offsets.bin starts the next",
+    ),
+    "doc_offsets_of_another_build": (
+        "doc_offsets.bin", _offsets_one_doc_fewer, "docs of the lexical index"
     ),
 }
 

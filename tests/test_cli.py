@@ -5,15 +5,20 @@ import json
 import random
 import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import ARTIFACT_FAULTS, VECTOR_FILE_FAULTS, corrupt_artifact, corrupt_vectors_file
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desksearch import cli, encoder, lexical_index, vector_index
 from desksearch.cli import CONFIG_KEYS, SPLIT_KEYS, _embed, _token_ids, load_config, main
-from desksearch.text_pipeline import tokenize
+from desksearch.dataset import Review
+from desksearch.io_utils import read_artifact
+from desksearch.text_pipeline import Vocabulary, tokenize
 
 SMALL_ENCODER = {"d_model": 16, "n_heads": 4, "n_layers": 2, "d_ff": 32, "max_seq_len": 64}
 
@@ -117,9 +122,21 @@ class TestIngest:
 class TestIndex:
     def test_artifacts_and_counts(self, pipeline, capsys):
         index_dir = pipeline["index_dir"]
-        for name in ("lexical_index.json", "vectors.bin", "weights.json", "docs.jsonl"):
+        for name in ("lexical_index.json", "vectors.bin", "weights.json", "docs.jsonl",
+                     "doc_offsets.bin"):
             assert (index_dir / name).exists()
         assert not (index_dir / "weights.npz").exists()
+        # doc_offsets.bin: the start of each line of docs.jsonl, then its size.
+        header, payload = read_artifact(
+            index_dir / "doc_offsets.bin", "desksearch-doc-offsets", 1, align=8
+        )
+        docs = (index_dir / "docs.jsonl").read_bytes()
+        lines = docs.split(b"\n")[:-1]
+        assert header == {"format": "desksearch-doc-offsets", "version": 1, "n_docs": 70}
+        assert np.frombuffer(payload, "<i8").tolist() == [
+            sum(len(line) + 1 for line in lines[:d]) for d in range(71)
+        ]
+        assert len(lines) == 70 and sum(len(line) + 1 for line in lines) == len(docs)
         assert main(["index", "--config", pipeline["config"]]) == 0
         counts = json.loads(capsys.readouterr().out.strip())
         assert counts["docs"] == 70
@@ -134,7 +151,8 @@ class TestIndex:
         assert main(["index", "--config", config]) == 0
         first = {
             name: (tmp_path / "idx" / name).read_bytes()
-            for name in ("lexical_index.json", "vectors.bin", "weights.json", "docs.jsonl")
+            for name in ("lexical_index.json", "vectors.bin", "weights.json", "docs.jsonl",
+                         "doc_offsets.bin")
         }
         assert main(["index", "--config", config]) == 0
         for name, payload in first.items():
@@ -392,10 +410,93 @@ class TestSearch:
             assert code == 0
             assert hits and all(h["text"] in texts for h in hits)
 
+    def test_search_reads_only_the_hits_lines(self, pipeline, capsys, monkeypatch):
+        # Neither docs.jsonl nor any other file is read whole for a snippet:
+        # the reads of docs.jsonl are exactly the hits' lines, in hit order.
+        docs_path = pipeline["index_dir"] / "docs.jsonl"
+        lines = docs_path.read_bytes().split(b"\n")
+        read_bytes, read_text, real_open = Path.read_bytes, Path.read_text, open
+        reads = []
+
+        class Recorded:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def read(self, n=-1):
+                reads.append(self.f.read(n))
+                return reads[-1]
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+        def guarded(read):
+            def apply(path, *args, **kwargs):
+                assert path.name != "docs.jsonl", "docs.jsonl read whole"
+                return read(path, *args, **kwargs)
+            return apply
+
+        monkeypatch.setattr(Path, "read_bytes", guarded(read_bytes))
+        monkeypatch.setattr(Path, "read_text", guarded(read_text))
+        monkeypatch.setattr(cli, "open", lambda *a: Recorded(real_open(*a)), raising=False)
+        for mode in ("lexical", "vector", "hybrid"):
+            reads.clear()
+            code, hits = search_lines(
+                capsys, ["search", "great food service", "--mode", mode, "--k", "3",
+                         "--config", pipeline["config"]],
+            )
+            assert code == 0 and len(hits) == 3
+            assert reads == [lines[hit["doc_id"]] + b"\n" for hit in hits], mode
+
     def test_unknown_mode_rejected_by_parser(self, pipeline):
         with pytest.raises(SystemExit) as exc:
             main(["search", "q", "--mode", "fuzzy", "--config", pipeline["config"]])
         assert exc.value.code == 2
+
+
+# Texts that a split on str line boundaries, or an unescaped newline, would cut.
+TEXTS = st.text(st.sampled_from(["a", "é", "\U0001f600", "\u2028", "\x85", "\n", "\r", '"', "\\"]),
+                max_size=6)
+
+
+class TestDocTexts:
+    @given(texts=st.lists(TEXTS, max_size=12), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_seeks_return_what_the_whole_file_split_returns(self, texts, data):
+        ids = data.draw(st.lists(st.integers(0, len(texts) - 1), max_size=8) if texts
+                        else st.just([]), label="ids")
+        with tempfile.TemporaryDirectory() as tmp:
+            index_dir = Path(tmp)
+            cli._write_docs(index_dir, [Review(text, 3, "b") for text in texts])
+            lines = (index_dir / "docs.jsonl").read_bytes().split(b"\n")
+            assert cli._doc_texts(index_dir, len(texts), ids) == [
+                json.loads(lines[doc_id])["text"] for doc_id in ids
+            ] == [texts[doc_id] for doc_id in ids]
+
+    def test_no_hits_read_no_file(self, tmp_path):
+        assert cli._doc_texts(tmp_path / "missing", 5, []) == []
+
+    def test_doc_id_past_the_docs_rejected(self, tmp_path):
+        cli._write_docs(tmp_path, [Review("one", 3, "b")])
+        with pytest.raises(cli.CliError, match="line 2 is not doc 1: no such line"):
+            cli._doc_texts(tmp_path, 1, [0, 1])
+
+
+def test_token_ids_look_each_token_up_once():
+    class GetOnly(dict):
+        def __contains__(self, term):
+            raise AssertionError("in")
+
+        def __getitem__(self, term):
+            raise AssertionError("[]")
+
+    vocab = Vocabulary(GetOnly(b=0, a=1), [1, 1], 2)
+    assert _token_ids(["a", "zz", "b", "a"], vocab) == [1, 0, 1]
 
 
 class TestEval:
@@ -608,7 +709,7 @@ def test_demo_runs_end_to_end(tmp_path, capsys):
     spec.loader.exec_module(run_demo)
     run_demo.demo(tmp_path)  # a CLI step that exits nonzero raises SystemExit
     assert sorted(p.name for p in (tmp_path / "index").iterdir()) == [
-        "confusion.csv", "confusion_normalized.csv", "distribution.json", "docs.jsonl",
-        "lexical_index.json", "report.json", "test.jsonl", "train.jsonl", "val.jsonl",
+        "confusion.csv", "confusion_normalized.csv", "distribution.json", "doc_offsets.bin",
+        "docs.jsonl", "lexical_index.json", "report.json", "test.jsonl", "train.jsonl", "val.jsonl",
         "vectors.bin", "weights.json",
     ]

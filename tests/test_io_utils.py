@@ -8,6 +8,8 @@ from conftest import random_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from desksearch.cli import CliError, _doc_texts, _write_docs
+from desksearch.dataset import Review
 from desksearch.encoder import EncoderConfig, init_weights, load_weights, save_weights
 from desksearch.io_utils import read_artifact, write_artifact
 from desksearch.lexical_index import build_index, load_index, save_index
@@ -76,19 +78,31 @@ def built(tmp_path_factory):
     rows = np.random.default_rng(31).normal(size=(len(docs), cfg.d_model))
     vec = VectorIndex.from_arrays(range(len(docs)), rows / np.linalg.norm(rows, axis=1)[:, None])
     save_vectors(vec, root / "vectors.bin")
+    texts = [" ".join(doc) + "\u2028\n" for doc in docs]
+    _write_docs(root, [Review(text, 3, "b") for text in texts])
+
+    def load_texts(path):
+        """Every doc's snippet through a damaged doc_offsets.bin: the true
+        texts, or an error that names it or the docs.jsonl beside it."""
+        assert _doc_texts(path.parent, len(docs), list(range(len(docs)))) == texts
+
     loaders = {"lexical_index.json": load_index, "vectors.bin": load_vectors,
-               "weights.json": load_weights}
+               "weights.json": load_weights, "doc_offsets.bin": load_texts}
     (root / "damaged").mkdir()
+    (root / "damaged" / "docs.jsonl").write_bytes((root / "docs.jsonl").read_bytes())
     return {name: ((root / name).read_bytes(), load, root / "damaged" / name)
             for name, load in loaders.items()}
 
 
-@pytest.mark.parametrize("name", ["lexical_index.json", "vectors.bin", "weights.json"])
+@pytest.mark.parametrize(
+    "name", ["lexical_index.json", "vectors.bin", "weights.json", "doc_offsets.bin"]
+)
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_damaged_artifact_loads_or_fails_naming_the_file(built, name, data):
     """A truncated, overwritten or grown artifact either loads or raises one
-    ValueError naming the file; any other exception or a warning fails."""
+    ValueError (a CliError for a snippet line) naming the file; any other
+    exception or a warning fails."""
     raw, load, path = built[name]
     edit = data.draw(st.sampled_from(["truncate", "overwrite", "insert"]), label="edit")
     if edit == "truncate":
@@ -105,5 +119,5 @@ def test_damaged_artifact_loads_or_fails_naming_the_file(built, name, data):
         warnings.simplefilter("error")
         try:
             load(path)
-        except ValueError as exc:
-            assert str(exc).startswith(f"{path}: "), exc
+        except (ValueError, CliError) as exc:
+            assert str(exc).startswith((f"{path}: ", f"{path.parent / 'docs.jsonl'}: ")), exc

@@ -4,6 +4,7 @@ import math
 import random
 import tempfile
 from collections import Counter
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from oracles import brute_force_lexical
 
 from desksearch.lexical_index import (
     InvertedIndex,
+    TermTable,
     build_index,
     load_index,
     save_index,
@@ -270,8 +272,8 @@ class TestPersistence:
         raw = (tmp_path / "lexical_index.json").read_bytes()
         newline = raw.index(b"\n")
         assert json.loads(raw[:newline]) == {
-            "format": "desksearch-lexical-index", "version": 3,
-            "terms": ["b", "a", "c", "d"], "n_docs": 3, "n_postings": 5,
+            "format": "desksearch-lexical-index", "version": 4,
+            "n_terms": 4, "n_docs": 3, "n_postings": 5, "term_bytes": 7,
         }
         assert (newline + 1) % 8 == 0
         payload = raw[newline + 1 :]
@@ -279,7 +281,9 @@ class TestPersistence:
         assert np.frombuffer(payload, "<f8", 3, 40).tolist() == idx.doc_norms.tolist()
         assert np.frombuffer(payload, "<i4", 5, 64).tolist() == [0, 0, 1, 1, 2]
         assert np.frombuffer(payload, "<i4", 5, 84).tolist() == [1, 1, 2, 1, 1]
-        assert len(payload) == 104
+        # Ids by first occurrence are b a c d; term_ids lists them in sorted order.
+        assert np.frombuffer(payload, "<i4", 4, 104).tolist() == [1, 0, 2, 3]
+        assert payload[120:] == b"a\0b\0c\0d"
 
     def test_save_is_deterministic(self, tmp_path):
         docs = random_corpus(random.Random(11), 20)
@@ -315,3 +319,65 @@ class TestPersistence:
         path.write_bytes(json.dumps(header).encode("utf-8") + raw[newline:])
         with pytest.raises(ValueError, match="unsupported desksearch-lexical-index version 42"):
             load_index(path)
+
+
+# Prefix pairs, and code points whose UTF-16 order is not their code-point
+# order (U+FFFF sorts after U+10000 in UTF-16).
+EDGE_TERMS = ["a", "ab", "abc", "b", "é", "éa", "\uffff", "\U00010000", "\U0001f600", "z\u2028"]
+TERMS = st.one_of(
+    st.sampled_from(EDGE_TERMS),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+            min_size=1, max_size=4),
+)
+
+
+class TestTermTable:
+    @given(
+        docs=st.lists(st.lists(TERMS, max_size=6), max_size=8),
+        absent=st.lists(TERMS, max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_loaded_table_equals_the_built_dict(self, docs, absent):
+        idx = build_index(docs)
+        built = idx.vocabulary.term_to_id
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "lexical_index.json"
+            save_index(idx, path)
+            raw = path.read_bytes()
+            loaded = load_index(path)
+            save_index(loaded, path)
+            assert path.read_bytes() == raw
+        table = loaded.vocabulary.term_to_id
+        assert isinstance(table, Mapping) and table == built and built == table
+        assert len(table) == loaded.vocabulary.size == len(built)
+        assert loaded.vocabulary.id_to_term() == idx.vocabulary.id_to_term()
+        for term, tid in built.items():
+            assert table.get(term) == table[term] == tid and term in table
+            assert type(table[term]) is int
+        # Stored in UTF-8 byte order, which is code-point order.
+        blob = raw[-json.loads(raw[: raw.index(b"\n")])["term_bytes"] :] if built else b""
+        stored = blob.split(b"\0") if blob else []
+        assert stored == sorted(stored) == [t.encode("utf-8") for t in sorted(built)]
+        for token in [*absent, *(t + "a" for t in built), *(t[:-1] for t in built)]:
+            if token not in built:
+                assert table.get(token) is None and table.get(token, -1) == -1
+                assert token not in table
+                with pytest.raises(KeyError):
+                    table[token]
+
+    def test_lookups_bisect_the_sorted_terms(self):
+        table = TermTable(["a", "ab", "b"], np.array([2, 0, 1], dtype=np.int32))
+        assert dict(table.items()) == {"a": 2, "ab": 0, "b": 1}
+        assert [table.get(t) for t in ("", "a", "aa", "ab", "abc", "b", "c")] == [
+            None, 2, None, 0, None, 1, None
+        ]
+        assert table != {"a": 2, "ab": 0} and table != {"a": 2, "ab": 0, "b": 2}
+
+    @pytest.mark.parametrize("term, message", [
+        ("", "a term is empty or holds NUL"), ("a\0b", "a term is empty or holds NUL"),
+        ("\ud800", "surrogates not allowed"),
+    ])
+    def test_unloadable_term_not_saved(self, tmp_path, term, message):
+        with pytest.raises(ValueError, match=message):
+            save_index(build_index([["x", term]]), tmp_path / "lexical_index.json")
+        assert not (tmp_path / "lexical_index.json").exists()
