@@ -16,10 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset, encoder, lexical_index, metrics, vector_index
-from .io_utils import (
-    atomic_write_bytes, atomic_write_text, read_artifact, require_int, write_artifact
-)
+from . import dataset, encoder, io_utils, lexical_index, metrics, vector_index
+from .io_utils import atomic_write_text, read_artifact, require_int, write_artifact
 from .text_pipeline import TokenizerConfig, tokenize
 
 SNIPPET_LEN = 80
@@ -256,7 +254,7 @@ def _write_docs(out_dir: Path, docs: list[dataset.Review]) -> None:
         for i, r in enumerate(docs)
     ]
     blob = ("\n".join(doc_lines) + ("\n" if doc_lines else "")).encode("utf-8")
-    atomic_write_bytes(out_dir / DOCS_FILE, blob)
+    io_utils.atomic_write_bytes(out_dir / DOCS_FILE, blob)  # looked up per call: perfbench wraps it
     # Line d starts after the d-th newline: json.dumps escapes a text's
     # newlines, and no other character's UTF-8 bytes hold 0x0A.
     starts = np.zeros(len(docs) + 1, dtype="<i8")

@@ -1,7 +1,8 @@
 """The benchmark's traced runs wrap desksearch functions by name; a renamed or
 dropped name would only break ``perfbench/run.py --trace 1``, or zero its
 metrics without an error, so check here that every name it wraps still exists,
-that a traced build still reaches the encoder's spans and that a traced search
+that a traced build still reaches the encoder's spans and counts every byte it
+writes, and that a traced search
 still counts each query term's df as its postings scanned."""
 
 import json
@@ -65,6 +66,9 @@ def test_traced_index_reports_encoder_spans(perfbench, tmp_path):
                  "lexical_index.build_index"):
         assert tracer.layer_value(span, tracing.BUILD, "incl") > 0, span
     assert tracer.layer_value("encoder.encode_calls", tracing.BUILD, "count") > 0
+    # Every artifact index writes goes through the wrapped atomic write.
+    written = sum(p.stat().st_size for p in (tmp_path / "idx").iterdir())
+    assert tracer.layer_value("io_utils.bytes_written", tracing.BUILD, "count") == written
 
 
 def test_traced_searches_count_the_query_terms_postings(perfbench):
