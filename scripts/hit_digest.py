@@ -19,7 +19,7 @@ import hashlib
 import random
 from pathlib import Path
 
-from desksearch import lexical_index, vector_index
+from desksearch import encoder, lexical_index, vector_index
 from desksearch.cli import LEXICAL_FILE, VECTOR_FILE, WEIGHTS_FILE, _embed_query, _token_ids
 
 N_QUERIES = 1500
@@ -46,7 +46,9 @@ def make_queries(terms: list[str], n: int, seed: int) -> list[list[str]]:
 def hit_lists(index_dir: Path):
     """Yield (label, hits) for every query x k x mode (x alpha) of the grid."""
     lex = lexical_index.load_index(index_dir / LEXICAL_FILE)
-    vec = vector_index.load_vectors(index_dir / VECTOR_FILE)
+    # As `desksearch search` loads it: checked against the sidecar's d_model.
+    enc_cfg, _ = encoder.load_weights(index_dir / WEIGHTS_FILE, lex.vocabulary.size, [])
+    vec = vector_index.load_vectors(index_dir / VECTOR_FILE, enc_cfg.d_model)
     terms = lex.vocabulary.id_to_term()
     for qi, tokens in enumerate(make_queries(terms, N_QUERIES, SEED)):
         # As `desksearch search` embeds it: the sidecar read and only the

@@ -260,27 +260,22 @@ def _write_docs(out_dir: Path, docs: list[dataset.Review]) -> None:
     starts = np.zeros(len(docs) + 1, dtype="<i8")
     starts[1:] = np.flatnonzero(np.frombuffer(blob, np.uint8) == 0x0A) + 1
     write_artifact(
-        out_dir / OFFSETS_FILE, OFFSETS_FORMAT, OFFSETS_VERSION, {"n_docs": len(docs)},
-        starts.tobytes(), align=8,
+        out_dir / OFFSETS_FILE, OFFSETS_FORMAT, OFFSETS_VERSION, {"n_docs": len(docs)}, [starts]
     )
 
 
 def _load_offsets(path: Path, n_docs: int) -> np.ndarray:
     """The ``n_docs + 1`` line starts of a ``doc_offsets.bin`` written for the
-    lexical index's ``n_docs``; another doc count, a payload of another length
-    or starts that do not rise strictly from 0 raise ValueError naming the file."""
-    header, payload = read_artifact(path, OFFSETS_FORMAT, OFFSETS_VERSION, align=8)
-    found = header.get("n_docs")
-    if type(found) is not int or found != n_docs:
+    lexical index's ``n_docs``; beyond the checks of ``read_artifact``, another
+    doc count or starts that do not rise strictly from 0 raise ValueError
+    naming the file."""
+    header, (starts,) = read_artifact(
+        path, OFFSETS_FORMAT, OFFSETS_VERSION, ("n_docs",), lambda n: [("<i8", n + 1)]
+    )
+    if header["n_docs"] != n_docs:
         raise ValueError(
-            f"{path}: n_docs {found!r} is not the {n_docs} docs of the lexical index"
+            f"{path}: n_docs {header['n_docs']} is not the {n_docs} docs of the lexical index"
         )
-    if len(payload) != 8 * (n_docs + 1):
-        raise ValueError(
-            f"{path}: payload is {len(payload)} bytes, expected {8 * (n_docs + 1)} "
-            f"for {n_docs} docs"
-        )
-    starts = np.frombuffer(payload, "<i8")
     if starts[0] != 0 or not (starts[1:] > starts[:-1]).all():
         raise ValueError(f"{path}: line starts must rise strictly from 0")
     return starts
@@ -445,6 +440,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_eval(cfg, args.predictions)
     except (CliError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -91,6 +91,8 @@ def load_reviews(path: str | Path) -> LoadResult:
                 text, business_id = record["text"], record["business_id"]
                 if not isinstance(text, str) or not isinstance(business_id, str):
                     raise ValueError("text and business_id must be strings")
+                # No split file can hold a lone surrogate (a JSON "\ud800"): a ValueError.
+                (text + business_id).encode("utf-8")
                 review = Review(
                     text=text, stars=parse_label(record["stars"], "stars"), business_id=business_id
                 )

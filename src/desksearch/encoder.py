@@ -253,34 +253,22 @@ def _check_ids(token_ids, cfg: EncoderConfig) -> np.ndarray:
     return ids
 
 
-def encode_states(
-    token_ids,
-    cfg: EncoderConfig,
-    weights: EncoderWeights,
-    eps: float = DEFAULT_EPS,
-) -> np.ndarray:
+def encode_states(token_ids, cfg: EncoderConfig, weights: EncoderWeights) -> np.ndarray:
     """Run the full stack over one sequence of ids (seq_len,) or a batch of
     equal-length ones (batch, seq_len) and return the (..., seq_len, d_model)
     states after the final RMSNorm, before pooling."""
     ids = _check_ids(token_ids, cfg)
     x = weights.token_embedding[ids] + positional_encoding(ids.shape[-1], cfg.d_model)
     for lw in weights.layers:
-        x = x + self_attention(
-            rmsnorm(x, lw.attn_norm_gain, lw.attn_norm_bias, eps), lw, cfg.n_heads
-        )
-        x = x + swiglu_ffn(rmsnorm(x, lw.ffn_norm_gain, lw.ffn_norm_bias, eps), lw)
-    return rmsnorm(x, weights.final_norm_gain, weights.final_norm_bias, eps)
+        x = x + self_attention(rmsnorm(x, lw.attn_norm_gain, lw.attn_norm_bias), lw, cfg.n_heads)
+        x = x + swiglu_ffn(rmsnorm(x, lw.ffn_norm_gain, lw.ffn_norm_bias), lw)
+    return rmsnorm(x, weights.final_norm_gain, weights.final_norm_bias)
 
 
-def encode(
-    token_ids,
-    cfg: EncoderConfig,
-    weights: EncoderWeights,
-    eps: float = DEFAULT_EPS,
-) -> DenseEmbedding:
+def encode(token_ids, cfg: EncoderConfig, weights: EncoderWeights) -> DenseEmbedding:
     """Mean-pool the encoded sequence and L2-normalize it to a unit vector; a
     batch gives one unit row per sequence."""
-    pooled = encode_states(token_ids, cfg, weights, eps=eps).mean(axis=-2)
+    pooled = encode_states(token_ids, cfg, weights).mean(axis=-2)
     # Each row by its own 1-D np.linalg.norm, as one sequence alone: a row-wise
     # norm(pooled, axis=-1) sums in another order and can differ in the last bit.
     for row in pooled.reshape(-1, cfg.d_model):
@@ -347,14 +335,12 @@ def load_weights(
     """Regenerate the weights a ``save_weights`` sidecar describes.  Given one
     sequence's token ``ids``, the token table holds only ``token_rows(cfg, ids)``,
     as ``init_weights`` draws them.  A malformed sidecar, a ``vocab_size`` other
-    than the given one (checked before any weight is drawn) or a CRC-32
-    mismatch raises ValueError naming the file."""
+    than the given one (checked before any weight is drawn), weights too large
+    to draw or a CRC-32 mismatch raises ValueError naming the file."""
     path = Path(path).with_suffix(".json")
-    sidecar, payload = io_utils.read_artifact(path, WEIGHTS_FORMAT, WEIGHTS_VERSION)
+    sidecar, _ = io_utils.read_artifact(path, WEIGHTS_FORMAT, WEIGHTS_VERSION)
     try:
         cfg, crc32 = EncoderConfig(**sidecar["config"]), sidecar["crc32"]
-        if payload:
-            raise ValueError(f"{len(payload)} bytes after the header")
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -362,7 +348,10 @@ def load_weights(
     if vocab_size is not None and cfg.vocab_size != vocab_size:
         raise ValueError(f"{path}: vocab_size {cfg.vocab_size} is not the {vocab_size} terms "
                          "of the lexical index")
-    weights = init_weights(cfg, None if ids is None else token_rows(cfg, ids))
+    try:
+        weights = init_weights(cfg, None if ids is None else token_rows(cfg, ids))
+    except MemoryError as exc:
+        raise ValueError(f"{path}: cannot draw the weights it describes: {exc}") from None
     if _checksum(weights) != crc32:
         raise ValueError(f"{path}: crc32 mismatch in weights regenerated by numpy {np.__version__}")
     return cfg, weights

@@ -1,5 +1,5 @@
 """Write-to-temp-then-rename helpers so failed runs never leave partial files,
-the one header codec of every index artifact, and the integer check every
+the one container codec of every index artifact, and the integer check every
 config dataclass shares."""
 
 from __future__ import annotations
@@ -9,6 +9,8 @@ import os
 import tempfile
 from numbers import Integral
 from pathlib import Path
+
+import numpy as np
 
 
 def require_int(name: str, value: object, minimum: int) -> None:
@@ -38,24 +40,30 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def write_artifact(
-    path: str | Path, fmt: str, version: int, fields: dict, payload=b"", align: int = 1
+    path: str | Path, fmt: str, version: int, fields: dict, arrays: list | None = None
 ) -> None:
     """Atomically write an artifact: the JSON header line ``{"format",
-    "version", **fields}``, a newline and the raw ``payload``, maybe empty.
-    Spaces pad the header line so that the payload starts at a multiple of
-    ``align`` bytes."""
+    "version", **fields}``, a newline and the bytes of each of ``arrays``,
+    numpy arrays in their little-endian dtypes, in order.  With arrays, spaces
+    pad the header line so that they start at a multiple of 8 bytes; listed
+    widest first, each then starts at a multiple of its item size."""
     header = json.dumps({"format": fmt, "version": version, **fields}).encode("utf-8")
-    padding = b" " * (-(len(header) + 1) % align)
-    atomic_write_bytes(path, header + padding + b"\n" + payload)
+    padding = b"" if arrays is None else b" " * (-(len(header) + 1) % 8)
+    payload = [a.tobytes() for a in arrays or ()]
+    atomic_write_bytes(path, b"".join([header, padding, b"\n", *payload]))
 
 
 def read_artifact(
-    path: str | Path, fmt: str, version: int, align: int = 1
-) -> tuple[dict, memoryview]:
-    """The header and the payload of a ``write_artifact`` file.  A header that
-    is not a JSON object of this format and version, or a payload that does not
-    start at a multiple of ``align`` bytes, raises ValueError naming the file;
-    a file with no newline is all header."""
+    path: str | Path, fmt: str, version: int, counts: tuple[str, ...] = (), layout=None
+) -> tuple[dict, list[np.ndarray]]:
+    """The header and the arrays of a ``write_artifact`` file, read-only
+    ``np.frombuffer`` views of the bytes read: ``layout`` maps the values of
+    the header keys ``counts`` to one ``(dtype, length)`` per array, in file
+    order.  A header that is not a JSON object of this format and version, a
+    count that is missing or no non-negative integer, a payload that is
+    missing, unaligned or not exactly as long as the layout, or any payload
+    without a layout raises ValueError naming the file.  Without a layout, a
+    file with no newline is all header."""
     raw = Path(path).read_bytes()
     end = raw.find(b"\n") if b"\n" in raw else len(raw)
     try:
@@ -67,6 +75,30 @@ def read_artifact(
     found = header.get("version")
     if type(found) is not int or found != version:  # true and 1.0 equal 1 but are no version
         raise ValueError(f"{path}: unsupported {fmt} version {found!r}")
-    if (end + 1) % align:
-        raise ValueError(f"{path}: payload starts at byte {end + 1}, not a multiple of {align}")
-    return header, memoryview(raw)[end + 1 :]
+    payload = memoryview(raw)[end + 1 :]
+    if layout is None:
+        if payload:
+            raise ValueError(f"{path}: {len(payload)} bytes after the header")
+        return header, []
+    try:
+        values = [header[key] for key in counts]
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    if not all(type(n) is int and n >= 0 for n in values):
+        raise ValueError(f"{path}: {', '.join(counts)} must be non-negative integers")
+    if end == len(raw):
+        raise ValueError(f"{path}: payload is missing: no newline ends the header")
+    if (end + 1) % 8:
+        raise ValueError(f"{path}: payload starts at byte {end + 1}, not a multiple of 8")
+    shapes = [(np.dtype(dtype), n) for dtype, n in layout(*values)]
+    expected = sum(dtype.itemsize * n for dtype, n in shapes)
+    if len(payload) != expected:
+        raise ValueError(
+            f"{path}: payload is {len(payload)} bytes, expected {expected} for "
+            + ", ".join(f"{key} {n}" for key, n in zip(counts, values))
+        )
+    arrays, offset = [], 0
+    for dtype, n in shapes:
+        arrays.append(np.frombuffer(payload, dtype, n, offset))
+        offset += dtype.itemsize * n
+    return header, arrays

@@ -35,12 +35,14 @@ from .text_pipeline import Vocabulary, idf, tfidf_vectorize
 
 INDEX_FORMAT = "desksearch-lexical-index"
 INDEX_VERSION = 4
-# The dtypes of the payload's arrays term_ptr, doc_norms, doc_ids, tf and
-# term_ids, in file order: widest first, so that each starts at an offset
-# aligned to its item size once the payload itself starts 8-byte aligned.
-# The terms' bytes follow them.
-PAYLOAD_DTYPES = ("<i8", "<f8", "<i4", "<i4", "<i4")
+# The dtypes of the payload's arrays term_ptr, doc_norms, doc_ids, tf,
+# term_ids and the terms' bytes, in file order: widest first.
+PAYLOAD_DTYPES = ("<i8", "<f8", "<i4", "<i4", "<i4", "u1")
 HEADER_COUNTS = ("n_terms", "n_docs", "n_postings", "term_bytes")
+
+
+def _layout(n_terms: int, n_docs: int, n_postings: int, term_bytes: int):
+    return zip(PAYLOAD_DTYPES, (n_terms + 1, n_docs, n_postings, n_postings, n_terms, term_bytes))
 
 
 class SearchHit(NamedTuple):
@@ -197,8 +199,8 @@ def search_lexical(index: InvertedIndex, query_tokens: list[str], k: int) -> lis
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
     """Write the index atomically: a header line with the HEADER_COUNTS, then
-    the PAYLOAD_DTYPES arrays, 8-byte aligned, and last the terms' UTF-8 bytes
-    in ascending order, NUL-separated; ``term_ids[i]`` is the id of the i-th.
+    the PAYLOAD_DTYPES arrays, the last of them the terms' UTF-8 bytes in
+    ascending order, NUL-separated; ``term_ids[i]`` is the id of the i-th.
     A term that is empty, holds NUL or is no UTF-8 (a lone surrogate) could not
     be read back: ValueError."""
     terms = index.vocabulary.id_to_term()
@@ -208,50 +210,28 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         raise ValueError("a term is empty or holds NUL")
     p = index.postings
     counts = (len(terms), index.vocabulary.n_docs, len(p.doc_ids), len(blob))
-    arrays = (p.term_ptr, index.doc_norms, p.doc_ids, p.tf, np.array(order, dtype=np.int32))
-    payload = b"".join(
-        a.astype(dtype, copy=False).tobytes() for a, dtype in zip(arrays, PAYLOAD_DTYPES)
-    )
+    arrays = (p.term_ptr, index.doc_norms, p.doc_ids, p.tf, np.array(order, dtype=np.int32),
+              np.frombuffer(blob, "u1"))
     write_artifact(
-        path, INDEX_FORMAT, INDEX_VERSION, dict(zip(HEADER_COUNTS, counts)), payload + blob,
-        align=8,
+        path, INDEX_FORMAT, INDEX_VERSION, dict(zip(HEADER_COUNTS, counts)),
+        [a.astype(dtype, copy=False) for a, dtype in zip(arrays, PAYLOAD_DTYPES)],
     )
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    """Read a ``save_index`` file; df comes from ``term_ptr``.  A bad header, a
-    missing key, a count that is not a non-negative integer, an unaligned
-    payload or one of the wrong length, terms that are not UTF-8 or do not rise
+    """Read a ``save_index`` file; df comes from ``term_ptr``.  Beyond the
+    checks of ``read_artifact``, terms that are not UTF-8 or do not rise
     strictly, or arrays that do not fit the terms and docs raise ValueError
     naming the file."""
-    header, payload = read_artifact(path, INDEX_FORMAT, INDEX_VERSION, align=8)
-    try:
-        counts = [header[key] for key in HEADER_COUNTS]
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from None
+    header, arrays = read_artifact(path, INDEX_FORMAT, INDEX_VERSION, HEADER_COUNTS, _layout)
+    n_terms, n_docs, n_postings = header["n_terms"], header["n_docs"], header["n_postings"]
+    term_ptr, doc_norms, doc_ids, tf, term_ids, blob = arrays
 
     def malformed(why: str) -> ValueError:
         return ValueError(f"{path}: malformed lexical index: {why}")
 
-    if not all(type(n) is int and n >= 0 for n in counts):
-        raise malformed(f"{', '.join(HEADER_COUNTS)} must be non-negative integers")
-    n_terms, n_docs, n_postings, term_bytes = counts
-    sizes = (n_terms + 1, n_docs, n_postings, n_postings, n_terms)
-    expected = sum(n * np.dtype(dtype).itemsize for n, dtype in zip(sizes, PAYLOAD_DTYPES))
-    expected += term_bytes
-    if len(payload) != expected:
-        raise malformed(
-            f"payload is {len(payload)} bytes, expected {expected} for {n_terms} terms, "
-            f"{n_docs} docs, {n_postings} postings and {term_bytes} bytes of terms"
-        )
-    arrays, offset = [], 0
-    for n, dtype in zip(sizes, PAYLOAD_DTYPES):
-        arrays.append(np.frombuffer(payload, dtype, n, offset))
-        offset += n * arrays[-1].itemsize
-    term_ptr, doc_norms, doc_ids, tf, term_ids = arrays
-
     try:
-        terms = str(payload[offset:], "utf-8").split("\0") if term_bytes else []
+        terms = str(blob, "utf-8").split("\0") if len(blob) else []
     except UnicodeDecodeError as exc:
         raise malformed(f"terms are not UTF-8: {exc}") from None
     if len(terms) != n_terms:

@@ -195,8 +195,7 @@ def search_hybrid(
 
 def save_vectors(index: VectorIndex, path: str | Path) -> None:
     """Persist as a header line (dimension, count, doc ids) followed by the
-    raw little-endian float64 matrix, 8-byte aligned, rows in ascending doc-id
-    order.
+    raw little-endian float64 matrix, rows in ascending doc-id order.
 
     The byte stream is a pure function of the stored vectors, so identical
     indexes serialize to identical files.
@@ -205,36 +204,30 @@ def save_vectors(index: VectorIndex, path: str | Path) -> None:
     ids = index._ids[order].tolist()
     fields = {"dimension": index.dimension, "count": len(order), "doc_ids": ids}
     matrix = index._matrix.take(order, axis=0).astype("<f8", copy=False)
-    write_artifact(
-        path, VECTOR_FORMAT, VECTOR_VERSION, fields, matrix.tobytes(order="C"), align=8
-    )
+    write_artifact(path, VECTOR_FORMAT, VECTOR_VERSION, fields, [matrix])
 
 
 def load_vectors(path: str | Path, dimension: int | None = None) -> VectorIndex:
     """Read a ``save_vectors`` file; the index scans its rows in place, read-only.
-    A header that does not match its payload or a given ``dimension``, or an
-    unaligned payload, raises ValueError naming the file, never a partial index."""
-    header, payload = read_artifact(path, VECTOR_FORMAT, VECTOR_VERSION, align=8)
-    dim, count, doc_ids = header.get("dimension"), header.get("count"), header.get("doc_ids")
-    if not (
-        type(dim) is int and dim >= 1 and type(count) is int and count >= 0
-        and isinstance(doc_ids, list)
-    ):
-        raise ValueError(f"{path}: malformed header (dimension, count or doc_ids)")
+    Beyond the checks of ``read_artifact``, a header that does not match its
+    rows or a given ``dimension`` raises ValueError naming the file, never a
+    partial index."""
+    header, (rows,) = read_artifact(
+        path, VECTOR_FORMAT, VECTOR_VERSION, ("dimension", "count"),
+        lambda dim, count: [("<f8", dim * count)],
+    )
+    dim, count, doc_ids = header["dimension"], header["count"], header.get("doc_ids")
+    if dim < 1 or not isinstance(doc_ids, list):
+        raise ValueError(f"{path}: malformed header (dimension or doc_ids)")
     if dimension is not None and dim != dimension:
         raise ValueError(f"{path}: dimension {dim} is not the d_model {dimension} of the encoder")
     if len(doc_ids) != count:
         raise ValueError(f"{path}: header lists {len(doc_ids)} doc ids for count {count}")
-    if len(payload) != count * dim * 8:
-        raise ValueError(
-            f"{path}: payload is {len(payload)} bytes, expected {count * dim * 8} "
-            f"for {count} rows of {dim} float64"
-        )
     if not set(map(type, doc_ids)) <= {int}:  # bool and float are not ids
         raise ValueError(f"{path}: doc ids must be integers")
     index = VectorIndex(dim)
     try:
-        index._append(doc_ids, np.frombuffer(payload, dtype="<f8").reshape(count, dim))
+        index._append(doc_ids, rows.reshape(count, dim))
         return index
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -93,6 +93,19 @@ class TestIngest:
         assert report["loaded"] == 20
         assert report["skipped"] == 2
 
+    @pytest.mark.parametrize("key", ["text", "business_id"])
+    def test_lone_surrogate_line_skipped(self, tmp_path, capsys, key):
+        """A JSON "\\ud800" escape decodes to a string no split file can hold."""
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, n=39)
+        record = {"text": "fine", "stars": 3, "business_id": "b", key: "x\ud800"}
+        with open(corpus, "a") as f:
+            f.write(json.dumps(record) + "\n")
+        config = write_config(tmp_path / "c.json", corpus, tmp_path / "idx")
+        assert main(["ingest", "--config", config]) == 0
+        report = json.loads((tmp_path / "idx" / "distribution.json").read_text())
+        assert (report["loaded"], report["skipped"]) == (39, 1)
+
     def test_balanced_train_split(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         write_corpus(corpus, n=200)
@@ -127,13 +140,14 @@ class TestIndex:
             assert (index_dir / name).exists()
         assert not (index_dir / "weights.npz").exists()
         # doc_offsets.bin: the start of each line of docs.jsonl, then its size.
-        header, payload = read_artifact(
-            index_dir / "doc_offsets.bin", "desksearch-doc-offsets", 1, align=8
+        header, (starts,) = read_artifact(
+            index_dir / "doc_offsets.bin", "desksearch-doc-offsets", 1, ("n_docs",),
+            lambda n: [("<i8", n + 1)],
         )
         docs = (index_dir / "docs.jsonl").read_bytes()
         lines = docs.split(b"\n")[:-1]
         assert header == {"format": "desksearch-doc-offsets", "version": 1, "n_docs": 70}
-        assert np.frombuffer(payload, "<i8").tolist() == [
+        assert starts.tolist() == [
             sum(len(line) + 1 for line in lines[:d]) for d in range(71)
         ]
         assert len(lines) == 70 and sum(len(line) + 1 for line in lines) == len(docs)
@@ -271,6 +285,20 @@ class TestSearch:
             f"error: {index_dir / 'weights.json'}: vocab_size 200000 is not the {n_terms} terms "
             "of the lexical index\n"
         )
+
+    def test_sidecar_too_large_to_draw_fails_naming_it(self, pipeline, tmp_path, capsys):
+        index_dir = tmp_path / "idx"
+        shutil.copytree(pipeline["index_dir"], index_dir)
+        config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", index_dir)
+        sidecar = json.loads((index_dir / "weights.json").read_text())
+        sidecar["config"]["d_ff"] = 2**40  # an ffn_in of d_model * 2**40 float64s
+        (index_dir / "weights.json").write_text(json.dumps(sidecar) + "\n")
+        assert main(["search", pipeline["docs"][0], "--mode", "vector", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            f"error: {index_dir / 'weights.json'}: cannot draw the weights it describes: "
+        ), captured.err
 
     def test_snippet_truncation_and_full_flag(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -533,6 +561,17 @@ class TestEval:
             assert (tmp_path / "idx" / name).exists()
         report = json.loads((tmp_path / "idx" / "report.json").read_text())
         assert len(report["per_class"]) == 5
+
+    def test_class_count_too_large_to_allocate_fails(self, tmp_path, capsys):
+        preds = tmp_path / "preds.jsonl"
+        self.write_predictions(preds, [(0, 0), (1, 0)])
+        config = write_config(
+            tmp_path / "c.json", tmp_path / "x.jsonl", tmp_path / "idx", n_classes=16777216
+        )
+        assert main(["eval", str(preds), "--config", config]) == 1  # a 2 PiB confusion matrix
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: out of memory: "), captured.err
 
     def test_empty_predictions_fail(self, tmp_path, capsys):
         preds = tmp_path / "preds.jsonl"

@@ -19,22 +19,43 @@ from desksearch.vector_index import VectorIndex, load_vectors, save_vectors
 class TestArtifactCodec:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "a.bin"
-        write_artifact(path, "fmt", 3, {"n": 2, "s": "x"}, b"\x00\n\xff")
-        assert path.read_bytes() == b'{"format": "fmt", "version": 3, "n": 2, "s": "x"}\n\x00\n\xff'
-        header, payload = read_artifact(path, "fmt", 3)
-        assert header == {"format": "fmt", "version": 3, "n": 2, "s": "x"}
-        assert bytes(payload) == b"\x00\n\xff"
+        write_artifact(path, "fmt", 3, {"n": 3, "s": "x"}, [np.array([0, 10, 255], "u1")])
+        header = b'{"format": "fmt", "version": 3, "n": 3, "s": "x"}'  # 49 bytes
+        assert path.read_bytes() == header + b" " * 6 + b"\n\x00\n\xff"
+        header, arrays = read_artifact(path, "fmt", 3, ("n",), lambda n: [("u1", n)])
+        assert header == {"format": "fmt", "version": 3, "n": 3, "s": "x"}
+        assert [a.tobytes() for a in arrays] == [b"\x00\n\xff"]
+        write_artifact(path, "fmt", 3, {"s": "x"})
+        assert path.read_bytes() == b'{"format": "fmt", "version": 3, "s": "x"}\n'
+        assert read_artifact(path, "fmt", 3) == ({"format": "fmt", "version": 3, "s": "x"}, [])
 
     def test_aligned_payload(self, tmp_path):
         path = tmp_path / "a.bin"
         header = b'{"format": "fmt", "version": 1, "n": 20}'  # 40 bytes
-        write_artifact(path, "fmt", 1, {"n": 20}, b"\x01" * 8, align=8)
+        write_artifact(path, "fmt", 1, {"n": 20}, [np.full(8, 1, "u1")])
         assert path.read_bytes() == header + b" " * 7 + b"\n" + b"\x01" * 8
-        assert bytes(read_artifact(path, "fmt", 1, align=8)[1]) == b"\x01" * 8
+        layout = lambda n: [("u1", 8)]  # noqa: E731
+        assert read_artifact(path, "fmt", 1, ("n",), layout)[1][0].tobytes() == b"\x01" * 8
         path.write_bytes(header + b"\n" + b"\x01" * 8)
         with pytest.raises(ValueError, match=re.escape(f"{path}: payload starts at byte 41, "
                                                        "not a multiple of 8")):
-            read_artifact(path, "fmt", 1, align=8)
+            read_artifact(path, "fmt", 1, ("n",), layout)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({}, "missing key 'n'"),
+            ({"n": -1}, "n must be non-negative integers"),
+            ({"n": 1.0}, "n must be non-negative integers"),
+            ({"n": True}, "n must be non-negative integers"),
+            ({"n": "1"}, "n must be non-negative integers"),
+        ],
+    )
+    def test_bad_count_rejected_naming_the_file(self, tmp_path, fields, message):
+        path = tmp_path / "a.bin"
+        write_artifact(path, "fmt", 1, fields, [])
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+            read_artifact(path, "fmt", 1, ("n",), lambda n: [("u1", n)])
 
     def test_file_without_newline_is_all_header(self, tmp_path):
         path = tmp_path / "a.json"
@@ -63,6 +84,66 @@ class TestArtifactCodec:
         path.write_bytes(raw)
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
             read_artifact(path, "fmt", 1)
+
+
+COUNTS = ("n_i8", "n_f8", "n_i4", "n_u1")
+DTYPES = ("<i8", "<f8", "<i4", "u1")  # widest first
+
+
+def _layout(*counts):
+    return list(zip(DTYPES, counts))
+
+
+@given(
+    fields=st.dictionaries(
+        st.text(max_size=6).filter(lambda k: k not in ("format", "version", *COUNTS)),
+        st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+                  st.floats(allow_nan=False)),
+        max_size=4,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_artifact_round_trip(tmp_path_factory, fields, data):
+    """Any header fields and four arrays of 0-50 items read back equal,
+    read-only and each at a file offset that is a multiple of its item size;
+    a byte too few or too many, a space more of header padding, or trailing
+    bytes after a header-only artifact fails naming the file."""
+    path = tmp_path_factory.mktemp("codec") / "a.bin"
+    arrays = []
+    for dtype in DTYPES:
+        raw = data.draw(st.binary(max_size=50 * np.dtype(dtype).itemsize), label=dtype)
+        arrays.append(np.frombuffer(raw[: len(raw) // np.dtype(dtype).itemsize
+                                        * np.dtype(dtype).itemsize], dtype))
+    counts = dict(zip(COUNTS, map(len, arrays)))
+    write_artifact(path, "fmt", 1, {**fields, **counts}, arrays)
+    header, got = read_artifact(path, "fmt", 1, COUNTS, _layout)
+    assert header == {"format": "fmt", "version": 1, **fields, **counts}
+    raw = path.read_bytes()
+    offset = raw.index(b"\n") + 1
+    for want, a in zip(arrays, got):
+        assert a.dtype == want.dtype and a.tobytes() == want.tobytes()
+        assert not a.flags.writeable and a.flags.aligned
+        assert offset % a.itemsize == 0 and raw[offset : offset + a.nbytes] == a.tobytes()
+        offset += a.nbytes
+    assert offset == len(raw)
+
+    newline = raw.index(b"\n")
+    for damaged, message in [
+        (raw[:-1], "payload is"),
+        (raw + b"\0", "payload is"),
+        (raw[:newline] + b" " + raw[newline:], "not a multiple of 8"),
+    ]:
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ") + ".*" + message):
+            read_artifact(path, "fmt", 1, COUNTS, _layout)
+    write_artifact(path, "fmt", 1, fields)
+    assert read_artifact(path, "fmt", 1) == ({"format": "fmt", "version": 1, **fields}, [])
+    trailing = data.draw(st.binary(min_size=1, max_size=9), label="trailing")
+    path.write_bytes(path.read_bytes() + trailing)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {len(trailing)} bytes after "
+                                                         "the header")):
+        read_artifact(path, "fmt", 1)
 
 
 @pytest.fixture(scope="module")

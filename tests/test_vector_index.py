@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oracles import brute_force_knn, dense_cosine, recompute_fusion
 
 from desksearch import vector_index
+from desksearch.io_utils import write_artifact
 from desksearch.lexical_index import build_index, search_lexical
 from desksearch.vector_index import (
     NORM_CHUNK,
@@ -550,13 +551,15 @@ class TestPersistence:
         read_artifact = vector_index.read_artifact
 
         def keep_payload(*args, **kwargs):
-            header, payload = read_artifact(*args, **kwargs)
-            payloads.append(payload)
-            return header, payload
+            header, arrays = read_artifact(*args, **kwargs)
+            payloads.append(arrays)
+            return header, arrays
 
         monkeypatch.setattr(vector_index, "read_artifact", keep_payload)
         loaded = load_vectors(path)
-        assert np.shares_memory(loaded._matrix, np.frombuffer(payloads[0], dtype=np.uint8))
+        (rows,) = payloads[0]
+        assert np.shares_memory(loaded._matrix, rows)
+        assert loaded._matrix.tobytes() == path.read_bytes()[-rows.nbytes :]
         assert not loaded._matrix.flags.writeable and loaded._matrix.flags.aligned
         with pytest.raises(ValueError):
             loaded.get(1)[0] = 0.0
@@ -582,6 +585,15 @@ class TestPersistence:
         with pytest.raises(ValueError, match=message) as exc:
             load_vectors(tmp_path / name)
         assert name in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "fields", [{"dimension": 0, "count": 0, "doc_ids": []}, {"dimension": 2, "count": 0}]
+    )
+    def test_well_laid_out_malformed_header_rejected(self, tmp_path, fields):
+        path = tmp_path / "vectors.bin"
+        write_artifact(path, "desksearch-vector-index", 2, fields, [np.empty(0)])
+        with pytest.raises(ValueError, match="vectors.bin: malformed header"):
+            load_vectors(path)
 
     @pytest.mark.parametrize(
         "raw",
