@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -142,18 +143,49 @@ def _embed(
 
     Lists of one length are encoded together, max(1, ENCODE_TOKEN_BUDGET //
     length) per call, which bounds the (chunk, n_heads, length, length)
-    attention tensor.  A row does not depend on the rest of its chunk.
+    attention tensor.  A row does not depend on the rest of its chunk, nor on
+    the thread that encodes it: the chunks are dealt round-robin to one share
+    per CPU the process may use, and the calling thread encodes the first
+    share while a thread of its own encodes each other one (numpy releases
+    the GIL).  An error in any share is raised here once every thread ended.
     """
     rows = [ids[: enc_cfg.max_seq_len] for ids in id_lists]
     by_length: dict[int, list[int]] = {}
     for i, ids in enumerate(rows):
         by_length.setdefault(len(ids), []).append(i)
-    out = np.empty((len(rows), enc_cfg.d_model))
+    chunks: list[list[int]] = []
     for length, members in by_length.items():
         step = max(1, ENCODE_TOKEN_BUDGET // length)
-        for start in range(0, len(members), step):
-            chunk = members[start : start + step]
-            out[chunk] = encoder.encode([rows[i] for i in chunk], enc_cfg, weights)
+        chunks += [members[start : start + step] for start in range(0, len(members), step)]
+    out = np.empty((len(rows), enc_cfg.d_model))
+    errors: list[BaseException] = []
+
+    def encode_share(share: list[list[int]]) -> None:
+        try:
+            for chunk in share:
+                if errors:  # another share failed: the result is lost anyway
+                    return
+                # encoder.encode is looked up per call: perfbench wraps it.
+                out[chunk] = encoder.encode([rows[i] for i in chunk], enc_cfg, weights)
+        except BaseException as exc:  # raised in the caller, not by threading.excepthook
+            errors.append(exc)
+
+    # sched_getaffinity is missing on macOS and Windows; there all CPUs count.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n = max(1, min(cpus or 1, len(chunks)))
+    mine, threads = chunks[0::n], []
+    for i in range(1, n):
+        thread = threading.Thread(target=encode_share, args=(chunks[i::n],))
+        try:
+            thread.start()
+            threads.append(thread)
+        except RuntimeError:  # no thread to spare: the caller encodes this share too
+            mine += chunks[i::n]
+    encode_share(mine)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 

@@ -6,6 +6,7 @@ import random
 import re
 import shutil
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,36 @@ def pipeline(tmp_path_factory):
         record = json.loads(line)
         docs[record["doc_id"]] = record["text"]
     return {"config": config, "index_dir": index_dir, "docs": docs}
+
+
+INDEX_FILES = ("lexical_index.json", "vectors.bin", "weights.json", "docs.jsonl", "doc_offsets.bin")
+
+
+def index_files(index_dir):
+    """The bytes of every file that `index` writes, by name."""
+    return {name: (index_dir / name).read_bytes() for name in INDEX_FILES}
+
+
+@pytest.fixture
+def uneven_config(tmp_path, monkeypatch):
+    """The config of an index of 60 docs of 1-20 tokens, lengths in no order.
+    A budget of 20 tokens cuts them into 48 chunks of 1-4 docs, so even 5
+    CPUs get shares of several unequal chunks."""
+    monkeypatch.setattr(cli, "ENCODE_TOKEN_BUDGET", 20)
+    rng = random.Random(3)
+    source = tmp_path / "source.jsonl"
+    source.write_text("".join(
+        json.dumps({"text": " ".join(rng.choices(FILLER, k=rng.randint(1, 20))), "stars": 1,
+                    "business_id": "b"}) + "\n"
+        for _ in range(60)
+    ))
+    return write_config(tmp_path / "c.json", tmp_path / "x.jsonl", tmp_path / "idx",
+                        index_source=str(source))
+
+
+def cpus(n):
+    """A stand-in for os.sched_getaffinity: a process allowed on n CPUs."""
+    return lambda pid: set(range(n))
 
 
 def search_lines(capsys, argv):
@@ -163,14 +194,9 @@ class TestIndex:
         config = write_config(tmp_path / "c.json", corpus, tmp_path / "idx")
         assert main(["ingest", "--config", config]) == 0
         assert main(["index", "--config", config]) == 0
-        first = {
-            name: (tmp_path / "idx" / name).read_bytes()
-            for name in ("lexical_index.json", "vectors.bin", "weights.json", "docs.jsonl",
-                         "doc_offsets.bin")
-        }
+        first = index_files(tmp_path / "idx")
         assert main(["index", "--config", config]) == 0
-        for name, payload in first.items():
-            assert (tmp_path / "idx" / name).read_bytes() == payload
+        assert index_files(tmp_path / "idx") == first
 
     @pytest.mark.parametrize("budget", [None, 20])
     def test_each_row_is_its_doc_embedded_as_a_query(self, tmp_path, capsys, monkeypatch, budget):
@@ -202,6 +228,67 @@ class TestIndex:
         for doc_id in vec.doc_ids:
             ids = _token_ids(tokenize(texts[doc_id]), lex.vocabulary)
             assert np.array_equal(vec.get(doc_id), _embed([ids], enc_cfg, weights)[0]), doc_id
+
+    def test_artifacts_do_not_depend_on_the_cpu_count(
+        self, uneven_config, tmp_path, capsys, monkeypatch
+    ):
+        start, started = threading.Thread.start, []
+
+        def record_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record_start)
+        built = {}
+        for n in (1, 2, 5):
+            monkeypatch.setattr(cli.os, "sched_getaffinity", cpus(n))
+            started.clear()
+            assert main(["index", "--config", uneven_config]) == 0
+            assert len(started) == n - 1
+            built[n] = index_files(tmp_path / "idx")
+        capsys.readouterr()
+        assert built[2] == built[1] and built[5] == built[1]
+
+    def test_thread_that_cannot_start_leaves_its_share_to_the_caller(
+        self, uneven_config, tmp_path, capsys, monkeypatch
+    ):
+        assert main(["index", "--config", uneven_config]) == 0
+        want = index_files(tmp_path / "idx")
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(cli.os, "sched_getaffinity", cpus(4))
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert main(["index", "--config", uneven_config]) == 0
+        assert index_files(tmp_path / "idx") == want
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("error, message", [
+        (ValueError("pooled representation is the zero vector"), "error: pooled"),
+        (MemoryError("no room"), "error: out of memory: no room"),
+    ])
+    def test_worker_error_ends_in_one_error_line(
+        self, uneven_config, capsys, monkeypatch, error, message
+    ):
+        # Only a chunk that a worker thread encodes fails; the calling thread's
+        # share succeeds, so the error must travel from the worker to main.
+        monkeypatch.setattr(cli.os, "sched_getaffinity", cpus(2))
+        encode, failed = encoder.encode, []
+
+        def fail_in_worker(*args):
+            if threading.current_thread() is not threading.main_thread():
+                failed.append(threading.current_thread())
+                raise error
+            return encode(*args)
+
+        monkeypatch.setattr(encoder, "encode", fail_in_worker)
+        before = threading.active_count()
+        assert main(["index", "--config", uneven_config]) == 1
+        assert threading.active_count() == before
+        assert len(failed) == 1 and not failed[0].is_alive()
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
 
     def test_index_without_ingest_fails(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", tmp_path / "idx")
@@ -418,6 +505,28 @@ class TestSearch:
             assert len(tables[-1]) == len(set(ids[: enc_cfg.max_seq_len])) < enc_cfg.vocab_size
             assert np.array_equal(queries[-1], _embed([ids], enc_cfg, weights)[0])
         assert len(ids) > enc_cfg.max_seq_len and len(tables[-1]) == len(FILLER) < len(set(ids))
+
+    def test_search_starts_no_thread(self, pipeline, capsys, monkeypatch):
+        # A query is one chunk, so even with many CPUs cold search encodes it
+        # in the calling thread and prints what it prints with threads allowed.
+        query = pipeline["docs"][7]
+        argvs = [["search", query, "--mode", mode, "--config", pipeline["config"]]
+                 for mode in ("lexical", "vector", "hybrid")]
+        index_dir = pipeline["index_dir"]
+        lex = lexical_index.load_index(index_dir / "lexical_index.json")
+        ids = _token_ids(tokenize(query), lex.vocabulary)
+        want = [search_lines(capsys, argv) for argv in argvs]
+        want_row = cli._embed_query(index_dir / "weights.json", ids, lex.vocabulary.size)[1]
+
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(cli.os, "sched_getaffinity", cpus(8))
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert [search_lines(capsys, argv) for argv in argvs] == want
+        assert all(code == 0 and hits for code, hits in want)
+        row = cli._embed_query(index_dir / "weights.json", ids, lex.vocabulary.size)[1]
+        assert np.array_equal(row, want_row)
 
     def test_text_with_unicode_line_separators(self, tmp_path, capsys):
         # json.dumps leaves U+2028 and U+0085 unescaped; str.splitlines splits on them.

@@ -2,6 +2,8 @@ import json
 import math
 import random
 import re
+import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -439,19 +441,59 @@ class TestBatches:
         lengths=st.lists(st.integers(1, 11), min_size=1, max_size=24),
         budget=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
+        n_cpus=st.integers(1, 4),
     )
     @settings(max_examples=80, deadline=None)
-    def test_embedded_rows_do_not_depend_on_neighbours(self, cfg, lengths, budget, seed):
+    def test_embedded_rows_do_not_depend_on_neighbours(self, cfg, lengths, budget, seed, n_cpus):
         rng = random.Random(seed)
         sequences = [[rng.randrange(cfg.vocab_size) for _ in range(n)] for n in lengths]
         rng.shuffle(sequences)
         weights = init_weights(cfg)
-        # A small token budget splits a length group over several chunks.
-        with mock.patch.object(cli, "ENCODE_TOKEN_BUDGET", budget):
+        # A small token budget splits a length group over several chunks, and
+        # the CPU count deals the chunks to as many threads.
+        with mock.patch.object(cli, "ENCODE_TOKEN_BUDGET", budget), mock.patch.object(
+            cli.os, "sched_getaffinity", lambda pid: set(range(n_cpus))
+        ):
             rows = cli._embed(sequences, cfg, weights)
         assert rows.shape == (len(sequences), cfg.d_model)
         for ids, row in zip(sequences, rows):
             assert np.array_equal(row, encode(ids[: cfg.max_seq_len], cfg, weights))
+
+    def test_rows_survive_frequent_thread_switches(self, weights):
+        # More threads than cores, switching every microsecond: a row written
+        # twice, lost or written to another row shows.
+        rng = random.Random(4)
+        sequences = [[rng.randrange(CFG.vocab_size) for _ in range(rng.randint(1, 9))]
+                     for _ in range(200)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(cli, "ENCODE_TOKEN_BUDGET", 8), mock.patch.object(
+                cli.os, "sched_getaffinity", lambda pid: set(range(8))
+            ):
+                rows = cli._embed(sequences, CFG, weights)
+        finally:
+            sys.setswitchinterval(interval)
+        for ids, row in zip(sequences, rows):
+            assert np.array_equal(row, encode(ids, CFG, weights))
+
+    def test_cpu_count_serves_where_affinity_is_missing(self, weights, monkeypatch):
+        # As on macOS and Windows, where os has no sched_getaffinity.
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(cli, "ENCODE_TOKEN_BUDGET", 4)
+        sequences = [[i % CFG.vocab_size] * (1 + i % 4) for i in range(40)]
+        start, started = threading.Thread.start, []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t)))
+        rows = cli._embed(sequences, CFG, weights)
+        assert len(started) == 2
+        for ids, row in zip(sequences, rows):
+            assert np.array_equal(row, encode(ids, CFG, weights))
+
+    def test_embedding_no_list_starts_no_thread(self, weights):
+        with mock.patch.object(threading.Thread, "start", side_effect=AssertionError):
+            rows = cli._embed([], CFG, weights)
+        assert rows.shape == (0, CFG.d_model)
 
 
 # A config and a sorted list of distinct token rows for it.
