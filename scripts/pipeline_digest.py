@@ -1,0 +1,74 @@
+"""Print one sha256 per file that ``ingest``, ``index`` and ``eval`` write, and
+per command's exit code and printed output, to check that two versions of
+desksearch run the offline pipeline byte-identically.
+
+Usage: python scripts/pipeline_digest.py CORPUS PREDICTIONS [--seed N]
+
+In a temporary directory, which it removes, the script runs the in-process
+CLI three times: ``ingest`` of CORPUS into ``split/``, ``index`` of
+``split/train.jsonl`` into ``index/``, and ``eval`` of PREDICTIONS into
+``eval/``, each with the seed N (default 0).  It prints one ``<sha256>  <name>``
+line per written file, named by its path in that directory, and per command's
+exit code, stdout and stderr (``ingest.exit``, ``ingest.stdout``, ...), where
+``<work>`` stands for the temporary directory's path.  Run
+it once per version on the same inputs with that version's ``src`` on
+PYTHONPATH, and compare the outputs with ``diff``.  It is the byte-identity
+check for the offline stages, as ``scripts/hit_digest.py`` is for rankings.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from desksearch.cli import main as cli_main
+
+
+def run_pipeline(corpus: Path, predictions: Path, seed: int, work: Path) -> dict[str, bytes]:
+    """Run the three commands in ``work``; each one's exit code, stdout and
+    stderr by name, as bytes."""
+    config = work / "config.json"
+    outputs = {}
+    for command, index_dir, args in (
+        ("ingest", "split", []),
+        ("index", "index", []),
+        ("eval", "eval", [str(predictions)]),
+    ):
+        config.write_text(json.dumps({
+            "corpus": str(corpus), "index_dir": str(work / index_dir),
+            "index_source": str(work / "split" / "train.jsonl"), "seed": seed,
+        }))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli_main([command, *args, "--config", str(config)])
+        outputs[f"{command}.exit"] = str(code).encode()
+        for stream, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue())):
+            # A message naming a file here names it the same way in every run.
+            text = text.replace(str(work), "<work>")
+            outputs[f"{command}.{stream}"] = text.encode("utf-8", "surrogatepass")
+    config.unlink()
+    return outputs
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("corpus", type=Path)
+    parser.add_argument("predictions", type=Path)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        blobs = run_pipeline(args.corpus.resolve(), args.predictions.resolve(), args.seed, work)
+        for path in sorted(p for p in work.rglob("*") if p.is_file()):
+            blobs[path.relative_to(work).as_posix()] = path.read_bytes()
+    for name in sorted(blobs):
+        print(f"{hashlib.sha256(blobs[name]).hexdigest()}  {name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -281,14 +281,12 @@ def cmd_index(cfg: RunConfig) -> int:
 def _write_docs(out_dir: Path, docs: list[dataset.Review]) -> None:
     """Write doc d's record as line d of ``docs.jsonl``, then the byte where
     each line starts, and the file's size, to ``doc_offsets.bin``."""
-    doc_lines = [
-        json.dumps({"doc_id": i, "text": r.text, "stars": r.stars}, ensure_ascii=False)
-        for i, r in enumerate(docs)
-    ]
-    blob = ("\n".join(doc_lines) + ("\n" if doc_lines else "")).encode("utf-8")
-    io_utils.atomic_write_bytes(out_dir / DOCS_FILE, blob)  # looked up per call: perfbench wraps it
-    # Line d starts after the d-th newline: json.dumps escapes a text's
-    # newlines, and no other character's UTF-8 bytes hold 0x0A.
+    blob = io_utils.write_json_lines(
+        out_dir / DOCS_FILE,
+        [{"doc_id": i, "text": r.text, "stars": r.stars} for i, r in enumerate(docs)],
+    )
+    # Line d starts after the d-th newline: JSON escapes a text's newlines,
+    # and no other character's UTF-8 bytes hold 0x0A.
     starts = np.zeros(len(docs) + 1, dtype="<i8")
     starts[1:] = np.flatnonzero(np.frombuffer(blob, np.uint8) == 0x0A) + 1
     write_artifact(
@@ -389,25 +387,26 @@ def cmd_search(cfg: RunConfig, query: str, mode: str, full_text: bool) -> int:
 
 def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
     try:
-        lines = Path(predictions_path).read_text(encoding="utf-8").splitlines()
+        lines = io_utils.read_lines(predictions_path)
     except OSError as exc:
         raise CliError(f"cannot read predictions {predictions_path}: {exc}") from exc
 
+    decode, parse_label, n_classes = io_utils.decode_json, dataset.parse_label, cfg.n_classes
     pairs: list[tuple[int, int]] = []
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-            y_true = dataset.parse_label(record["y_true"], "y_true")
-            y_pred = dataset.parse_label(record["y_pred"], "y_pred")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            record = decode(line)
+            y_true = parse_label(record["y_true"], "y_true")
+            y_pred = parse_label(record["y_pred"], "y_pred")
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise CliError(f"{predictions_path}: line {line_no}: bad record: {exc}") from exc
         for label in (y_true, y_pred):
-            if not 0 <= label < cfg.n_classes:
+            if not 0 <= label < n_classes:
                 raise CliError(
                     f"{predictions_path}: line {line_no}: label {label} out of range "
-                    f"for {cfg.n_classes} classes"
+                    f"for {n_classes} classes"
                 )
         pairs.append((y_true, y_pred))
     if not pairs:

@@ -10,13 +10,13 @@ balanced_resample.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .io_utils import atomic_write_text, require_int
+from . import io_utils
+from .io_utils import require_int
 
 STAR_VALUES = (1, 2, 3, 4, 5)
 
@@ -78,29 +78,35 @@ def parse_label(value: object, name: str) -> int:
 
 
 def load_reviews(path: str | Path) -> LoadResult:
-    """Read reviews from a JSON-lines file, skipping and counting bad lines."""
+    """Read reviews from a JSON-lines file (``io_utils.read_lines``), skipping
+    and counting blank and bad lines."""
+    try:
+        lines = io_utils.read_lines(path)
+    except UnicodeDecodeError:
+        # Raise the error of reading line by line, which names the bad byte's
+        # position within its read chunk, as this loader always has.
+        with open(path, encoding="utf-8") as f:
+            for _ in f:
+                pass
+        raise
     reviews: list[Review] = []
-    skipped = 0
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip() == "":
-                skipped += 1
-                continue
-            try:
-                record = json.loads(line)
-                text, business_id = record["text"], record["business_id"]
-                if not isinstance(text, str) or not isinstance(business_id, str):
-                    raise ValueError("text and business_id must be strings")
-                # No split file can hold a lone surrogate (a JSON "\ud800"): a ValueError.
-                (text + business_id).encode("utf-8")
-                review = Review(
-                    text=text, stars=parse_label(record["stars"], "stars"), business_id=business_id
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                skipped += 1
-                continue
-            reviews.append(review)
-    return LoadResult(reviews=reviews, skipped=skipped)
+    for line in lines:
+        if line.strip() == "":
+            continue
+        try:
+            record = io_utils.decode_json(line)
+            text, business_id = record["text"], record["business_id"]
+            if not isinstance(text, str) or not isinstance(business_id, str):
+                raise ValueError("text and business_id must be strings")
+            # No split file can hold a lone surrogate (a JSON "\ud800"): a ValueError.
+            (text + business_id).encode("utf-8")
+            review = Review(
+                text=text, stars=parse_label(record["stars"], "stars"), business_id=business_id
+            )
+        except (KeyError, TypeError, ValueError):  # JSONDecodeError is a ValueError
+            continue
+        reviews.append(review)
+    return LoadResult(reviews=reviews, skipped=len(lines) - len(reviews))
 
 
 def filter_by_business(reviews: list[Review], allowed_ids: set[str]) -> list[Review]:
@@ -160,16 +166,15 @@ def split(reviews: list[Review], spec: SplitSpec) -> DatasetBundle:
 
 
 def review_to_json(review: Review, **extra: object) -> str:
-    record: dict[str, object] = {
-        "text": review.text,
-        "stars": review.stars,
-        "business_id": review.business_id,
-    }
-    record.update(extra)
-    return json.dumps(record, ensure_ascii=False)
+    return io_utils.encode_json(_record(review, extra))
+
+
+def _record(review: Review, extra: dict) -> dict:
+    """A review's JSON-lines record: its three fields, then ``extra``'s."""
+    return {"text": review.text, "stars": review.stars, "business_id": review.business_id, **extra}
 
 
 def write_reviews(reviews: list[Review], path: str | Path, split_name: str) -> None:
     """Write one split as JSON-lines with an added ``split`` field."""
-    lines = [review_to_json(r, split=split_name) for r in reviews]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    extra = {"split": split_name}
+    io_utils.write_json_lines(path, [_record(r, extra) for r in reviews])

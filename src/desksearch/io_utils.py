@@ -1,6 +1,6 @@
 """Write-to-temp-then-rename helpers so failed runs never leave partial files,
-the one container codec of every index artifact, and the integer check every
-config dataclass shares."""
+the one JSON-lines codec of every record file, the one container codec of
+every index artifact, and the integer check every config dataclass shares."""
 
 from __future__ import annotations
 
@@ -11,6 +11,11 @@ from numbers import Integral
 from pathlib import Path
 
 import numpy as np
+
+# json.loads and json.dumps(..., ensure_ascii=False) build or look up these on
+# every call; a record file's lines share one of each.
+_raw_decode = json.JSONDecoder().raw_decode
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def require_int(name: str, value: object, minimum: int) -> None:
@@ -37,6 +42,46 @@ def atomic_write_bytes(path: str | Path, blob: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of the UTF-8 text file ``path``, without their ends, split as
+    ``open()`` splits them: at ``\n``, ``\r\n`` or a lone ``\r``, never at
+    U+2028, U+0085 or a form feed as ``str.splitlines`` would.  A last line
+    with no newline is a line too."""
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().split("\n")
+    if lines[-1] == "":  # the end of the last line, or an empty file
+        lines.pop()
+    return lines
+
+
+def decode_json(line: str):
+    """``json.loads(line)``: the same value of the same types, or the same
+    exception with the same message.  A value that ends exactly where the line
+    does is decoded without ``json.loads``' per-call cost; anything else
+    (whitespace around it, a BOM, extra data, any error) goes to ``json.loads``."""
+    try:
+        value, end = _raw_decode(line)
+        if end == len(line):
+            return value
+    except (ValueError, RecursionError):  # json.loads raises it again, or its own error
+        pass
+    return json.loads(line)
+
+
+def encode_json(value) -> str:
+    """``json.dumps(value, ensure_ascii=False)``, with one encoder for every call."""
+    return _encode(value)
+
+
+def write_json_lines(path: str | Path, records) -> bytes:
+    """Atomically write each record as one ``encode_json`` line, each ended by
+    a newline, in UTF-8, and return the bytes written."""
+    lines = [_encode(record) for record in records]
+    blob = ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+    atomic_write_bytes(path, blob)
+    return blob
 
 
 def write_artifact(

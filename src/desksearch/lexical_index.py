@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -152,18 +151,20 @@ def build_index(docs: list[list[str]]) -> InvertedIndex:
     Doc ids are dense insertion-order integers; the result is deterministic.
     """
     vocab = text_pipeline.build_vocabulary(docs)  # looked up per call: perfbench wraps it
-    # One (term id, doc id, tf) triple per distinct term of each doc, in doc
-    # order; a stable sort by term id keeps the doc ids rising within a term.
-    triples = [
-        (vocab.term_to_id[token], doc_id, tf)
-        for doc_id, tokens in enumerate(docs)
-        for token, tf in Counter(tokens).items()
-    ]
-    term_of, doc_of, tf_of = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-    order = np.argsort(term_of, kind="stable")
+    n_docs = len(docs)
+    if vocab.size * n_docs > np.iinfo(np.int64).max:
+        raise ValueError(f"{vocab.size} terms x {n_docs} docs overflow the int64 posting keys")
+    # One key term * n_docs + doc per token; np.unique sorts the keys term-major
+    # with the docs rising, and counts each (term, doc) pair's tf.
+    lengths = [len(tokens) for tokens in docs]
+    term_of = np.fromiter(
+        map(vocab.term_to_id.__getitem__, chain.from_iterable(docs)), np.int64, sum(lengths)
+    )
+    doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
+    keys, tf = np.unique(term_of * n_docs + doc_of, return_counts=True)
     term_ptr = np.zeros(vocab.size + 1, dtype=np.int64)
     np.cumsum(vocab.doc_freq, out=term_ptr[1:])
-    postings = Postings(term_ptr, doc_of[order].astype(np.int32), tf_of[order].astype(np.int32))
+    postings = Postings(term_ptr, (keys % n_docs).astype(np.int32), tf.astype(np.int32))
 
     # bincount adds each doc's squared weights one posting at a time, in
     # term-id order, as a Python loop over the postings would.

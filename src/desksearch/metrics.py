@@ -39,14 +39,20 @@ class ConfusionMatrix:
 
 
 def confusion_counts(pairs: list[tuple[int, int]], n_classes: int) -> ConfusionMatrix:
-    """Count (true, predicted) label pairs into a K x K matrix."""
+    """Count (true, predicted) label pairs into a K x K matrix: one bincount
+    of ``true * K + predicted``, which fits int64 whenever the matrix fits in
+    memory.  A pair out of range raises ValueError naming the first one."""
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for y_true, y_pred in pairs:
-        if not (0 <= y_true < n_classes and 0 <= y_pred < n_classes):
-            raise ValueError(
-                f"label pair ({y_true}, {y_pred}) out of range for {n_classes} classes"
-            )
-        counts[y_true, y_pred] += 1
+    try:
+        labels = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        in_range = ((labels >= 0) & (labels < n_classes)).all(axis=1)
+    except OverflowError:  # a label beyond int64 is out of range too
+        in_range = np.array([0 <= t < n_classes and 0 <= p < n_classes for t, p in pairs])
+    if not in_range.all():
+        y_true, y_pred = pairs[int(in_range.argmin())]
+        raise ValueError(f"label pair ({y_true}, {y_pred}) out of range for {n_classes} classes")
+    flat = np.bincount(labels[:, 0] * n_classes + labels[:, 1])
+    counts.reshape(-1)[: len(flat)] = flat
     return ConfusionMatrix(counts)
 
 

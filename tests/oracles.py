@@ -4,6 +4,7 @@ principles; nothing calls into desksearch's production code paths."""
 
 from __future__ import annotations
 
+import json
 import math
 
 
@@ -145,3 +146,93 @@ def metrics_from_pairs(pairs: list[tuple[int, int]], n_classes: int) -> dict:
         "recall": per_recall,
         "f1": per_f1,
     }
+
+
+def naive_postings(corpus: list[list[str]]) -> dict[str, list[tuple[int, int]]]:
+    """Each term's (doc id, tf) pairs in ascending doc order, counted token by token."""
+    postings: dict[str, list[tuple[int, int]]] = {}
+    for doc_id, doc in enumerate(corpus):
+        for token in doc:
+            plist = postings.setdefault(token, [])
+            if plist and plist[-1][0] == doc_id:
+                plist[-1] = (doc_id, plist[-1][1] + 1)
+            else:
+                plist.append((doc_id, 1))
+    return postings
+
+
+def _label(value: object) -> int | None:
+    """A JSON class label: an int, or an integer-valued float; else None."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    return None
+
+
+def _file_lines(path) -> list[str]:
+    """The lines of a text file as ``open()`` iterates them, ends included."""
+    with open(path, encoding="utf-8") as f:
+        return list(f)
+
+
+def _is_utf8(text: str) -> bool:
+    """False for a string with a lone surrogate (from a JSON "\\ud800" escape)."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def naive_load_reviews(path) -> tuple[list[tuple[str, int, str]], int]:
+    """(text, stars, business_id) of each good review line, and the number of
+    blank or bad lines, one ``json.loads`` per line of ``open()``'s iteration."""
+    reviews, skipped = [], 0
+    for line in _file_lines(path):
+        try:
+            record = json.loads(line) if line.strip() else None
+        except ValueError:
+            record = None
+        if not isinstance(record, dict) or not {"text", "stars", "business_id"} <= record.keys():
+            skipped += 1
+            continue
+        text, stars, business_id = record["text"], _label(record["stars"]), record["business_id"]
+        if (
+            not isinstance(text, str)
+            or not isinstance(business_id, str)
+            or not _is_utf8(text + business_id)
+            or stars not in (1, 2, 3, 4, 5)
+        ):
+            skipped += 1
+            continue
+        reviews.append((text, stars, business_id))
+    return reviews, skipped
+
+
+def naive_eval(path, n_classes: int) -> list[tuple[int, int]] | str:
+    """The (true, predicted) pairs of a predictions file, or the message of
+    its first bad line: lines as ``open()`` iterates them, numbered from 1,
+    each decoded by ``json.loads`` without its newline; blank lines skipped."""
+    pairs = []
+    for line_no, line in enumerate(_file_lines(path), start=1):
+        line = line[:-1] if line.endswith("\n") else line
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            labels = []
+            for name in ("y_true", "y_pred"):
+                label = _label(record[name])
+                if label is None:
+                    raise ValueError(f"{name} must be an integer, got {record[name]!r}")
+                labels.append(label)
+        except (TypeError, KeyError, ValueError) as exc:
+            return f"{path}: line {line_no}: bad record: {exc}"
+        for label in labels:
+            if not 0 <= label < n_classes:
+                return (
+                    f"{path}: line {line_no}: label {label} out of range for {n_classes} classes"
+                )
+        pairs.append(tuple(labels))
+    return pairs if pairs else f"{path} contains no predictions"

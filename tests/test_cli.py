@@ -720,6 +720,32 @@ class TestEval:
         assert main(["eval", str(preds), "--config", config]) == 0
         assert json.loads(capsys.readouterr().out)["accuracy"] == 1.0
 
+    def test_raw_line_separators_inside_a_record_are_no_line_break(self, tmp_path, capsys):
+        """json.dumps(..., ensure_ascii=False) writes U+2028, U+2029 and U+0085
+        as raw characters, which str.splitlines splits at; only \\n, \\r\\n
+        and \\r end a line."""
+        config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", tmp_path / "idx")
+        pairs = [(0, 0), (1, 2), (3, 3)]
+        plain = tmp_path / "plain.jsonl"
+        self.write_predictions(plain, pairs)
+        assert main(["eval", str(plain), "--config", config]) == 0
+        expected = capsys.readouterr().out
+        for note in ("a\u2028b", "a\u2029b", "a\x85b"):
+            lines = [
+                json.dumps({"y_true": t, "y_pred": p, **({"note": note} if i == 1 else {})},
+                           ensure_ascii=False)
+                for i, (t, p) in enumerate(pairs)
+            ]
+            assert note in lines[1]
+            preds = tmp_path / "noted.jsonl"
+            preds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert main(["eval", str(preds), "--config", config]) == 0
+            assert capsys.readouterr().out == expected
+            preds.write_text("\n".join([*lines, "not json"]) + "\n", encoding="utf-8")
+            assert main(["eval", str(preds), "--config", config]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {preds}: line 4: bad record: Expecting value"), err
+
     def test_missing_predictions_file(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", tmp_path / "idx")
         assert main(["eval", str(tmp_path / "nope.jsonl"), "--config", config]) == 1

@@ -1,0 +1,252 @@
+"""The one JSON-lines codec of io_utils against the json module and the
+naive per-line loops of tests/oracles.py: decoded values, encoded lines,
+how ingest splits and skips lines, and how eval reads or rejects them."""
+
+import contextlib
+import io
+import json
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import metrics_from_pairs, naive_eval, naive_load_reviews
+
+from desksearch.cli import main
+from desksearch.dataset import load_reviews
+from desksearch.io_utils import decode_json, encode_json, read_lines
+from desksearch.metrics import confusion_counts
+
+SURROGATES = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+TEXT = st.text(st.characters() | SURROGATES | st.sampled_from("\u2028\u0085\x0c\r\n\"\\"))
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=12,
+)
+# Fragments json.loads treats specially: non-finite numbers, an int past the
+# 4,300-digit conversion limit, duplicate keys, surrogate escapes, a BOM,
+# extra data and values cut short.
+FRAGMENTS = st.sampled_from([
+    "NaN", "-Infinity", "Infinity", "1" * 4301, "-0", "1e400", '{"a": 1, "a": 2}',
+    '"\\ud800"', '"\\udc00\\ud800x"', '["\\ud83d\\ude00"]', "\ufeff{}", "{} {}", "[1, 2",
+    '{"a"', "tru", "", '"a\nb"', "1 2", "[]]", '{"y_true": 1}x',
+])
+PADDING = st.text(st.sampled_from(" \t\r\n"), max_size=3)
+
+
+def outcome(decode, text):
+    """A decoded value as its type and repr (which tells 1, 1.0 and True
+    apart, and shows NaN), or the exception's type and message."""
+    try:
+        value = decode(text)
+    except Exception as exc:  # the exception is the outcome
+        return "raised", type(exc), str(exc)
+    return "value", type(value), repr(value)
+
+
+@st.composite
+def json_documents(draw):
+    value, ascii_only = draw(JSON_VALUES), draw(st.booleans())
+    body = draw(st.just(json.dumps(value, ensure_ascii=ascii_only)) | FRAGMENTS | TEXT)
+    if draw(st.booleans()):
+        body = draw(PADDING) + body + draw(PADDING)
+    if draw(st.integers(0, 9)) == 0:
+        body = "\ufeff" + body
+    if draw(st.integers(0, 9)) == 0:
+        body += draw(FRAGMENTS | st.sampled_from(["x", "1", ",", "}"]))
+    if body and draw(st.integers(0, 4)) == 0:  # cut short
+        body = body[: draw(st.integers(0, len(body) - 1))]
+    return body
+
+
+class TestDecodeJson:
+    @settings(max_examples=200, deadline=None)
+    @given(json_documents())
+    def test_matches_json_loads(self, text):
+        assert outcome(decode_json, text) == outcome(json.loads, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(TEXT)
+    def test_matches_json_loads_on_any_string(self, text):
+        assert outcome(decode_json, text) == outcome(json.loads, text)
+
+    @pytest.mark.parametrize("text", ['{"a": 1}', "  [1]", "[1]\r\n", "\ufeff1", "1 x"])
+    def test_hand_cases(self, text):
+        assert outcome(decode_json, text) == outcome(json.loads, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+def test_encode_json_matches_json_dumps(value):
+    assert encode_json(value) == json.dumps(value, ensure_ascii=False)
+
+
+def test_nested_too_deep_raises_as_json_loads_does():
+    text = "[" * 100_000
+    assert outcome(decode_json, text) == outcome(json.loads, text)
+
+
+# Lines of record files: good records, blank and whitespace-only lines, raw
+# line separators that only str.splitlines splits at, and bad records.
+GOOD_REVIEW = st.builds(
+    lambda text, stars, business: json.dumps(
+        {"text": text, "stars": stars, "business_id": business}, ensure_ascii=False
+    ),
+    st.text(st.sampled_from("ab \u2028\u2029\u0085é")),
+    st.sampled_from([1, 2, 3, 4, 5, 5.0]),
+    st.sampled_from(["b1", "b\u20282"]),
+)
+BAD_REVIEW = st.sampled_from([
+    "{not json",
+    '{"text": "x", "business_id": "b"}',
+    '{"text": 3, "stars": 4, "business_id": "b"}',
+    '{"text": "x", "stars": 6, "business_id": "b"}',
+    '{"text": "x", "stars": 4.5, "business_id": "b"}',
+    '{"text": "x", "stars": true, "business_id": "b"}',
+    '{"text": "\\ud800", "stars": 1, "business_id": "b"}',
+    "[1, 2]",
+    '"text"',
+    "\ufeff{}",
+    '{"text": "x", "stars": 1, "business_id": "b"} extra',
+    '  {"text": "padded", "stars": 2, "business_id": "b"}  ',
+    "NaN",
+])
+GOOD_PREDICTION = st.builds(
+    lambda t, p, note: json.dumps(
+        {"y_true": t, "y_pred": p, **({"note": note} if note is not None else {})},
+        ensure_ascii=False,
+    ),
+    st.integers(0, 4),
+    st.sampled_from([0, 1, 2, 3, 4, 2.0]),
+    st.none() | st.sampled_from(["a\u2028b", "c\u0085d", "\u2029"]),
+)
+BAD_PREDICTION = st.sampled_from([
+    "not json", '{"y_true": 0}', '{"y_true": 1.7, "y_pred": 0}', '{"y_true": 0, "y_pred": "3"}',
+    '{"y_true": 0, "y_pred": 7}', '{"y_true": -1, "y_pred": 0}', '{"y_true": true, "y_pred": 0}',
+    '{"y_true": 0, "y_pred": 0', "[0, 0]", "\ufeff{}", '{"y_true": 0, "y_pred": 0} {}',
+])
+BLANK = st.sampled_from(["", " ", "\t ", " \x0c ", "\u2028"])
+NEWLINE = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def record_file(draw, good, bad, bad_weight):
+    lines = draw(st.lists(st.one_of(good, good, BLANK, *[bad] * bad_weight), max_size=12))
+    parts = [line + draw(NEWLINE) for line in lines]
+    if lines and draw(st.booleans()):  # no newline after the last line
+        parts[-1] = lines[-1]
+    return "".join(parts)
+
+
+class TestReadLines:
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            ("", []),
+            ("a", ["a"]),
+            ("a\n", ["a"]),
+            ("a\r\nb\rc\n\n", ["a", "b", "c", ""]),
+            ("\n", [""]),
+            ("a\u2028b\x85c\x0cd\n", ["a\u2028b\x85c\x0cd"]),
+            ("\r\r\n", ["", ""]),
+        ],
+    )
+    def test_splits_at_newlines_only(self, tmp_path, text, lines):
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_lines(path) == lines
+
+    def test_invalid_utf8_raises_as_open_does(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(b'{"a": 1}\n' * 2000 + b"\xff\n")
+        with pytest.raises(UnicodeDecodeError) as expected:
+            with open(path, encoding="utf-8") as f:
+                f.read()
+        with pytest.raises(UnicodeDecodeError) as raised:
+            read_lines(path)
+        assert str(raised.value) == str(expected.value)
+
+
+class TestLoadReviewsAgainstNaiveLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(record_file(GOOD_REVIEW, BAD_REVIEW, 1))
+    def test_same_reviews_and_skip_count(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("load") / "corpus.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        result = load_reviews(path)
+        got = [(r.text, r.stars, r.business_id) for r in result.reviews]
+        assert (got, result.skipped) == naive_load_reviews(path)
+
+    def test_invalid_utf8_error_is_that_of_reading_line_by_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        record = json.dumps({"text": "good food", "stars": 4, "business_id": "b"})
+        path.write_bytes((record + "\n").encode() * 400 + b"\xff\n")
+        with pytest.raises(UnicodeDecodeError) as expected:
+            with open(path, encoding="utf-8") as f:
+                for _ in f:
+                    pass
+        with pytest.raises(UnicodeDecodeError) as raised:
+            load_reviews(path)
+        assert str(raised.value) == str(expected.value)
+
+
+def run_eval(path, n_classes=5):
+    """(exit code, stdout, stderr) of ``desksearch eval`` on ``path``."""
+    config = path.parent / "c.json"
+    config.write_text(json.dumps({"index_dir": str(path.parent / "out"), "n_classes": n_classes}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", str(path), "--config", str(config)])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestEvalAgainstNaiveLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        record_file(GOOD_PREDICTION, BAD_PREDICTION, 1)
+        | record_file(GOOD_PREDICTION, BAD_PREDICTION, 0)
+    )
+    def test_same_metrics_or_error_line(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("eval") / "predictions.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        code, out, err = run_eval(path)
+        expected = naive_eval(path, 5)
+        if isinstance(expected, str):
+            assert (code, out, err) == (1, "", f"error: {expected}\n")
+        else:
+            assert (code, err) == (0, "")
+            printed, oracle = json.loads(out), metrics_from_pairs(expected, 5)
+            for name in ("accuracy", "weighted_f1"):
+                assert math.isclose(printed[name], oracle[name], rel_tol=0, abs_tol=1e-12)
+
+
+class TestConfusionCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.lists(st.tuples(
+            st.integers(-2, 7) | st.sampled_from([2**63, -(2**70)]), st.integers(-2, 7)
+        ), max_size=30),
+    )
+    def test_counts_or_names_the_first_pair_out_of_range(self, k, pairs):
+        bad = [(t, p) for t, p in pairs if not (0 <= t < k and 0 <= p < k)]
+        if bad:
+            with pytest.raises(ValueError) as raised:
+                confusion_counts(pairs, k)
+            assert str(raised.value) == f"label pair {bad[0]} out of range for {k} classes"
+        else:
+            counts = Counter(pairs)
+            expected = [[counts[(t, p)] for p in range(k)] for t in range(k)]
+            assert confusion_counts(pairs, k).counts.tolist() == expected
+
+    def test_empty_list_counts_nothing(self):
+        cm = confusion_counts([], 3)
+        assert cm.counts.shape == (3, 3) and cm.counts.dtype == np.int64 and cm.total == 0

@@ -12,7 +12,7 @@ import pytest
 from conftest import WORDS, corrupt_artifact, faults_of, random_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_lexical
+from oracles import brute_force_lexical, naive_postings
 
 from desksearch.lexical_index import (
     InvertedIndex,
@@ -65,6 +65,31 @@ class TestBuildIndex:
         for doc_id, vec in enumerate(vecs):
             expected = math.sqrt(sum(w * w for w in vec.values()))
             assert idx.doc_norms[doc_id] == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=8), max_size=12))
+    def test_postings_match_the_naive_postings(self, docs):
+        idx = build_index(docs)
+        naive = naive_postings(docs)
+        assert idx.postings.doc_ids.dtype == idx.postings.tf.dtype == np.int32
+        assert {t: idx.postings[tid].tolist() for t, tid in idx.vocabulary.term_to_id.items()} == {
+            t: [list(pair) for pair in plist] for t, plist in naive.items()
+        }
+
+    def test_posting_keys_that_overflow_int64_rejected(self, monkeypatch):
+        """Each (term, doc) key is term * n_docs + doc in int64; a vocabulary
+        too large for that is refused, not wrapped around."""
+        import desksearch.text_pipeline as text_pipeline
+
+        class Huge(dict):
+            def __len__(self):
+                return 2**62
+
+        monkeypatch.setattr(
+            text_pipeline, "build_vocabulary", lambda docs: text_pipeline.Vocabulary(Huge(), [], 2)
+        )
+        with pytest.raises(ValueError, match="overflow the int64 posting keys"):
+            build_index([["a"], ["b"]])
 
     def test_rebuild_identical(self):
         docs = random_corpus(random.Random(5), 30)
