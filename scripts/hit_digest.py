@@ -20,7 +20,8 @@ import random
 from pathlib import Path
 
 from desksearch import encoder, lexical_index, vector_index
-from desksearch.cli import LEXICAL_FILE, VECTOR_FILE, WEIGHTS_FILE, _embed_query, _token_ids
+from desksearch.cli import LEXICAL_FILE, VECTOR_FILE, WEIGHTS_FILE, _embed_query
+from desksearch.text_pipeline import token_ids
 
 N_QUERIES = 1500
 SEED = 20240301
@@ -53,7 +54,7 @@ def hit_lists(index_dir: Path):
     for qi, tokens in enumerate(make_queries(terms, N_QUERIES, SEED)):
         # As `desksearch search` embeds it: the sidecar read and only the
         # query's token rows drawn, once per query.
-        ids = _token_ids(tokens, lex.vocabulary)
+        ids = token_ids(tokens, lex.vocabulary)
         embedding = (
             _embed_query(index_dir / WEIGHTS_FILE, ids, lex.vocabulary.size)[1] if ids else None
         )

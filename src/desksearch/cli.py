@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dataset, encoder, io_utils, lexical_index, metrics, vector_index
 from .io_utils import atomic_write_text, read_artifact, require_int, write_artifact
-from .text_pipeline import TokenizerConfig, tokenize
+from .text_pipeline import TokenizerConfig, token_ids, tokenize
 
 SNIPPET_LEN = 80
 
@@ -99,7 +99,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     if path is not None:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise CliError(f"cannot read config {path}: {exc}") from exc
 
     def flag(name: str, fallback=None):
@@ -129,16 +129,10 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         raise CliError(f"invalid configuration: {exc}") from exc
 
 
-def _token_ids(tokens: list[str], vocab) -> list[int]:
-    """The ids of a document's or a query's in-vocabulary tokens, in order."""
-    get = vocab.term_to_id.get
-    return [tid for t in tokens if (tid := get(t)) is not None]
-
-
 def _embed(
     id_lists: list[list[int]], enc_cfg: encoder.EncoderConfig, weights: encoder.EncoderWeights
 ) -> np.ndarray:
-    """Embed documents or queries from their non-empty ``_token_ids``, each
+    """Embed documents or queries from their non-empty ``token_ids``, each
     truncated to max_seq_len: one unit row per list, in input order.
 
     Lists of one length are encoded together, max(1, ENCODE_TOKEN_BUDGET //
@@ -193,7 +187,7 @@ def _embed_query(
     weights_path: Path, ids: list[int], vocab_size: int
 ) -> tuple[encoder.EncoderConfig, np.ndarray]:
     """The encoder config and the ``_embed`` row of one query's non-empty
-    ``_token_ids``, drawing only the token rows its first max_seq_len ids use:
+    ``token_ids``, drawing only the token rows its first max_seq_len ids use:
     each id becomes its position in that small table, so the bits are those of
     the full weights."""
     enc_cfg, weights = encoder.load_weights(weights_path, vocab_size, ids)
@@ -261,7 +255,7 @@ def cmd_index(cfg: RunConfig) -> int:
         weights = encoder.init_weights(enc_cfg)
         encoder.save_weights(enc_cfg, weights, out_dir / WEIGHTS_FILE)
         # Every term comes from some doc, so at least one doc is embedded.
-        id_lists = [_token_ids(tokens, lex.vocabulary) for tokens in token_lists]
+        id_lists = [token_ids(tokens, lex.vocabulary) for tokens in token_lists]
         doc_ids = [doc_id for doc_id, ids in enumerate(id_lists) if ids]
         vec = vector_index.VectorIndex.from_arrays(
             doc_ids, _embed([id_lists[doc_id] for doc_id in doc_ids], enc_cfg, weights)
@@ -339,7 +333,7 @@ def _doc_texts(index_dir: Path, n_docs: int, doc_ids: list[int]) -> list[str]:
                 record = json.loads(line)
                 if record["doc_id"] != doc_id or not isinstance(record["text"], str):
                     raise ValueError("doc_id or text does not match")
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise CliError(
                     f"{docs_path}: line {doc_id + 1} is not doc {doc_id}: {exc}"
                 ) from exc
@@ -358,7 +352,7 @@ def cmd_search(cfg: RunConfig, query: str, mode: str, full_text: bool) -> int:
     try:
         # Only an in-vocabulary token needs the weights and the vectors; an index
         # with no terms has none.  The loaders check each against the one before.
-        ids = _token_ids(query_tokens, lex.vocabulary) if mode != "lexical" else []
+        ids = token_ids(query_tokens, lex.vocabulary) if mode != "lexical" else []
         embedding = vec = None
         if ids:
             enc_cfg, embedding = _embed_query(index_dir / WEIGHTS_FILE, ids, lex.vocabulary.size)
@@ -400,7 +394,7 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
             record = decode(line)
             y_true = parse_label(record["y_true"], "y_true")
             y_pred = parse_label(record["y_pred"], "y_pred")
-        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise CliError(f"{predictions_path}: line {line_no}: bad record: {exc}") from exc
         for label in (y_true, y_pred):
             if not 0 <= label < n_classes:

@@ -80,15 +80,7 @@ def parse_label(value: object, name: str) -> int:
 def load_reviews(path: str | Path) -> LoadResult:
     """Read reviews from a JSON-lines file (``io_utils.read_lines``), skipping
     and counting blank and bad lines."""
-    try:
-        lines = io_utils.read_lines(path)
-    except UnicodeDecodeError:
-        # Raise the error of reading line by line, which names the bad byte's
-        # position within its read chunk, as this loader always has.
-        with open(path, encoding="utf-8") as f:
-            for _ in f:
-                pass
-        raise
+    lines = io_utils.read_lines(path)
     reviews: list[Review] = []
     for line in lines:
         if line.strip() == "":
@@ -103,8 +95,8 @@ def load_reviews(path: str | Path) -> LoadResult:
             review = Review(
                 text=text, stars=parse_label(record["stars"], "stars"), business_id=business_id
             )
-        except (KeyError, TypeError, ValueError):  # JSONDecodeError is a ValueError
-            continue
+        except (KeyError, TypeError, ValueError, RecursionError):
+            continue  # json raises JSONDecodeError, a ValueError, or RecursionError if too deep
         reviews.append(review)
     return LoadResult(reviews=reviews, skipped=len(lines) - len(reviews))
 

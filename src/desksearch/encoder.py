@@ -17,6 +17,7 @@ loss functions; no training loop.
 from __future__ import annotations
 
 import math
+import os
 import zlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -88,12 +89,19 @@ def init_weights(cfg: EncoderConfig, rows: list[int] | None = None) -> EncoderWe
     d_model draws after ``advance(r * d_model)``, and the layers follow
     ``advance(vocab_size * d_model)``.  Given ``rows``, a sorted list of
     distinct token ids, the table holds only those rows, in that order, each
-    drawn alone and bit-equal to its row of the full table.
+    drawn alone and bit-equal to its row of the full table.  Weights larger
+    than physical memory raise MemoryError before the first draw.
     """
+    d, f = cfg.d_model, cfg.d_ff
+    n_rows = cfg.vocab_size if rows is None else len(rows)
+    need = 8 * (n_rows * d + cfg.n_layers * (4 * d * d + 3 * d * f + 4 * d) + 2 * d)
+    if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", {}):  # os.sysconf is POSIX only
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if 0 < have < need:
+            raise MemoryError(f"{need} bytes of weights exceed the {have} bytes of physical memory")
     bitgen = np.random.PCG64(cfg.seed)  # what default_rng(seed) wraps
     rng = np.random.Generator(bitgen)
     bound = 1.0 / math.sqrt(cfg.d_model)
-    d, f = cfg.d_model, cfg.d_ff
 
     def draw(*shape: int) -> np.ndarray:
         return rng.uniform(-bound, bound, size=shape)

@@ -113,7 +113,7 @@ def read_artifact(
     end = raw.find(b"\n") if b"\n" in raw else len(raw)
     try:
         header = json.loads(raw[:end].decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, or malformed JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, malformed or too deeply nested
         raise ValueError(f"{path}: header is not valid JSON: {exc}") from None
     if not isinstance(header, dict) or header.get("format") != fmt:
         raise ValueError(f"{path}: format is not {fmt!r}")

@@ -59,54 +59,28 @@ def top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> list[SearchHit]:
     return [SearchHit(i, s) for i, s in zip(ids[top].tolist(), scores[top].tolist())]
 
 
-class TermTable:
+class TermTable(Mapping):
     """A read-only term -> id mapping over terms in ascending code-point
-    order: ``ids[i]`` is the id of ``terms[i]``.  ``get``, ``[]`` and ``in``
-    are each one bisection of the terms."""
+    order: ``ids[i]`` is the id of ``terms[i]``.  ``[]`` is one bisection of
+    the terms; ``get``, ``in``, ``==`` and the views are ``Mapping``'s."""
 
     __slots__ = ("_terms", "_ids")
 
     def __init__(self, terms: list[str], ids: np.ndarray) -> None:
         self._terms, self._ids = terms, ids
 
-    def get(self, term: str, default=None):
-        terms = self._terms
-        i = bisect_left(terms, term)
-        return self._ids.item(i) if i < len(terms) and terms[i] == term else default
-
     def __getitem__(self, term: str) -> int:
-        tid = self.get(term)
-        if tid is None:
-            raise KeyError(term)
-        return tid
-
-    def __contains__(self, term: object) -> bool:
         terms = self._terms
         i = bisect_left(terms, term)
-        return i < len(terms) and terms[i] == term
+        if i < len(terms) and terms[i] == term:
+            return self._ids.item(i)
+        raise KeyError(term)
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def __iter__(self):
         return iter(self._terms)
-
-    def keys(self):
-        return iter(self._terms)
-
-    def values(self):
-        return iter(self._ids.tolist())
-
-    def items(self):
-        return zip(self._terms, self._ids.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        return dict(self.items()) == dict(other.items())
-
-
-Mapping.register(TermTable)
 
 
 @dataclass(eq=False)

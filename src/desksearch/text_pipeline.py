@@ -138,14 +138,16 @@ def _from_pairs(dimension: int, pairs: dict[int, float]) -> SparseVector:
     )
 
 
+def token_ids(tokens: list[str], vocab: Vocabulary) -> list[int]:
+    """The ids of a document's or a query's in-vocabulary tokens, in order:
+    one ``get`` per token."""
+    get = vocab.term_to_id.get
+    return [tid for t in tokens if (tid := get(t)) is not None]
+
+
 def count_vectorize(tokens: list[str], vocab: Vocabulary) -> SparseVector:
     """Raw occurrence counts over the vocabulary; out-of-vocabulary tokens ignored."""
-    counts: Counter[int] = Counter()
-    for token in tokens:
-        tid = vocab.term_to_id.get(token)
-        if tid is not None:
-            counts[tid] += 1
-    return _from_pairs(vocab.size, dict(counts))
+    return _from_pairs(vocab.size, Counter(token_ids(tokens, vocab)))
 
 
 def idf(term_id: int, vocab: Vocabulary) -> float:

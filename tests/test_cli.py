@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desksearch import cli, encoder, lexical_index, vector_index
-from desksearch.cli import CONFIG_KEYS, SPLIT_KEYS, _embed, _token_ids, load_config, main
+from desksearch.cli import CONFIG_KEYS, SPLIT_KEYS, _embed, load_config, main
 from desksearch.dataset import Review
 from desksearch.io_utils import read_artifact
-from desksearch.text_pipeline import Vocabulary, tokenize
+from desksearch.text_pipeline import Vocabulary, token_ids, tokenize
 
 SMALL_ENCODER = {"d_model": 16, "n_heads": 4, "n_layers": 2, "d_ff": 32, "max_seq_len": 64}
 
@@ -226,7 +226,7 @@ class TestIndex:
         enc_cfg, weights = encoder.load_weights(index_dir / "weights.json")
         assert vec.doc_ids == [doc_id for doc_id in range(len(texts)) if doc_id != 5]
         for doc_id in vec.doc_ids:
-            ids = _token_ids(tokenize(texts[doc_id]), lex.vocabulary)
+            ids = token_ids(tokenize(texts[doc_id]), lex.vocabulary)
             assert np.array_equal(vec.get(doc_id), _embed([ids], enc_cfg, weights)[0]), doc_id
 
     def test_artifacts_do_not_depend_on_the_cpu_count(
@@ -457,7 +457,7 @@ class TestSearch:
         enc_cfg, weights = encoder.load_weights(index_dir / "weights.json")
         for query in (pipeline["docs"][3], "great food service", "slow staff zzgblx"):
             tokens = tokenize(query)
-            embedding = _embed([_token_ids(tokens, lex.vocabulary)], enc_cfg, weights)[0]
+            embedding = _embed([token_ids(tokens, lex.vocabulary)], enc_cfg, weights)[0]
             expected = {
                 "vector": vec.search(embedding, 10),
                 "hybrid": vector_index.search_hybrid(
@@ -497,7 +497,7 @@ class TestSearch:
         markers = [f"marker{i:03d}" for i in range(100)]
         for query in (pipeline["docs"][3], "staff great great staff zzgblx",
                       " ".join(FILLER * 5 + markers)):
-            ids = _token_ids(tokenize(query), lex.vocabulary)
+            ids = token_ids(tokenize(query), lex.vocabulary)
             code, _ = search_lines(
                 capsys, ["search", query, "--mode", "vector", "--config", pipeline["config"]]
             )
@@ -514,7 +514,7 @@ class TestSearch:
                  for mode in ("lexical", "vector", "hybrid")]
         index_dir = pipeline["index_dir"]
         lex = lexical_index.load_index(index_dir / "lexical_index.json")
-        ids = _token_ids(tokenize(query), lex.vocabulary)
+        ids = token_ids(tokenize(query), lex.vocabulary)
         want = [search_lines(capsys, argv) for argv in argvs]
         want_row = cli._embed_query(index_dir / "weights.json", ids, lex.vocabulary.size)[1]
 
@@ -633,7 +633,7 @@ def test_token_ids_look_each_token_up_once():
             raise AssertionError("[]")
 
     vocab = Vocabulary(GetOnly(b=0, a=1), [1, 1], 2)
-    assert _token_ids(["a", "zz", "b", "a"], vocab) == [1, 0, 1]
+    assert token_ids(["a", "zz", "b", "a"], vocab) == [1, 0, 1]
 
 
 class TestEval:

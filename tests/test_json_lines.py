@@ -185,17 +185,16 @@ class TestLoadReviewsAgainstNaiveLoop:
         got = [(r.text, r.stars, r.business_id) for r in result.reviews]
         assert (got, result.skipped) == naive_load_reviews(path)
 
-    def test_invalid_utf8_error_is_that_of_reading_line_by_line(self, tmp_path):
+    def test_invalid_utf8_error_is_that_of_read_lines(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        record = json.dumps({"text": "good food", "stars": 4, "business_id": "b"})
-        path.write_bytes((record + "\n").encode() * 400 + b"\xff\n")
+        record = json.dumps({"text": "good food", "stars": 4, "business_id": "b"}) + "\n"
+        path.write_bytes(record.encode() * 400 + b"\xff\n")
         with pytest.raises(UnicodeDecodeError) as expected:
-            with open(path, encoding="utf-8") as f:
-                for _ in f:
-                    pass
+            read_lines(path)
         with pytest.raises(UnicodeDecodeError) as raised:
             load_reviews(path)
         assert str(raised.value) == str(expected.value)
+        assert raised.value.start == len(record) * 400  # the bad byte's offset in the file
 
 
 def run_eval(path, n_classes=5):

@@ -390,6 +390,16 @@ class TestTermTable:
                 with pytest.raises(KeyError):
                     table[token]
 
+    def test_loaded_table_keeps_the_mapping_contract(self, tmp_path):
+        idx = build_index([["b", "a", "c"], ["ab", "b"], ["é", "a"]])
+        built = idx.vocabulary.term_to_id
+        save_index(idx, tmp_path / "lexical_index.json")
+        table = load_index(tmp_path / "lexical_index.json").vocabulary.term_to_id
+        assert len(table.keys()) == len(table.values()) == len(table.items()) == len(built)
+        assert table.keys() == built.keys() and table.items() == built.items()
+        assert sorted(table.values()) == sorted(built.values()) and dict(table) == built
+        assert ("a", built["a"]) in table.items() and ("a", -1) not in table.items()
+
     def test_lookups_bisect_the_sorted_terms(self):
         table = TermTable(["a", "ab", "b"], np.array([2, 0, 1], dtype=np.int32))
         assert dict(table.items()) == {"a": 2, "ab": 0, "b": 1}
