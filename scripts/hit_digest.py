@@ -20,7 +20,7 @@ import random
 from pathlib import Path
 
 from desksearch import encoder, lexical_index, vector_index
-from desksearch.cli import LEXICAL_FILE, VECTOR_FILE, WEIGHTS_FILE, _embed_query
+from desksearch.cli import LEXICAL_FILE, VECTOR_FILE, WEIGHTS_FILE
 from desksearch.text_pipeline import token_ids
 
 N_QUERIES = 1500
@@ -55,9 +55,9 @@ def hit_lists(index_dir: Path):
         # As `desksearch search` embeds it: the sidecar read and only the
         # query's token rows drawn, once per query.
         ids = token_ids(tokens, lex.vocabulary)
-        embedding = (
-            _embed_query(index_dir / WEIGHTS_FILE, ids, lex.vocabulary.size)[1] if ids else None
-        )
+        embedding = encoder.embed(
+            [ids], *encoder.load_weights(index_dir / WEIGHTS_FILE, lex.vocabulary.size, ids)
+        )[0] if ids else None
         for k in KS:
             yield f"{qi} lexical k={k}", lexical_index.search_lexical(lex, tokens, k)
             yield f"{qi} vector k={k}", vec.search(embedding, k) if embedding is not None else []

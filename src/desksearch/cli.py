@@ -8,10 +8,10 @@ to stderr.  Exit code 0 on success, nonzero on any validation or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -30,9 +30,6 @@ DOCS_FILE = "docs.jsonl"
 OFFSETS_FILE = "doc_offsets.bin"
 OFFSETS_FORMAT = "desksearch-doc-offsets"
 OFFSETS_VERSION = 1
-# Tokens per encoder call in _embed.  Chunks much larger than this encode
-# slower per sequence: their attention tensors no longer fit in cache.
-ENCODE_TOKEN_BUDGET = 512
 
 
 class CliError(Exception):
@@ -99,7 +96,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     if path is not None:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or JSON
             raise CliError(f"cannot read config {path}: {exc}") from exc
 
     def flag(name: str, fallback=None):
@@ -129,77 +126,10 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         raise CliError(f"invalid configuration: {exc}") from exc
 
 
-def _embed(
-    id_lists: list[list[int]], enc_cfg: encoder.EncoderConfig, weights: encoder.EncoderWeights
-) -> np.ndarray:
-    """Embed documents or queries from their non-empty ``token_ids``, each
-    truncated to max_seq_len: one unit row per list, in input order.
-
-    Lists of one length are encoded together, max(1, ENCODE_TOKEN_BUDGET //
-    length) per call, which bounds the (chunk, n_heads, length, length)
-    attention tensor.  A row does not depend on the rest of its chunk, nor on
-    the thread that encodes it: the chunks are dealt round-robin to one share
-    per CPU the process may use, and the calling thread encodes the first
-    share while a thread of its own encodes each other one (numpy releases
-    the GIL).  An error in any share is raised here once every thread ended.
-    """
-    rows = [ids[: enc_cfg.max_seq_len] for ids in id_lists]
-    by_length: dict[int, list[int]] = {}
-    for i, ids in enumerate(rows):
-        by_length.setdefault(len(ids), []).append(i)
-    chunks: list[list[int]] = []
-    for length, members in by_length.items():
-        step = max(1, ENCODE_TOKEN_BUDGET // length)
-        chunks += [members[start : start + step] for start in range(0, len(members), step)]
-    out = np.empty((len(rows), enc_cfg.d_model))
-    errors: list[BaseException] = []
-
-    def encode_share(share: list[list[int]]) -> None:
-        try:
-            for chunk in share:
-                if errors:  # another share failed: the result is lost anyway
-                    return
-                # encoder.encode is looked up per call: perfbench wraps it.
-                out[chunk] = encoder.encode([rows[i] for i in chunk], enc_cfg, weights)
-        except BaseException as exc:  # raised in the caller, not by threading.excepthook
-            errors.append(exc)
-
-    # sched_getaffinity is missing on macOS and Windows; there all CPUs count.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n = max(1, min(cpus or 1, len(chunks)))
-    mine, threads = chunks[0::n], []
-    for i in range(1, n):
-        thread = threading.Thread(target=encode_share, args=(chunks[i::n],))
-        try:
-            thread.start()
-            threads.append(thread)
-        except RuntimeError:  # no thread to spare: the caller encodes this share too
-            mine += chunks[i::n]
-    encode_share(mine)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return out
-
-
-def _embed_query(
-    weights_path: Path, ids: list[int], vocab_size: int
-) -> tuple[encoder.EncoderConfig, np.ndarray]:
-    """The encoder config and the ``_embed`` row of one query's non-empty
-    ``token_ids``, drawing only the token rows its first max_seq_len ids use:
-    each id becomes its position in that small table, so the bits are those of
-    the full weights."""
-    enc_cfg, weights = encoder.load_weights(weights_path, vocab_size, ids)
-    ids = ids[: enc_cfg.max_seq_len]
-    local = np.searchsorted(encoder.token_rows(enc_cfg, ids), ids)
-    return enc_cfg, _embed([local], enc_cfg, weights)[0]
-
-
 def cmd_ingest(cfg: RunConfig) -> int:
     try:
         result = dataset.load_reviews(cfg.corpus)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read corpus {cfg.corpus}: {exc}") from exc
     if not result.reviews:
         raise CliError(f"corpus {cfg.corpus} contains no valid reviews")
@@ -236,8 +166,10 @@ def cmd_index(cfg: RunConfig) -> int:
     source = cfg.source_path
     if not source.exists():
         raise CliError(f"no ingested corpus at {source}; run `desksearch ingest` first")
-    result = dataset.load_reviews(source)
-    docs = result.reviews
+    try:
+        docs = dataset.load_reviews(source).reviews
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read corpus {source}: {exc}") from exc
     token_lists = [tokenize(r.text, cfg.tokenizer) for r in docs]
 
     out_dir = Path(cfg.index_dir)
@@ -258,7 +190,7 @@ def cmd_index(cfg: RunConfig) -> int:
         id_lists = [token_ids(tokens, lex.vocabulary) for tokens in token_lists]
         doc_ids = [doc_id for doc_id, ids in enumerate(id_lists) if ids]
         vec = vector_index.VectorIndex.from_arrays(
-            doc_ids, _embed([id_lists[doc_id] for doc_id in doc_ids], enc_cfg, weights)
+            doc_ids, encoder.embed([id_lists[doc_id] for doc_id in doc_ids], enc_cfg, weights)
         )
     vector_index.save_vectors(vec, out_dir / VECTOR_FILE)
 
@@ -354,9 +286,11 @@ def cmd_search(cfg: RunConfig, query: str, mode: str, full_text: bool) -> int:
         # with no terms has none.  The loaders check each against the one before.
         ids = token_ids(query_tokens, lex.vocabulary) if mode != "lexical" else []
         embedding = vec = None
-        if ids:
-            enc_cfg, embedding = _embed_query(index_dir / WEIGHTS_FILE, ids, lex.vocabulary.size)
-            vec = vector_index.load_vectors(index_dir / VECTOR_FILE, enc_cfg.d_model)
+        if ids:  # weights of the query's token rows, freed before the vectors are read
+            embedding = encoder.embed(
+                [ids], *encoder.load_weights(index_dir / WEIGHTS_FILE, lex.vocabulary.size, ids)
+            )[0]
+            vec = vector_index.load_vectors(index_dir / VECTOR_FILE, len(embedding))
         if mode == "lexical":
             hits = lexical_index.search_lexical(lex, query_tokens, cfg.search.k)
         elif mode == "hybrid":
@@ -382,7 +316,7 @@ def cmd_search(cfg: RunConfig, query: str, mode: str, full_text: bool) -> int:
 def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
     try:
         lines = io_utils.read_lines(predictions_path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read predictions {predictions_path}: {exc}") from exc
 
     decode, parse_label, n_classes = io_utils.decode_json, dataset.parse_label, cfg.n_classes
@@ -419,6 +353,7 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: building it costs more than a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="desksearch",

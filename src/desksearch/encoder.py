@@ -10,14 +10,15 @@ config, seed).  They are never stored: the sidecar's one header line holds the
 config and the CRC-32 of the arrays drawn after the token table, and
 load_weights regenerates them and checks it, as numpy does not promise the same
 seeded stream in every release (NEP 19).  A query needs only its own token
-rows, and load_weights can draw just those.  Gradients exist only for the two
-loss functions; no training loop.
+rows, and load_weights can draw just those; ``embed`` serves documents and
+queries alike.  Gradients exist only for the two losses; no training loop.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import zlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -29,6 +30,9 @@ from . import io_utils
 DEFAULT_EPS = 1e-6
 WEIGHTS_FORMAT = "encoder-weights"
 WEIGHTS_VERSION = 4
+# Tokens per encode call in embed.  Chunks much larger than this encode
+# slower per sequence: their attention tensors no longer fit in cache.
+ENCODE_TOKEN_BUDGET = 512
 
 # Unit-norm float64 vector of length d_model, as encode() emits for one
 # sequence; a batch gives an (n, d_model) matrix of them.
@@ -78,6 +82,7 @@ class EncoderWeights:
     layers: list[LayerWeights]
     final_norm_gain: np.ndarray
     final_norm_bias: np.ndarray
+    rows: np.ndarray | None = None  # the rising token ids a partial table holds; None: all
 
 
 def init_weights(cfg: EncoderConfig, rows: list[int] | None = None) -> EncoderWeights:
@@ -87,18 +92,15 @@ def init_weights(cfg: EncoderConfig, rows: list[int] | None = None) -> EncoderWe
     The (vocab_size, d_model) token table is drawn first, then the layers.
     Each uniform draw takes exactly one PCG64 step, so token row r is the
     d_model draws after ``advance(r * d_model)``, and the layers follow
-    ``advance(vocab_size * d_model)``.  Given ``rows``, a sorted list of
-    distinct token ids, the table holds only those rows, in that order, each
-    drawn alone and bit-equal to its row of the full table.  Weights larger
-    than physical memory raise MemoryError before the first draw.
+    ``advance(vocab_size * d_model)``.  Given ``rows``, sorted distinct token
+    ids, the table holds only those rows, in that order, each drawn alone and
+    bit-equal to its row of the full table; the weights keep them as ``rows``.
+    Weights beyond physical memory raise MemoryError before any draw.
     """
     d, f = cfg.d_model, cfg.d_ff
     n_rows = cfg.vocab_size if rows is None else len(rows)
     need = 8 * (n_rows * d + cfg.n_layers * (4 * d * d + 3 * d * f + 4 * d) + 2 * d)
-    if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", {}):  # os.sysconf is POSIX only
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if 0 < have < need:
-            raise MemoryError(f"{need} bytes of weights exceed the {have} bytes of physical memory")
+    io_utils.require_memory(need, "weights")
     bitgen = np.random.PCG64(cfg.seed)  # what default_rng(seed) wraps
     rng = np.random.Generator(bitgen)
     bound = 1.0 / math.sqrt(cfg.d_model)
@@ -139,13 +141,8 @@ def init_weights(cfg: EncoderConfig, rows: list[int] | None = None) -> EncoderWe
         layers=layers,
         final_norm_gain=np.ones(d),
         final_norm_bias=np.zeros(d),
+        rows=None if rows is None else np.asarray(rows, dtype=np.int64),
     )
-
-
-def token_rows(cfg: EncoderConfig, ids: list[int]) -> list[int]:
-    """The sorted, distinct token rows that a sequence of ``ids`` cut to
-    max_seq_len reads: the ``rows`` to draw for it."""
-    return sorted(set(ids[: cfg.max_seq_len]))
 
 
 def _check_rows(rows: list[int], vocab_size: int) -> None:
@@ -264,9 +261,14 @@ def _check_ids(token_ids, cfg: EncoderConfig) -> np.ndarray:
 def encode_states(token_ids, cfg: EncoderConfig, weights: EncoderWeights) -> np.ndarray:
     """Run the full stack over one sequence of ids (seq_len,) or a batch of
     equal-length ones (batch, seq_len) and return the (..., seq_len, d_model)
-    states after the final RMSNorm, before pooling."""
+    states after the final RMSNorm, before pooling.  A partial table reads id
+    r at r's place in its ``rows``, and raises ValueError for an id it lacks."""
     ids = _check_ids(token_ids, cfg)
-    x = weights.token_embedding[ids] + positional_encoding(ids.shape[-1], cfg.d_model)
+    held = weights.rows
+    at = ids if held is None else np.searchsorted(held, ids)
+    if held is not None and not ((at < held.size).all() and (held[at] == ids).all()):
+        raise ValueError("token id not among the rows of this partial weight table")
+    x = weights.token_embedding[at] + positional_encoding(ids.shape[-1], cfg.d_model)
     for lw in weights.layers:
         x = x + self_attention(rmsnorm(x, lw.attn_norm_gain, lw.attn_norm_bias), lw, cfg.n_heads)
         x = x + swiglu_ffn(rmsnorm(x, lw.ffn_norm_gain, lw.ffn_norm_bias), lw)
@@ -285,6 +287,58 @@ def encode(token_ids, cfg: EncoderConfig, weights: EncoderWeights) -> DenseEmbed
             raise ValueError("pooled representation is the zero vector; cannot normalize")
         row /= norm
     return pooled
+
+
+def embed(id_lists: list[list[int]], cfg: EncoderConfig, weights: EncoderWeights) -> np.ndarray:
+    """Embed documents or queries from their non-empty token ids, each cut to
+    max_seq_len: one unit row per list, in input order.
+
+    Lists of one length are encoded together, max(1, ENCODE_TOKEN_BUDGET //
+    length) per call, which bounds the (chunk, n_heads, length, length)
+    attention tensor.  A row does not depend on the rest of its chunk, nor on
+    the thread that encodes it: the chunks are dealt round-robin to one share
+    per CPU the process may use, and the calling thread encodes the first
+    share while a thread of its own encodes each other one (numpy releases
+    the GIL).  An error in any share is raised here once every thread ended.
+    """
+    seqs = [ids[: cfg.max_seq_len] for ids in id_lists]
+    by_length: dict[int, list[int]] = {}
+    for i, ids in enumerate(seqs):
+        by_length.setdefault(len(ids), []).append(i)
+    chunks: list[list[int]] = []
+    for length, members in by_length.items():
+        step = max(1, ENCODE_TOKEN_BUDGET // length)
+        chunks += [members[start : start + step] for start in range(0, len(members), step)]
+    out = np.empty((len(seqs), cfg.d_model))
+    errors: list[BaseException] = []
+
+    def encode_share(share: list[list[int]]) -> None:
+        try:
+            for chunk in share:
+                if errors:  # another share failed: the result is lost anyway
+                    return
+                # encode is looked up in the module per call: perfbench wraps it.
+                out[chunk] = encode([seqs[i] for i in chunk], cfg, weights)
+        except BaseException as exc:  # raised in the caller, not by threading.excepthook
+            errors.append(exc)
+
+    # sched_getaffinity is missing on macOS and Windows; there all CPUs count.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n = max(1, min(cpus or 1, len(chunks)))
+    mine, threads = chunks[0::n], []
+    for i in range(1, n):
+        thread = threading.Thread(target=encode_share, args=(chunks[i::n],))
+        try:
+            thread.start()
+            threads.append(thread)
+        except RuntimeError:  # no thread to spare: the caller encodes this share too
+            mine += chunks[i::n]
+    encode_share(mine)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
@@ -340,11 +394,11 @@ def save_weights(cfg: EncoderConfig, weights: EncoderWeights, path: str | Path) 
 def load_weights(
     path: str | Path, vocab_size: int | None = None, ids: list[int] | None = None
 ) -> tuple[EncoderConfig, EncoderWeights]:
-    """Regenerate the weights a ``save_weights`` sidecar describes.  Given one
-    sequence's token ``ids``, the token table holds only ``token_rows(cfg, ids)``,
-    as ``init_weights`` draws them.  A malformed sidecar, a ``vocab_size`` other
-    than the given one (checked before any weight is drawn), weights too large
-    to draw or a CRC-32 mismatch raises ValueError naming the file."""
+    """Regenerate the weights a ``save_weights`` sidecar describes; given one
+    sequence's ``ids``, only the token rows that ``embed`` reads of them.  A
+    malformed sidecar, a ``vocab_size`` other than the given one (checked
+    before any weight is drawn), weights too large to draw or a CRC-32
+    mismatch raises ValueError naming the file."""
     path = Path(path).with_suffix(".json")
     sidecar, _ = io_utils.read_artifact(path, WEIGHTS_FORMAT, WEIGHTS_VERSION)
     try:
@@ -357,7 +411,7 @@ def load_weights(
         raise ValueError(f"{path}: vocab_size {cfg.vocab_size} is not the {vocab_size} terms "
                          "of the lexical index")
     try:
-        weights = init_weights(cfg, None if ids is None else token_rows(cfg, ids))
+        weights = init_weights(cfg, None if ids is None else sorted(set(ids[: cfg.max_seq_len])))
     except MemoryError as exc:
         raise ValueError(f"{path}: cannot draw the weights it describes: {exc}") from None
     if _checksum(weights) != crc32:

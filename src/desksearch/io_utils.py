@@ -1,6 +1,6 @@
 """Write-to-temp-then-rename helpers so failed runs never leave partial files,
 the one JSON-lines codec of every record file, the one container codec of
-every index artifact, and the integer check every config dataclass shares."""
+every index artifact, and the integer and physical-memory checks."""
 
 from __future__ import annotations
 
@@ -25,6 +25,14 @@ def require_int(name: str, value: object, minimum: int) -> None:
     """
     if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def require_memory(need: int, what: str) -> None:
+    """Raise MemoryError if ``need`` bytes of ``what`` exceed physical memory (POSIX only)."""
+    if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", {}):
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if 0 < have < need:
+            raise MemoryError(f"{need} bytes of {what} exceed the {have} bytes of physical memory")
 
 
 def atomic_write_bytes(path: str | Path, blob: bytes) -> None:

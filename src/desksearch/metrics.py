@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .io_utils import require_memory
+
 
 @dataclass
 class ConfusionMatrix:
@@ -42,6 +44,7 @@ def confusion_counts(pairs: list[tuple[int, int]], n_classes: int) -> ConfusionM
     """Count (true, predicted) label pairs into a K x K matrix: one bincount
     of ``true * K + predicted``, which fits int64 whenever the matrix fits in
     memory.  A pair out of range raises ValueError naming the first one."""
+    require_memory(16 * n_classes**2, f"confusion matrix and bincount for n_classes {n_classes}")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     try:
         labels = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)

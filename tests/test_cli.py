@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desksearch import cli, encoder, lexical_index, vector_index
-from desksearch.cli import CONFIG_KEYS, SPLIT_KEYS, _embed, load_config, main
+from desksearch.cli import CONFIG_KEYS, SPLIT_KEYS, load_config, main
 from desksearch.dataset import Review
 from desksearch.io_utils import read_artifact
 from desksearch.text_pipeline import Vocabulary, token_ids, tokenize
@@ -76,7 +76,7 @@ def uneven_config(tmp_path, monkeypatch):
     """The config of an index of 60 docs of 1-20 tokens, lengths in no order.
     A budget of 20 tokens cuts them into 48 chunks of 1-4 docs, so even 5
     CPUs get shares of several unequal chunks."""
-    monkeypatch.setattr(cli, "ENCODE_TOKEN_BUDGET", 20)
+    monkeypatch.setattr(encoder, "ENCODE_TOKEN_BUDGET", 20)
     rng = random.Random(3)
     source = tmp_path / "source.jsonl"
     source.write_text("".join(
@@ -205,7 +205,7 @@ class TestIndex:
         # one empty doc, so a row written to the wrong doc shows.  A budget of
         # 20 tokens also splits each group over several encoder calls.
         if budget is not None:
-            monkeypatch.setattr(cli, "ENCODE_TOKEN_BUDGET", budget)
+            monkeypatch.setattr(encoder, "ENCODE_TOKEN_BUDGET", budget)
         rng = random.Random(8)
         lengths = list(range(1, 21)) * 2
         rng.shuffle(lengths)
@@ -227,7 +227,7 @@ class TestIndex:
         assert vec.doc_ids == [doc_id for doc_id in range(len(texts)) if doc_id != 5]
         for doc_id in vec.doc_ids:
             ids = token_ids(tokenize(texts[doc_id]), lex.vocabulary)
-            assert np.array_equal(vec.get(doc_id), _embed([ids], enc_cfg, weights)[0]), doc_id
+            assert np.array_equal(vec.get(doc_id), encoder.embed([ids], enc_cfg, weights)[0]), doc_id
 
     def test_artifacts_do_not_depend_on_the_cpu_count(
         self, uneven_config, tmp_path, capsys, monkeypatch
@@ -241,7 +241,7 @@ class TestIndex:
         monkeypatch.setattr(threading.Thread, "start", record_start)
         built = {}
         for n in (1, 2, 5):
-            monkeypatch.setattr(cli.os, "sched_getaffinity", cpus(n))
+            monkeypatch.setattr(encoder.os, "sched_getaffinity", cpus(n))
             started.clear()
             assert main(["index", "--config", uneven_config]) == 0
             assert len(started) == n - 1
@@ -258,7 +258,7 @@ class TestIndex:
         def refuse(thread):
             raise RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(cli.os, "sched_getaffinity", cpus(4))
+        monkeypatch.setattr(encoder.os, "sched_getaffinity", cpus(4))
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert main(["index", "--config", uneven_config]) == 0
         assert index_files(tmp_path / "idx") == want
@@ -273,7 +273,7 @@ class TestIndex:
     ):
         # Only a chunk that a worker thread encodes fails; the calling thread's
         # share succeeds, so the error must travel from the worker to main.
-        monkeypatch.setattr(cli.os, "sched_getaffinity", cpus(2))
+        monkeypatch.setattr(encoder.os, "sched_getaffinity", cpus(2))
         encode, failed = encoder.encode, []
 
         def fail_in_worker(*args):
@@ -457,7 +457,7 @@ class TestSearch:
         enc_cfg, weights = encoder.load_weights(index_dir / "weights.json")
         for query in (pipeline["docs"][3], "great food service", "slow staff zzgblx"):
             tokens = tokenize(query)
-            embedding = _embed([token_ids(tokens, lex.vocabulary)], enc_cfg, weights)[0]
+            embedding = encoder.embed([token_ids(tokens, lex.vocabulary)], enc_cfg, weights)[0]
             expected = {
                 "vector": vec.search(embedding, 10),
                 "hybrid": vector_index.search_hybrid(
@@ -474,7 +474,7 @@ class TestSearch:
 
     def test_search_embeds_the_query_as_the_full_weights_do(self, pipeline, capsys, monkeypatch):
         # The search path draws only the query's distinct token rows; the
-        # vector it scans with must still be _embed's with every row drawn.
+        # vector it scans with must still be embed's with every row drawn.
         index_dir = pipeline["index_dir"]
         lex = lexical_index.load_index(index_dir / "lexical_index.json")
         enc_cfg, weights = encoder.load_weights(index_dir / "weights.json")
@@ -503,7 +503,7 @@ class TestSearch:
             )
             assert code == 0
             assert len(tables[-1]) == len(set(ids[: enc_cfg.max_seq_len])) < enc_cfg.vocab_size
-            assert np.array_equal(queries[-1], _embed([ids], enc_cfg, weights)[0])
+            assert np.array_equal(queries[-1], encoder.embed([ids], enc_cfg, weights)[0])
         assert len(ids) > enc_cfg.max_seq_len and len(tables[-1]) == len(FILLER) < len(set(ids))
 
     def test_search_starts_no_thread(self, pipeline, capsys, monkeypatch):
@@ -516,17 +516,20 @@ class TestSearch:
         lex = lexical_index.load_index(index_dir / "lexical_index.json")
         ids = token_ids(tokenize(query), lex.vocabulary)
         want = [search_lines(capsys, argv) for argv in argvs]
-        want_row = cli._embed_query(index_dir / "weights.json", ids, lex.vocabulary.size)[1]
+        def embed_query():  # as search embeds it, from the query's own token rows
+            loaded = encoder.load_weights(index_dir / "weights.json", lex.vocabulary.size, ids)
+            return encoder.embed([ids], *loaded)[0]
+
+        want_row = embed_query()
 
         def refuse(thread):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(cli.os, "sched_getaffinity", cpus(8))
+        monkeypatch.setattr(encoder.os, "sched_getaffinity", cpus(8))
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert [search_lines(capsys, argv) for argv in argvs] == want
         assert all(code == 0 and hits for code, hits in want)
-        row = cli._embed_query(index_dir / "weights.json", ids, lex.vocabulary.size)[1]
-        assert np.array_equal(row, want_row)
+        assert np.array_equal(embed_query(), want_row)
 
     def test_text_with_unicode_line_separators(self, tmp_path, capsys):
         # json.dumps leaves U+2028 and U+0085 unescaped; str.splitlines splits on them.
@@ -622,6 +625,23 @@ class TestDocTexts:
         cli._write_docs(tmp_path, [Review("one", 3, "b")])
         with pytest.raises(cli.CliError, match="line 2 is not doc 1: no such line"):
             cli._doc_texts(tmp_path, 1, [0, 1])
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    missing = str(tmp_path / "missing.jsonl")
+    main(["eval", missing])  # builds the parser, if no earlier call did
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", refuse)
+    assert main(["eval", missing]) == 1
+    assert "cannot read predictions" in capsys.readouterr().err
+    # A parse leaves nothing behind for the next one.
+    parser = cli.build_parser()
+    assert parser.parse_args(["search", "q", "--full", "--k", "3"]).full
+    args = parser.parse_args(["search", "q"])
+    assert not args.full and args.k is None and args.mode == "hybrid"
 
 
 def test_token_ids_look_each_token_up_once():

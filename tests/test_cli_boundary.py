@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desksearch import cli, encoder
+from desksearch import cli, encoder, metrics
 from desksearch.cli import SPLIT_KEYS, main
 from desksearch.dataset import load_reviews
 from desksearch.io_utils import write_artifact
@@ -161,6 +161,44 @@ def test_weights_limit_is_physical_memory_where_sysconf_tells_it(monkeypatch):
     monkeypatch.setattr(encoder.os, "sysconf_names", {})  # as where sysconf cannot tell
     assert len(encoder.init_weights(cfg).layers) == 2
 
+
+def test_confusion_limit_is_physical_memory_where_sysconf_tells_it(monkeypatch):
+    # 16 bytes per cell: the K x K matrix and the bincount it is filled from.
+    monkeypatch.setattr(encoder.os, "sysconf", lambda name: 64)  # 4,096 bytes
+    with pytest.raises(MemoryError, match="4624 bytes of confusion matrix and bincount for "
+                                          "n_classes 17 exceed the 4096 bytes of physical"):
+        metrics.confusion_counts([(0, 1)], 17)
+    assert metrics.confusion_counts([(0, 1)], 16).total == 1
+    monkeypatch.setattr(encoder.os, "sysconf_names", {})  # as where sysconf cannot tell
+    assert metrics.confusion_counts([(0, 1)], 17).total == 1
+
+
+def test_class_count_past_int64_is_out_of_memory_naming_it(tmp_path):
+    # numpy cannot even shape a 2**63 x 2**63 matrix; the check comes first.
+    preds = tmp_path / "p.jsonl"
+    preds.write_text('{"y_true": 1, "y_pred": 0}\n')
+    config = write_config(tmp_path / "c.json", index_dir=str(tmp_path / "out"), n_classes=2**63)
+    code, _, err = run(["eval", str(preds), "--config", config])
+    assert code == 1 and err.startswith("error: out of memory: "), err
+    assert f"for n_classes {2**63} exceed the " in err, err
+
+
+@pytest.mark.parametrize("command, what", [
+    ("ingest", "corpus"), ("index", "corpus"), ("eval", "predictions"), ("config", "config"),
+])
+def test_a_file_that_is_not_utf8_is_named_with_the_bad_bytes_offset(tmp_path, command, what):
+    bad = tmp_path / "bad.jsonl"
+    line = review(0).encode()
+    bad.write_bytes(line + b"\n" + line.replace(b"doc0", b"d\xffc0") + b"\n")
+    offset = len(line) + 1 + line.index(b"doc0") + 1
+    config = write_config(tmp_path / "c.json", corpus=str(bad), index_source=str(bad),
+                          index_dir=str(tmp_path / "out"))
+    argv = {"ingest": ["ingest", "--config", config], "index": ["index", "--config", config],
+            "eval": ["eval", str(bad), "--config", config],
+            "config": ["eval", str(bad), "--config", str(bad)]}[command]
+    code, _, err = run(argv)
+    assert code == 1 and err.startswith(f"error: cannot read {what} {bad}: "), err
+    assert f"can't decode byte 0xff in position {offset}: " in err, err
 
 # Integers are small or beyond 2**63: an accepted size then costs little, or
 # is refused for want of memory before anything is drawn.

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import corrupt_artifact, faults_of
 from hypothesis.extra.numpy import arrays
 
-from desksearch import cli, encoder, io_utils
+from desksearch import encoder, io_utils
 from desksearch.encoder import (
     EncoderConfig,
     cross_entropy,
@@ -451,10 +451,10 @@ class TestBatches:
         weights = init_weights(cfg)
         # A small token budget splits a length group over several chunks, and
         # the CPU count deals the chunks to as many threads.
-        with mock.patch.object(cli, "ENCODE_TOKEN_BUDGET", budget), mock.patch.object(
-            cli.os, "sched_getaffinity", lambda pid: set(range(n_cpus))
+        with mock.patch.object(encoder, "ENCODE_TOKEN_BUDGET", budget), mock.patch.object(
+            encoder.os, "sched_getaffinity", lambda pid: set(range(n_cpus))
         ):
-            rows = cli._embed(sequences, cfg, weights)
+            rows = encoder.embed(sequences, cfg, weights)
         assert rows.shape == (len(sequences), cfg.d_model)
         for ids, row in zip(sequences, rows):
             assert np.array_equal(row, encode(ids[: cfg.max_seq_len], cfg, weights))
@@ -468,10 +468,10 @@ class TestBatches:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(cli, "ENCODE_TOKEN_BUDGET", 8), mock.patch.object(
-                cli.os, "sched_getaffinity", lambda pid: set(range(8))
+            with mock.patch.object(encoder, "ENCODE_TOKEN_BUDGET", 8), mock.patch.object(
+                encoder.os, "sched_getaffinity", lambda pid: set(range(8))
             ):
-                rows = cli._embed(sequences, CFG, weights)
+                rows = encoder.embed(sequences, CFG, weights)
         finally:
             sys.setswitchinterval(interval)
         for ids, row in zip(sequences, rows):
@@ -479,20 +479,20 @@ class TestBatches:
 
     def test_cpu_count_serves_where_affinity_is_missing(self, weights, monkeypatch):
         # As on macOS and Windows, where os has no sched_getaffinity.
-        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(cli, "ENCODE_TOKEN_BUDGET", 4)
+        monkeypatch.delattr(encoder.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(encoder.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(encoder, "ENCODE_TOKEN_BUDGET", 4)
         sequences = [[i % CFG.vocab_size] * (1 + i % 4) for i in range(40)]
         start, started = threading.Thread.start, []
         monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t)))
-        rows = cli._embed(sequences, CFG, weights)
+        rows = encoder.embed(sequences, CFG, weights)
         assert len(started) == 2
         for ids, row in zip(sequences, rows):
             assert np.array_equal(row, encode(ids, CFG, weights))
 
     def test_embedding_no_list_starts_no_thread(self, weights):
         with mock.patch.object(threading.Thread, "start", side_effect=AssertionError):
-            rows = cli._embed([], CFG, weights)
+            rows = encoder.embed([], CFG, weights)
         assert rows.shape == (0, CFG.d_model)
 
 
@@ -552,7 +552,7 @@ class TestTokenRows:
         save_weights(cfg, init_weights(cfg), path)
         cfg2, loaded = load_weights(path, cfg.vocab_size, ids)
         rows = sorted(set(ids[: cfg.max_seq_len]))
-        assert cfg2 == cfg and encoder.token_rows(cfg, ids) == rows
+        assert cfg2 == cfg and loaded.rows.tolist() == rows
         assert np.array_equal(loaded.token_embedding, init_weights(cfg).token_embedding[rows])
 
     @pytest.mark.parametrize("fault", ["weights_checksum_mismatch", "weights_seed_edited"])
@@ -569,6 +569,35 @@ class TestTokenRows:
         sidecar = path.read_bytes()
         save_weights(CFG, init_weights(CFG, [2, 5]), path)
         assert path.read_bytes() == sidecar
+
+    @pytest.mark.parametrize("rows, id_lists", [
+        ([2, 5, 9], [[2, 3]]), ([2, 5, 9], [[0, 2]]), ([2, 5, 9], [[9, 10]]),
+        ([2, 5, 9], [[2, 5], [5, 49]]), ([2, 5, 9], [[9], [5, 4, 2]]), ([], [[0]]),
+    ], ids=["between-rows", "below-first", "past-last", "second-in-batch", "second-chunk",
+            "no-rows"])
+    def test_a_partial_table_refuses_an_id_it_did_not_draw(self, rows, id_lists):
+        # Never silently read from the row that happens to sit at its place.
+        part = init_weights(CFG, rows)
+        with pytest.raises(ValueError, match="not among the rows of this partial weight table"):
+            encoder.embed(id_lists, CFG, part)
+
+    @given(
+        case=small_configs.flatmap(lambda cfg: st.tuples(
+            st.just(cfg),
+            st.lists(st.lists(st.integers(0, cfg.vocab_size - 1), min_size=1, max_size=12),
+                     min_size=1, max_size=8),
+            st.lists(st.integers(0, cfg.vocab_size - 1), max_size=6),
+        )),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_embed_on_a_partial_table_is_embed_on_the_full_one(self, case):
+        # The same global ids on both tables; the partial one holds the rows
+        # of every kept id, plus some that no sequence reads.
+        cfg, id_lists, extra = case
+        read = {i for ids in id_lists for i in ids[: cfg.max_seq_len]}
+        part = init_weights(cfg, sorted(read | set(extra)))
+        want = encoder.embed(id_lists, cfg, init_weights(cfg))
+        assert np.array_equal(encoder.embed(id_lists, cfg, part), want)
 
 
 class TestPersistence:
