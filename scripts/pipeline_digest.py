@@ -10,7 +10,8 @@ CLI three times: ``ingest`` of CORPUS into ``split/``, ``index`` of
 ``eval/``, each with the seed N (default 0).  It prints one ``<sha256>  <name>``
 line per written file, named by its path in that directory, and per command's
 exit code, stdout and stderr (``ingest.exit``, ``ingest.stdout``, ...), where
-``<work>`` stands for the temporary directory's path.  Run
+``<work>`` stands for the temporary directory's path, ``<corpus>`` for CORPUS's
+and ``<predictions>`` for PREDICTIONS'.  Run
 it once per version on the same inputs with that version's ``src`` on
 PYTHONPATH, and compare the outputs with ``diff``.  It is the byte-identity
 check for the offline stages, as ``scripts/hit_digest.py`` is for rankings.
@@ -33,6 +34,8 @@ def run_pipeline(corpus: Path, predictions: Path, seed: int, work: Path) -> dict
     """Run the three commands in ``work``; each one's exit code, stdout and
     stderr by name, as bytes."""
     config = work / "config.json"
+    # A message naming a file names it the same way wherever the files are.
+    placeholders = {str(work): "<work>", str(corpus): "<corpus>", str(predictions): "<predictions>"}
     outputs = {}
     for command, index_dir, args in (
         ("ingest", "split", []),
@@ -48,8 +51,8 @@ def run_pipeline(corpus: Path, predictions: Path, seed: int, work: Path) -> dict
             code = cli_main([command, *args, "--config", str(config)])
         outputs[f"{command}.exit"] = str(code).encode()
         for stream, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue())):
-            # A message naming a file here names it the same way in every run.
-            text = text.replace(str(work), "<work>")
+            for path in sorted(placeholders, key=len, reverse=True):  # longest first
+                text = text.replace(path, placeholders[path])
             outputs[f"{command}.{stream}"] = text.encode("utf-8", "surrogatepass")
     config.unlink()
     return outputs

@@ -30,6 +30,11 @@ DOCS_FILE = "docs.jsonl"
 OFFSETS_FILE = "doc_offsets.bin"
 OFFSETS_FORMAT = "desksearch-doc-offsets"
 OFFSETS_VERSION = 1
+# Bytes per confusion-matrix cell that eval holds at its peak: the counts and
+# their bincount, the row-normalized copy, and each CSV as text and as UTF-8
+# bytes.  Peak RSS grew 26.1-26.4 bytes per cell for K = 500..2000; the rest is
+# headroom for cells longer than "0" and "0.0".
+EVAL_BYTES_PER_CELL = 32
 
 
 class CliError(Exception):
@@ -319,28 +324,37 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read predictions {predictions_path}: {exc}") from exc
 
-    decode, parse_label, n_classes = io_utils.decode_json, dataset.parse_label, cfg.n_classes
-    pairs: list[tuple[int, int]] = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = decode(line)
-            y_true = parse_label(record["y_true"], "y_true")
-            y_pred = parse_label(record["y_pred"], "y_pred")
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise CliError(f"{predictions_path}: line {line_no}: bad record: {exc}") from exc
-        for label in (y_true, y_pred):
-            if not 0 <= label < n_classes:
+    n_classes, ys_true, ys_pred, line_no = cfg.n_classes, [], [], 0
+    try:
+        for line_no, record in io_utils.json_lines(lines):
+            y_true = record["y_true"]
+            if type(y_true) is not int:
+                y_true = dataset.parse_label(y_true, "y_true")
+            y_pred = record["y_pred"]
+            if type(y_pred) is not int:
+                y_pred = dataset.parse_label(y_pred, "y_pred")
+            if not 0 <= y_true < n_classes > y_pred >= 0:  # both labels in range
+                label = y_pred if 0 <= y_true < n_classes else y_true
                 raise CliError(
                     f"{predictions_path}: line {line_no}: label {label} out of range "
                     f"for {n_classes} classes"
                 )
-        pairs.append((y_true, y_pred))
-    if not pairs:
+            ys_true.append(y_true)
+            ys_pred.append(y_pred)
+    except io_utils.JSONLineError as exc:
+        raise CliError(f"{predictions_path}: line {exc.line_no}: bad record: {exc.error}") from exc
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise CliError(f"{predictions_path}: line {line_no}: bad record: {exc}") from exc
+    if not ys_true:
         raise CliError(f"{predictions_path} contains no predictions")
 
-    cm = metrics.confusion_counts(pairs, cfg.n_classes)
+    # Before any label becomes int64 (one past int64 fits only a matrix that
+    # cannot) and before any file is written.
+    io_utils.require_memory(
+        EVAL_BYTES_PER_CELL * n_classes**2,
+        f"confusion matrices and CSVs for n_classes {n_classes}",
+    )
+    cm = metrics.confusion_counts(np.array([ys_true, ys_pred], dtype=np.int64).T, n_classes)
     report = metrics.compute_report(cm)
     out_dir = Path(cfg.index_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -82,11 +82,8 @@ def load_reviews(path: str | Path) -> LoadResult:
     and counting blank and bad lines."""
     lines = io_utils.read_lines(path)
     reviews: list[Review] = []
-    for line in lines:
-        if line.strip() == "":
-            continue
+    for _, record in io_utils.json_lines(lines, skip_bad=True):
         try:
-            record = io_utils.decode_json(line)
             text, business_id = record["text"], record["business_id"]
             if not isinstance(text, str) or not isinstance(business_id, str):
                 raise ValueError("text and business_id must be strings")
@@ -96,7 +93,7 @@ def load_reviews(path: str | Path) -> LoadResult:
                 text=text, stars=parse_label(record["stars"], "stars"), business_id=business_id
             )
         except (KeyError, TypeError, ValueError, RecursionError):
-            continue  # json raises JSONDecodeError, a ValueError, or RecursionError if too deep
+            continue
         reviews.append(review)
     return LoadResult(reviews=reviews, skipped=len(lines) - len(reviews))
 

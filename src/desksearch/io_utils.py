@@ -64,18 +64,40 @@ def read_lines(path: str | Path) -> list[str]:
     return lines
 
 
-def decode_json(line: str):
-    """``json.loads(line)``: the same value of the same types, or the same
-    exception with the same message.  A value that ends exactly where the line
-    does is decoded without ``json.loads``' per-call cost; anything else
-    (whitespace around it, a BOM, extra data, any error) goes to ``json.loads``."""
-    try:
-        value, end = _raw_decode(line)
-        if end == len(line):
-            return value
-    except (ValueError, RecursionError):  # json.loads raises it again, or its own error
-        pass
-    return json.loads(line)
+class JSONLineError(ValueError):
+    """A line of a record file that ``json.loads`` rejects: ``line_no``, its
+    number from 1, and ``error``, the ``ValueError`` or ``RecursionError``
+    that ``json.loads`` raised."""
+
+    def __init__(self, line_no: int, error: Exception) -> None:
+        super().__init__(f"line {line_no}: {error}")
+        self.line_no, self.error = line_no, error
+
+
+def json_lines(lines, skip_bad: bool = False):
+    """Yield ``(line_no, json.loads(line))`` for each line of ``lines`` that is
+    not blank (``str.strip``), numbered from 1: the same value of the same
+    types.  A value that ends exactly where the line does is decoded without
+    ``json.loads``' per-call cost; anything else (whitespace around it, a BOM,
+    extra data, any error) goes to ``json.loads``.  A line it rejects is
+    skipped with ``skip_bad``, else raises ``JSONLineError``."""
+    raw_decode, loads = _raw_decode, json.loads
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            value, end = raw_decode(line)
+            decoded = end == len(line)
+        except (ValueError, RecursionError):  # json.loads raises it again, or its own error
+            decoded = False
+        if not decoded:
+            try:
+                value = loads(line)
+            except (ValueError, RecursionError) as exc:
+                if skip_bad:
+                    continue
+                raise JSONLineError(line_no, exc) from exc
+        yield line_no, value
 
 
 def encode_json(value) -> str:

@@ -40,14 +40,15 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
-def confusion_counts(pairs: list[tuple[int, int]], n_classes: int) -> ConfusionMatrix:
-    """Count (true, predicted) label pairs into a K x K matrix: one bincount
-    of ``true * K + predicted``, which fits int64 whenever the matrix fits in
+def confusion_counts(pairs, n_classes: int) -> ConfusionMatrix:
+    """Count (true, predicted) label pairs, a list of int tuples or an
+    ``(n, 2)`` int64 array, into a K x K matrix: one bincount of
+    ``true * K + predicted``, which fits int64 whenever the matrix fits in
     memory.  A pair out of range raises ValueError naming the first one."""
     require_memory(16 * n_classes**2, f"confusion matrix and bincount for n_classes {n_classes}")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     try:
-        labels = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        labels = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
         in_range = ((labels >= 0) & (labels < n_classes)).all(axis=1)
     except OverflowError:  # a label beyond int64 is out of range too
         in_range = np.array([0 <= t < n_classes and 0 <= p < n_classes for t, p in pairs])

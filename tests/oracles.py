@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import re
 
 
 def naive_term_ids(corpus: list[list[str]]) -> dict[str, int]:
@@ -210,13 +212,33 @@ def naive_load_reviews(path) -> tuple[list[tuple[str, int, str]], int]:
     return reviews, skipped
 
 
-def naive_eval(path, n_classes: int) -> list[tuple[int, int]] | str:
-    """The (true, predicted) pairs of a predictions file, or the message of
-    its first bad line: lines as ``open()`` iterates them, numbered from 1,
-    each decoded by ``json.loads`` without its newline; blank lines skipped."""
+# Bytes per confusion-matrix cell that eval checks against physical memory.
+EVAL_BYTES_PER_CELL = 32
+
+
+def naive_eval(path, n_classes: int) -> tuple[int, str, str, dict[str, bytes]]:
+    """What ``desksearch eval`` must give for a predictions file and a valid
+    ``n_classes``: its exit code, stdout, stderr and the files it writes, by
+    name.  The file is decoded whole; its lines end at ``\n``, ``\r\n`` or
+    ``\r``, are numbered from 1 and are skipped when blank (``str.strip``).
+    Each other line is checked in turn: ``json.loads``, the ``y_true`` key
+    and type, the ``y_pred`` key and type, then both ranges.  Then the file
+    must hold a prediction, and the matrices and CSVs must fit in physical
+    memory."""
+
+    def error(message: str) -> tuple[int, str, str, dict[str, bytes]]:
+        return 1, "", f"error: {message}\n", {}
+
+    try:
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return error(f"cannot read predictions {path}: {exc}")
+    lines = re.split("\r\n|\r|\n", text)
+    if lines[-1] == "":  # what follows the last line end, or an empty file
+        lines.pop()
     pairs = []
-    for line_no, line in enumerate(_file_lines(path), start=1):
-        line = line[:-1] if line.endswith("\n") else line
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -227,12 +249,53 @@ def naive_eval(path, n_classes: int) -> list[tuple[int, int]] | str:
                 if label is None:
                     raise ValueError(f"{name} must be an integer, got {record[name]!r}")
                 labels.append(label)
-        except (TypeError, KeyError, ValueError) as exc:
-            return f"{path}: line {line_no}: bad record: {exc}"
+        except (TypeError, KeyError, ValueError, RecursionError) as exc:
+            return error(f"{path}: line {line_no}: bad record: {exc}")
         for label in labels:
             if not 0 <= label < n_classes:
-                return (
+                return error(
                     f"{path}: line {line_no}: label {label} out of range for {n_classes} classes"
                 )
         pairs.append(tuple(labels))
-    return pairs if pairs else f"{path} contains no predictions"
+    if not pairs:
+        return error(f"{path} contains no predictions")
+    need = EVAL_BYTES_PER_CELL * n_classes**2
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 0 < have < need:
+        return error(
+            f"out of memory: {need} bytes of confusion matrices and CSVs for n_classes "
+            f"{n_classes} exceed the {have} bytes of physical memory"
+        )
+
+    k = n_classes
+    counts = [[0] * k for _ in range(k)]
+    for t, p in pairs:
+        counts[t][p] += 1
+    supports = [sum(row) for row in counts]
+    predicted = [sum(row[q] for row in counts) for q in range(k)]
+    m = metrics_from_pairs(pairs, k)
+    report = {
+        "accuracy": m["accuracy"],
+        "weighted_f1": m["weighted_f1"],
+        "per_class": [
+            {"class": q, "precision": m["precision"][q], "recall": m["recall"][q],
+             "f1": m["f1"][q], "support": supports[q]}
+            for q in range(k)
+        ],
+        "degenerate_classes": [q for q in range(k) if supports[q] == 0 or predicted[q] == 0],
+    }
+
+    def csv(cell) -> bytes:
+        rows = [["true\\pred", *map(str, range(k))]]
+        rows += [[str(t), *(cell(t, p) for p in range(k))] for t in range(k)]
+        return "".join(",".join(row) + "\n" for row in rows).encode()
+
+    files = {
+        "report.json": (json.dumps(report, indent=2) + "\n").encode(),
+        "confusion.csv": csv(lambda t, p: str(counts[t][p])),
+        "confusion_normalized.csv": csv(
+            lambda t, p: repr(counts[t][p] / supports[t] if supports[t] else 0.0)
+        ),
+    }
+    stdout = json.dumps({"accuracy": m["accuracy"], "weighted_f1": m["weighted_f1"]}) + "\n"
+    return 0, stdout, "", files

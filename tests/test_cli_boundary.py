@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import naive_eval
 
 from desksearch import cli, encoder, metrics
 from desksearch.cli import SPLIT_KEYS, main
@@ -173,6 +174,21 @@ def test_confusion_limit_is_physical_memory_where_sysconf_tells_it(monkeypatch):
     assert metrics.confusion_counts([(0, 1)], 17).total == 1
 
 
+def test_eval_outputs_limit_is_physical_memory_where_sysconf_tells_it(tmp_path, monkeypatch):
+    # 17 classes: the matrix and bincount take 4,624 bytes and fit in 6,400;
+    # the matrices and CSVs of eval, at 32 bytes per cell, take 9,248 and do not.
+    preds = tmp_path / "p.jsonl"
+    preds.write_text('{"y_true": 16, "y_pred": 0}\n')
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", index_dir=str(out_dir), n_classes=17)
+    monkeypatch.setattr(encoder.os, "sysconf", lambda name: 80)  # 6,400 bytes
+    assert metrics.confusion_counts([(16, 0)], 17).total == 1
+    code, out, err = run(["eval", str(preds), "--config", config])
+    assert (code, out) == (1, "") and not out_dir.exists()
+    assert err == ("error: out of memory: 9248 bytes of confusion matrices and CSVs for "
+                   "n_classes 17 exceed the 6400 bytes of physical memory\n"), err
+
+
 def test_class_count_past_int64_is_out_of_memory_naming_it(tmp_path):
     # numpy cannot even shape a 2**63 x 2**63 matrix; the check comes first.
     preds = tmp_path / "p.jsonl"
@@ -324,25 +340,71 @@ def test_any_corpus_file(data, lines):
 PREDICTION = st.fixed_dictionaries({}, optional={
     "y_true": values([0, 4, 2.0]), "y_pred": values([1, 3.0]),
 })
+# A label's JSON text: mostly one in range for 2 or 5 classes; else one that
+# is out of range, past int64, or no integer label at all.
+LABEL = mostly(st.sampled_from(["0", "1", "3", "4", "2.0", "-0", "1E0"]), st.sampled_from([
+    "-1", "5", str(2**63), str(-(2**64)), "1.7", "true", "null", '"3"', "NaN", "-Infinity",
+    "1e400", "[0]",
+]))
 
 
-@FUZZ
+@st.composite
+def prediction_lines(draw) -> str:
+    """One line of a predictions file: a record, with a duplicate or a missing
+    key, spaces or tabs around it, a BOM, extra data after it or nested too
+    deeply; or a line that str.strip finds blank though JSON allows no such
+    whitespace; or any JSON value."""
+    how = draw(st.sampled_from(["record"] * 6 + ["blank", "any"]))
+    if how == "blank":
+        return draw(st.text(st.sampled_from(" \t\x0c\x0b\xa0\x1c\u2028\u3000"), max_size=3))
+    if how == "any":
+        return draw(st.one_of(PREDICTION.map(json.dumps), JSON.map(json.dumps)))
+    keys = draw(st.sampled_from(
+        [["y_true", "y_pred"]] * 4
+        + [["y_pred", "y_true"], ["y_true"], ["y_pred"], [], ["y_true", "y_pred", "y_true"],
+           ["y_true", "y_pred", "y_pred"], ["y_pred", "y_true", "y_pred"]]
+    ))
+    line = "{" + ", ".join(f'"{key}": {draw(LABEL)}' for key in keys) + "}"
+    for edit in draw(st.lists(st.sampled_from(["pad", "bom", "extra", "deep"]), max_size=2)):
+        if edit == "pad":
+            pad = st.text(st.sampled_from(" \t"), min_size=1, max_size=2)
+            line = draw(pad | st.just("")) + line + draw(pad)
+        elif edit == "bom":
+            line = "\ufeff" + line
+        elif edit == "extra":
+            line += draw(st.sampled_from([" {}", "x", ",", " 1", "}"]))
+        else:
+            line = "[" * 5000 + line + "]" * 5000
+    return line
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
     lines=st.lists(mostly(
         st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
             lambda p: json.dumps({"y_true": p[0], "y_pred": p[1]})),
-        st.one_of(PREDICTION.map(json.dumps), JSON.map(json.dumps), st.just(" ")),
+        prediction_lines(),
     ), max_size=6),
     n_classes=st.sampled_from([2, 5, 5, 2**63]) | INTS,
 )
 def test_any_predictions_file(data, lines, n_classes):
+    """eval gives what the naive loop of tests/oracles.py gives: the same exit
+    code, stdout, stderr and files."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         preds = work / "p.jsonl"
-        preds.write_bytes(data.draw(damaged(lines)))
-        config = write_config(work / "c.json", index_dir=str(work / "out"), n_classes=n_classes)
-        run(["eval", str(preds), "--config", config])
+        preds.write_bytes(data.draw(damaged(lines, st.sampled_from([b"\n", b"\r\n", b"\r"]))))
+        out_dir = work / "out"
+        config = write_config(work / "c.json", index_dir=str(out_dir), n_classes=n_classes)
+        code, out, err = run(["eval", str(preds), "--config", config])
+        files = {f.name: f.read_bytes() for f in out_dir.iterdir()} if out_dir.exists() else {}
+        if n_classes < 2:
+            expected = (1, "", f"error: invalid configuration: n_classes must be an integer "
+                               f">= 2, got {n_classes}\n", {})
+        else:
+            expected = naive_eval(preds, n_classes)
+        assert (code, out, err, files) == expected
 
 
 @FUZZ

@@ -5,18 +5,17 @@ how ingest splits and skips lines, and how eval reads or rejects them."""
 import contextlib
 import io
 import json
-import math
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import metrics_from_pairs, naive_eval, naive_load_reviews
+from oracles import naive_eval, naive_load_reviews
 
 from desksearch.cli import main
 from desksearch.dataset import load_reviews
-from desksearch.io_utils import decode_json, encode_json, read_lines
+from desksearch.io_utils import JSONLineError, encode_json, json_lines, read_lines
 from desksearch.metrics import confusion_counts
 
 SURROGATES = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
@@ -52,6 +51,27 @@ def outcome(decode, text):
     return "value", type(value), repr(value)
 
 
+def line_outcome(text):
+    """``outcome`` of a file whose one line is ``text``, read by ``json_lines``:
+    the value of line 1, or the ``json.loads`` error that its ``JSONLineError``
+    carries; None for a blank line, which it skips."""
+    try:
+        records = list(json_lines([text]))
+    except JSONLineError as exc:
+        assert exc.line_no == 1
+        return "raised", type(exc.error), str(exc.error)
+    if not records:
+        return None
+    [(line_no, value)] = records
+    assert line_no == 1
+    return "value", type(value), repr(value)
+
+
+def loads_outcome(text):
+    """``outcome`` of ``json.loads(text)``; None for a blank line."""
+    return outcome(json.loads, text) if text.strip() else None
+
+
 @st.composite
 def json_documents(draw):
     value, ascii_only = draw(JSON_VALUES), draw(st.booleans())
@@ -71,16 +91,16 @@ class TestDecodeJson:
     @settings(max_examples=200, deadline=None)
     @given(json_documents())
     def test_matches_json_loads(self, text):
-        assert outcome(decode_json, text) == outcome(json.loads, text)
+        assert line_outcome(text) == loads_outcome(text)
 
     @settings(max_examples=200, deadline=None)
     @given(TEXT)
     def test_matches_json_loads_on_any_string(self, text):
-        assert outcome(decode_json, text) == outcome(json.loads, text)
+        assert line_outcome(text) == loads_outcome(text)
 
     @pytest.mark.parametrize("text", ['{"a": 1}', "  [1]", "[1]\r\n", "\ufeff1", "1 x"])
     def test_hand_cases(self, text):
-        assert outcome(decode_json, text) == outcome(json.loads, text)
+        assert line_outcome(text) == loads_outcome(text)
 
 
 @settings(max_examples=150, deadline=None)
@@ -91,7 +111,7 @@ def test_encode_json_matches_json_dumps(value):
 
 def test_nested_too_deep_raises_as_json_loads_does():
     text = "[" * 100_000
-    assert outcome(decode_json, text) == outcome(json.loads, text)
+    assert line_outcome(text) == loads_outcome(text)
 
 
 # Lines of record files: good records, blank and whitespace-only lines, raw
@@ -198,13 +218,16 @@ class TestLoadReviewsAgainstNaiveLoop:
 
 
 def run_eval(path, n_classes=5):
-    """(exit code, stdout, stderr) of ``desksearch eval`` on ``path``."""
+    """(exit code, stdout, stderr, files written by name) of ``desksearch
+    eval`` on ``path``."""
     config = path.parent / "c.json"
-    config.write_text(json.dumps({"index_dir": str(path.parent / "out"), "n_classes": n_classes}))
+    out_dir = path.parent / "out"
+    config.write_text(json.dumps({"index_dir": str(out_dir), "n_classes": n_classes}))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["eval", str(path), "--config", str(config)])
-    return code, out.getvalue(), err.getvalue()
+    files = {f.name: f.read_bytes() for f in out_dir.iterdir()} if out_dir.exists() else {}
+    return code, out.getvalue(), err.getvalue(), files
 
 
 class TestEvalAgainstNaiveLoop:
@@ -216,15 +239,7 @@ class TestEvalAgainstNaiveLoop:
     def test_same_metrics_or_error_line(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("eval") / "predictions.jsonl"
         path.write_bytes(text.encode("utf-8"))
-        code, out, err = run_eval(path)
-        expected = naive_eval(path, 5)
-        if isinstance(expected, str):
-            assert (code, out, err) == (1, "", f"error: {expected}\n")
-        else:
-            assert (code, err) == (0, "")
-            printed, oracle = json.loads(out), metrics_from_pairs(expected, 5)
-            for name in ("accuracy", "weighted_f1"):
-                assert math.isclose(printed[name], oracle[name], rel_tol=0, abs_tol=1e-12)
+        assert run_eval(path) == naive_eval(path, 5)
 
 
 class TestConfusionCounts:

@@ -71,6 +71,27 @@ def test_traced_index_reports_encoder_spans(perfbench, tmp_path):
     assert tracer.layer_value("io_utils.bytes_written", tracing.BUILD, "count") == written
 
 
+def test_traced_eval_reports_the_metrics_spans(perfbench, tmp_path):
+    """eval must reach the metrics functions through their module, where
+    perfbench wraps them, or their spans read 0 with no error."""
+    _, tracing = perfbench
+    preds = tmp_path / "p.jsonl"
+    preds.write_text("".join(
+        json.dumps({"y_true": i % 5, "y_pred": i * 3 % 5}) + "\n" for i in range(50)
+    ))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"index_dir": str(tmp_path / "out")}))
+    tracer = installed_tracer(perfbench)
+    tracer.begin(tracing.BUILD)
+    try:
+        assert cli.main(["eval", str(preds), "--config", str(config)]) == 0
+    finally:
+        tracer.end()
+    for span in ("metrics.confusion_counts", "metrics.compute_report",
+                 "metrics.confusion_to_csv"):
+        assert tracer.layer_value(span, tracing.BUILD, "incl") > 0, span
+
+
 def test_traced_searches_count_the_query_terms_postings(perfbench):
     """perfbench counts postings as len(index.postings[t]); through a lexical
     search and through the lexical side of a hybrid search, that must be the
