@@ -309,12 +309,7 @@ def cmd_search(cfg: RunConfig, query: str, mode: str, full_text: bool) -> int:
     for hit, text in zip(hits, texts):
         if not full_text:
             text = text[:SNIPPET_LEN]
-        print(
-            json.dumps(
-                {"doc_id": hit.doc_id, "score": hit.score, "text": text},
-                ensure_ascii=False,
-            )
-        )
+        print(io_utils.encode_json({"doc_id": hit.doc_id, "score": hit.score, "text": text}))
     return 0
 
 

@@ -11,18 +11,22 @@ be negative, scores live in [-1, 1].
 On disk the terms are a sorted table, as in a Lucene terms dictionary: their
 UTF-8 bytes in ascending order, NUL-separated, and ``term_ids``, the id of
 each.  Ids keep their first-occurrence numbering, so the postings and the
-norms do not depend on the order.  A loaded index looks a term up by
-bisection in that table (``TermTable``) and builds no dict of the terms.
+norms do not depend on the order.  A loaded index reads that table in
+place (``TermTable``): it keeps the terms as the file's bytes, finds their
+bounds from the NULs, and looks a term up by bisecting 8-byte prefix keys.
+No term becomes a ``str`` and no df an ``int`` until it is asked for
+(``DocFreqs``), yet every load still checks every term: UTF-8, the count,
+a non-empty first term, a strict rise, then the ids' permutation and the
+postings.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from bisect import bisect_left
-from collections.abc import Mapping
+from bisect import bisect_left, bisect_right
+from collections.abc import ItemsView, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -60,27 +64,139 @@ def top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> list[SearchHit]:
 
 
 class TermTable(Mapping):
-    """A read-only term -> id mapping over terms in ascending code-point
-    order: ``ids[i]`` is the id of ``terms[i]``.  ``[]`` is one bisection of
-    the terms; ``get``, ``in``, ``==`` and the views are ``Mapping``'s."""
+    """A read-only term -> id mapping over ``blob``, the UTF-8 bytes of terms
+    in ascending order, NUL-separated: ``ids[i]`` is the id of the i-th term.
+    The terms stay bytes, found between the NULs.  Each has an 8-byte prefix
+    key, its first bytes as a big-endian integer, zero past its end, so keys
+    order as the terms do.  ``[]`` encodes the probe and bisects the keys,
+    then the bytes where keys tie; only iterating decodes the terms.
+    ``items()`` pairs them with ``ids`` in one pass; ``get``, ``in``, ``==``
+    and the other views are ``Mapping``'s."""
 
-    __slots__ = ("_terms", "_ids")
+    __slots__ = ("_bytes", "_bounds", "_keys", "_ids")
 
-    def __init__(self, terms: list[str], ids: np.ndarray) -> None:
-        self._terms, self._ids = terms, ids
+    def __init__(self, blob, ids: np.ndarray) -> None:
+        # A NUL before the first term, and 8 zero bytes after the last that
+        # end it and give it a whole prefix window.  Term i lies between the
+        # zero bytes at bounds[i] and bounds[i + 1]; no bytes hold no terms.
+        self._bytes = b"".join((b"\0", blob, bytes(8)))
+        padded = np.frombuffer(self._bytes, np.uint8)
+        n_bytes = len(padded) - 9
+        bounds = np.flatnonzero(padded[: n_bytes + 2] == 0) if n_bytes else np.zeros(1, np.intp)
+        # Memoryviews: [] reads Python ints from them faster than from arrays.
+        self._bounds = memoryview(bounds)
+        self._keys = memoryview(_prefix_keys(self._bytes, bounds[:-1], bounds[1:], 0))
+        self._ids = ids
+
+    def rises_strictly(self) -> bool:
+        """Whether each term's bytes sort after the previous term's, as the
+        decoded terms would (UTF-8 byte order is code-point order): by their
+        prefix keys, then by the next 8 bytes of each pair whose keys tie,
+        and the few pairs that tie on 32 bytes by their whole bytes."""
+        keys, bounds = np.asarray(self._keys), np.asarray(self._bounds)
+        if not (keys[1:] >= keys[:-1]).all():
+            return False
+        pairs, offset = np.flatnonzero(keys[1:] == keys[:-1]), 0
+        while len(pairs) and offset < 32:
+            # Each pair's terms lie between the zero bytes at a, b and b, c.
+            a, b, c = bounds[pairs], bounds[pairs + 1], bounds[pairs + 2]
+            # Equal bytes up to offset + 8, where both end: equal terms.
+            if (np.maximum(b - a, c - b) <= offset + 9).any():
+                return False
+            offset += 8
+            lo = _prefix_keys(self._bytes, a, b, offset)
+            hi = _prefix_keys(self._bytes, b, c, offset)
+            if (hi < lo).any():
+                return False
+            pairs = pairs[hi == lo]
+        return all(self._term_bytes(i) < self._term_bytes(i + 1) for i in pairs.tolist())
+
+    def _term_bytes(self, i: int) -> bytes:
+        return self._bytes[self._bounds[i] + 1 : self._bounds[i + 1]]
 
     def __getitem__(self, term: str) -> int:
-        terms = self._terms
-        i = bisect_left(terms, term)
-        if i < len(terms) and terms[i] == term:
+        try:
+            probe = term.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate is in no UTF-8 table
+            raise KeyError(term) from None
+        keys, bounds = self._keys, self._bounds
+        key = int.from_bytes(probe[:8].ljust(8, b"\0"), "big")
+        i = bisect_left(keys, key)
+        if i + 1 < len(keys) and keys[i + 1] == key:  # terms that share 8 bytes
+            i = bisect_left(range(bisect_right(keys, key, i)), probe, i, key=self._term_bytes)
+        if i < len(keys) and self._bytes[bounds[i] + 1 : bounds[i + 1]] == probe:
             return self._ids.item(i)
         raise KeyError(term)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._keys)
 
     def __iter__(self):
-        return iter(self._terms)
+        text = str(memoryview(self._bytes)[1:-8], "utf-8")
+        return iter(text.split("\0") if text else ())
+
+    def items(self):
+        return _TermItems(self)
+
+
+class _TermItems(ItemsView):
+    """A ``TermTable``'s items: the decoded terms zipped with their ids."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._ids.tolist())
+
+
+# _KEY_MASKS[n] keeps the high n bytes of a 64-bit key.
+_KEY_MASKS = np.array([(1 << 64) - (1 << (64 - 8 * n)) for n in range(9)], dtype=np.uint64)
+
+
+def _prefix_keys(padded: bytes, before: np.ndarray, after: np.ndarray, offset: int) -> np.ndarray:
+    """The bytes [offset, offset + 8) of each term of ``padded`` that lies
+    between the zero bytes at ``before`` and ``after``, as one big-endian
+    uint64, zero past the term's end.  Terms hold no zero byte, so the keys
+    order as those bytes do, a term before its extensions."""
+    # Every 8 bytes from byte offset + 1 on: unaligned, overlapping, in place.
+    windows = np.ndarray((len(padded) - 8 - offset,), ">u8", padded, 1 + offset, (1,))
+    keys = windows[before].astype(np.uint64)  # not take(), which copies all of windows
+    kept = after - before
+    kept -= 1 + offset
+    keys &= _KEY_MASKS.take(np.clip(kept, 0, 8, out=kept))
+    return keys
+
+
+class DocFreqs(Sequence):
+    """Each term id's df, read from a CSR ``term_ptr`` when it is asked for:
+    a read-only sequence equal to the list ``np.diff(term_ptr).tolist()``."""
+
+    __slots__ = ("_ptr",)
+
+    def __init__(self, term_ptr: np.ndarray) -> None:
+        self._ptr = term_ptr
+
+    def __len__(self) -> int:
+        return len(self._ptr) - 1
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return self.tolist()[t]
+        n = len(self._ptr) - 1
+        if not -n <= t < n:
+            raise IndexError(f"term id {t} out of range for {n} terms")
+        t %= n
+        return self._ptr.item(t + 1) - self._ptr.item(t)
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def tolist(self) -> list[int]:
+        return np.diff(self._ptr).tolist()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, DocFreqs):
+            other = other.tolist()
+        return self.tolist() == other if isinstance(other, list) else NotImplemented
 
 
 @dataclass(eq=False)
@@ -206,15 +322,16 @@ def load_index(path: str | Path) -> InvertedIndex:
         return ValueError(f"{path}: malformed lexical index: {why}")
 
     try:
-        terms = str(blob, "utf-8").split("\0") if len(blob) else []
+        str(blob, "utf-8")  # checked whole; only iterating the table decodes terms
     except UnicodeDecodeError as exc:
         raise malformed(f"terms are not UTF-8: {exc}") from None
-    if len(terms) != n_terms:
-        raise malformed(f"{len(terms)} NUL-separated terms, expected n_terms {n_terms}")
-    if terms and not terms[0]:
+    table = TermTable(blob, term_ids)
+    if len(table) != n_terms:
+        raise malformed(f"{len(table)} NUL-separated terms, expected n_terms {n_terms}")
+    if n_terms and blob[0] == 0:
         raise malformed("the first term is empty")
     # Rising strictly, from a non-empty first term: unique and non-empty.
-    if not all(map(operator.lt, terms, islice(terms, 1, None))):
+    if not table.rises_strictly():
         raise malformed("terms must rise strictly")
     # n_terms ids, each in range, that cover every id: a permutation.
     covered = np.zeros(n_terms, dtype=bool)
@@ -234,5 +351,5 @@ def load_index(path: str | Path) -> InvertedIndex:
         raise malformed("tf must be >= 1")
     if not ((doc_norms >= 0.0) & (doc_norms < math.inf)).all():  # NaN fails both
         raise malformed("doc_norms must be finite non-negative floats")
-    vocab = Vocabulary(TermTable(terms, term_ids), np.diff(term_ptr).tolist(), n_docs)
+    vocab = Vocabulary(table, DocFreqs(term_ptr), n_docs)
     return InvertedIndex(vocab, Postings(term_ptr, doc_ids, tf), doc_norms)

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import operator
 import random
 import tempfile
 from collections import Counter
 from collections.abc import Mapping
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from oracles import brute_force_lexical, naive_postings
 
 from desksearch.lexical_index import (
+    DocFreqs,
     InvertedIndex,
     TermTable,
     build_index,
@@ -356,6 +359,24 @@ TERMS = st.one_of(
 )
 
 
+# Terms that tie on their first 8, 16 or 32 UTF-8 bytes, end at or across a
+# window edge (the 2- to 4-byte characters), or are a prefix of another.
+SHARED_STEMS = [
+    "", "abcdefg", "abcdefgh", "abcdefg\u00e9", "abcdefghijklmno", "abcdefghijklmnop",
+    "abcdefghijklmnopqrstuvwxyz01234", "abcdefghijklmnopqrstuvwxyz012345",
+]
+LONG_TERMS = st.builds(
+    operator.add,
+    st.sampled_from(SHARED_STEMS),
+    st.text(st.sampled_from(["a", "b", "\u00e9", "\u20ac", "\uffff", "\U00010000", "\U0001f600"]),
+            max_size=10),
+)
+
+
+def python_rises(terms) -> bool:
+    return all(map(operator.lt, terms, islice(terms, 1, None)))
+
+
 class TestTermTable:
     @given(
         docs=st.lists(st.lists(TERMS, max_size=6), max_size=8),
@@ -401,12 +422,68 @@ class TestTermTable:
         assert ("a", built["a"]) in table.items() and ("a", -1) not in table.items()
 
     def test_lookups_bisect_the_sorted_terms(self):
-        table = TermTable(["a", "ab", "b"], np.array([2, 0, 1], dtype=np.int32))
+        table = TermTable(b"a\0ab\0b", np.array([2, 0, 1], dtype=np.int32))
         assert dict(table.items()) == {"a": 2, "ab": 0, "b": 1}
         assert [table.get(t) for t in ("", "a", "aa", "ab", "abc", "b", "c")] == [
             None, 2, None, 0, None, 1, None
         ]
         assert table != {"a": 2, "ab": 0} and table != {"a": 2, "ab": 0, "b": 2}
+
+    @given(st.lists(LONG_TERMS, max_size=12), st.sampled_from(["as drawn", "sorted", "unique"]))
+    @settings(max_examples=400, deadline=None)
+    def test_rising_check_is_the_python_one(self, terms, order):
+        """Empty terms, duplicates, shared 8-, 16- and 32-byte prefixes, a
+        term that is a prefix of the next, multi-byte characters across a
+        window edge and single terms: the 8-byte-key check agrees with ``<``
+        on the decoded terms of the blob."""
+        if order != "as drawn":
+            terms = sorted(set(terms) if order == "unique" else terms)
+        blob = "\0".join(terms).encode("utf-8")
+        stored = [t.decode("utf-8") for t in blob.split(b"\0")] if blob else []
+        table = TermTable(blob, np.arange(len(stored), dtype=np.int32))
+        assert len(table) == len(stored) and list(table) == stored
+        assert table.rises_strictly() == python_rises(stored)
+
+    @given(st.lists(st.lists(LONG_TERMS.filter(bool), max_size=6), max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_loaded_lookups_in_runs_of_shared_prefixes(self, docs):
+        """Every stored term is found among neighbours that share its prefix
+        key; its prefixes and extensions, "", a lone surrogate and a term
+        holding NUL raise KeyError."""
+        idx = build_index(docs)
+        built = idx.vocabulary.term_to_id
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(idx, Path(tmp) / "lexical_index.json")
+            table = load_index(Path(tmp) / "lexical_index.json").vocabulary.term_to_id
+        for term, tid in built.items():
+            assert table[term] == tid and term in table
+        absent = ["", "\ud800", "a\ud800", "\0", "abcdefgh\0"]
+        for term in built:
+            absent += [term[:-1], term + "a", term + "\0", term + "\ud800", term[:8] + "\0"]
+        for token in absent:
+            if token not in built:
+                assert token not in table and table.get(token) is None
+                with pytest.raises(KeyError):
+                    table[token]
+
+    def test_items_pair_terms_and_ids_without_lookups(self, tmp_path, monkeypatch):
+        idx = build_index([["b", "a", "c"], ["ab", "b"], ["\u00e9", "a"]])
+        save_index(idx, tmp_path / "lexical_index.json")
+        loaded = load_index(tmp_path / "lexical_index.json")
+        monkeypatch.setattr(TermTable, "__getitem__", lambda self, term: pytest.fail("a lookup"))
+        built, table = idx.vocabulary.term_to_id, loaded.vocabulary.term_to_id
+        assert list(table.items()) == sorted(built.items())
+        assert loaded.vocabulary.id_to_term() == idx.vocabulary.id_to_term()
+
+    def test_doc_freqs_read_term_ptr_as_a_list_would(self):
+        term_ptr = np.array([0, 2, 3, 7], dtype=np.int64)
+        df, want = DocFreqs(term_ptr), [2, 1, 4]
+        assert len(df) == 3 and list(df) == want and df == want and want == df
+        assert [df[t] for t in (0, 1, 2, -1, -3)] == [2, 1, 4, 4, 2] and df[1:] == [1, 4]
+        assert df != [2, 1] and df != (2, 1, 4) and df == DocFreqs(term_ptr.copy())
+        for t in (3, -4):
+            with pytest.raises(IndexError):
+                df[t]
 
     @pytest.mark.parametrize("term, message", [
         ("", "a term is empty or holds NUL"), ("a\0b", "a term is empty or holds NUL"),
