@@ -14,17 +14,16 @@ each.  Ids keep their first-occurrence numbering, so the postings and the
 norms do not depend on the order.  A loaded index reads that table in
 place (``TermTable``): it keeps the terms as the file's bytes, finds their
 bounds from the NULs, and looks a term up by bisecting 8-byte prefix keys.
-No term becomes a ``str`` and no df an ``int`` until it is asked for
-(``DocFreqs``), yet every load still checks every term: UTF-8, the count,
-a non-empty first term, a strict rise, then the ids' permutation and the
-postings.
+No term becomes a ``str`` until the table is iterated, yet every load
+still checks every term: UTF-8, the count, a non-empty first term, a
+strict rise, then the ids' permutation and the postings.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import ItemsView, Mapping, Sequence
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -85,31 +84,18 @@ class TermTable(Mapping):
         bounds = np.flatnonzero(padded[: n_bytes + 2] == 0) if n_bytes else np.zeros(1, np.intp)
         # Memoryviews: [] reads Python ints from them faster than from arrays.
         self._bounds = memoryview(bounds)
-        self._keys = memoryview(_prefix_keys(self._bytes, bounds[:-1], bounds[1:], 0))
+        self._keys = memoryview(_prefix_keys(self._bytes, bounds[:-1], bounds[1:]))
         self._ids = ids
 
     def rises_strictly(self) -> bool:
         """Whether each term's bytes sort after the previous term's, as the
         decoded terms would (UTF-8 byte order is code-point order): by their
-        prefix keys, then by the next 8 bytes of each pair whose keys tie,
-        and the few pairs that tie on 32 bytes by their whole bytes."""
-        keys, bounds = np.asarray(self._keys), np.asarray(self._bounds)
+        prefix keys, and each pair whose keys tie by their whole bytes."""
+        keys = np.asarray(self._keys)
         if not (keys[1:] >= keys[:-1]).all():
             return False
-        pairs, offset = np.flatnonzero(keys[1:] == keys[:-1]), 0
-        while len(pairs) and offset < 32:
-            # Each pair's terms lie between the zero bytes at a, b and b, c.
-            a, b, c = bounds[pairs], bounds[pairs + 1], bounds[pairs + 2]
-            # Equal bytes up to offset + 8, where both end: equal terms.
-            if (np.maximum(b - a, c - b) <= offset + 9).any():
-                return False
-            offset += 8
-            lo = _prefix_keys(self._bytes, a, b, offset)
-            hi = _prefix_keys(self._bytes, b, c, offset)
-            if (hi < lo).any():
-                return False
-            pairs = pairs[hi == lo]
-        return all(self._term_bytes(i) < self._term_bytes(i + 1) for i in pairs.tolist())
+        ties = np.flatnonzero(keys[1:] == keys[:-1]).tolist()
+        return all(self._term_bytes(i) < self._term_bytes(i + 1) for i in ties)
 
     def _term_bytes(self, i: int) -> bytes:
         return self._bytes[self._bounds[i] + 1 : self._bounds[i + 1]]
@@ -152,51 +138,18 @@ class _TermItems(ItemsView):
 _KEY_MASKS = np.array([(1 << 64) - (1 << (64 - 8 * n)) for n in range(9)], dtype=np.uint64)
 
 
-def _prefix_keys(padded: bytes, before: np.ndarray, after: np.ndarray, offset: int) -> np.ndarray:
-    """The bytes [offset, offset + 8) of each term of ``padded`` that lies
-    between the zero bytes at ``before`` and ``after``, as one big-endian
-    uint64, zero past the term's end.  Terms hold no zero byte, so the keys
-    order as those bytes do, a term before its extensions."""
-    # Every 8 bytes from byte offset + 1 on: unaligned, overlapping, in place.
-    windows = np.ndarray((len(padded) - 8 - offset,), ">u8", padded, 1 + offset, (1,))
+def _prefix_keys(padded: bytes, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """The first 8 bytes of each term of ``padded`` that lies between the
+    zero bytes at ``before`` and ``after``, as one big-endian uint64, zero
+    past the term's end.  Terms hold no zero byte, so the keys order as the
+    terms do, a term before its extensions."""
+    # Every 8 bytes from byte 1 on: unaligned, overlapping, in place.
+    windows = np.ndarray((len(padded) - 8,), ">u8", padded, 1, (1,))
     keys = windows[before].astype(np.uint64)  # not take(), which copies all of windows
     kept = after - before
-    kept -= 1 + offset
+    kept -= 1
     keys &= _KEY_MASKS.take(np.clip(kept, 0, 8, out=kept))
     return keys
-
-
-class DocFreqs(Sequence):
-    """Each term id's df, read from a CSR ``term_ptr`` when it is asked for:
-    a read-only sequence equal to the list ``np.diff(term_ptr).tolist()``."""
-
-    __slots__ = ("_ptr",)
-
-    def __init__(self, term_ptr: np.ndarray) -> None:
-        self._ptr = term_ptr
-
-    def __len__(self) -> int:
-        return len(self._ptr) - 1
-
-    def __getitem__(self, t):
-        if isinstance(t, slice):
-            return self.tolist()[t]
-        n = len(self._ptr) - 1
-        if not -n <= t < n:
-            raise IndexError(f"term id {t} out of range for {n} terms")
-        t %= n
-        return self._ptr.item(t + 1) - self._ptr.item(t)
-
-    def __iter__(self):
-        return iter(self.tolist())
-
-    def tolist(self) -> list[int]:
-        return np.diff(self._ptr).tolist()
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, DocFreqs):
-            other = other.tolist()
-        return self.tolist() == other if isinstance(other, list) else NotImplemented
 
 
 @dataclass(eq=False)
@@ -351,5 +304,5 @@ def load_index(path: str | Path) -> InvertedIndex:
         raise malformed("tf must be >= 1")
     if not ((doc_norms >= 0.0) & (doc_norms < math.inf)).all():  # NaN fails both
         raise malformed("doc_norms must be finite non-negative floats")
-    vocab = Vocabulary(table, DocFreqs(term_ptr), n_docs)
+    vocab = Vocabulary(table, np.diff(term_ptr).tolist(), n_docs)
     return InvertedIndex(vocab, Postings(term_ptr, doc_ids, tf), doc_norms)

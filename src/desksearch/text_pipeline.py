@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .io_utils import require_int
@@ -47,13 +47,12 @@ class Vocabulary:
     Ids are assigned in first-occurrence order over the corpus that built the
     vocabulary.  ``doc_freq[i]`` is the number of documents containing the term
     with id ``i`` at least once; ``n_docs`` is the corpus size.  ``term_to_id``
-    is any read-only mapping and ``doc_freq`` any sequence: ``build_vocabulary``
-    fills a dict and a list, and ``lexical_index.load_index`` gives a sorted
-    ``TermTable`` and ``DocFreqs``, each read in place from the file.
+    is any read-only mapping: ``build_vocabulary`` fills a dict, and
+    ``lexical_index.load_index`` gives a sorted ``TermTable``.
     """
 
     term_to_id: Mapping[str, int] = field(default_factory=dict)
-    doc_freq: Sequence[int] = field(default_factory=list)
+    doc_freq: list[int] = field(default_factory=list)
     n_docs: int = 0
 
     @property

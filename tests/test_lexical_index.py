@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from oracles import brute_force_lexical, naive_postings
 
 from desksearch.lexical_index import (
-    DocFreqs,
     InvertedIndex,
     TermTable,
     build_index,
@@ -474,16 +473,6 @@ class TestTermTable:
         built, table = idx.vocabulary.term_to_id, loaded.vocabulary.term_to_id
         assert list(table.items()) == sorted(built.items())
         assert loaded.vocabulary.id_to_term() == idx.vocabulary.id_to_term()
-
-    def test_doc_freqs_read_term_ptr_as_a_list_would(self):
-        term_ptr = np.array([0, 2, 3, 7], dtype=np.int64)
-        df, want = DocFreqs(term_ptr), [2, 1, 4]
-        assert len(df) == 3 and list(df) == want and df == want and want == df
-        assert [df[t] for t in (0, 1, 2, -1, -3)] == [2, 1, 4, 4, 2] and df[1:] == [1, 4]
-        assert df != [2, 1] and df != (2, 1, 4) and df == DocFreqs(term_ptr.copy())
-        for t in (3, -4):
-            with pytest.raises(IndexError):
-                df[t]
 
     @pytest.mark.parametrize("term, message", [
         ("", "a term is empty or holds NUL"), ("a\0b", "a term is empty or holds NUL"),
