@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import WORDS, corrupt_artifact, faults_of, random_corpus
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_lexical, naive_postings
 
@@ -428,14 +428,19 @@ class TestTermTable:
         ]
         assert table != {"a": 2, "ab": 0} and table != {"a": 2, "ab": 0, "b": 2}
 
-    @given(st.lists(LONG_TERMS, max_size=12), st.sampled_from(["as drawn", "sorted", "unique"]))
+    @given(st.lists(LONG_TERMS, max_size=12),
+           st.sampled_from(["as drawn", "sorted", "unique", "one repeated"]))
+    @example(["x", "x", "y"], "as drawn")
+    @example(["", "", "a"], "as drawn")
     @settings(max_examples=400, deadline=None)
     def test_rising_check_is_the_python_one(self, terms, order):
         """Empty terms, duplicates, shared 8-, 16- and 32-byte prefixes, a
         term that is a prefix of the next, multi-byte characters across a
         window edge and single terms: the 8-byte-key check agrees with ``<``
         on the decoded terms of the blob."""
-        if order != "as drawn":
+        if order == "one repeated":
+            terms = sorted(terms + terms[:1])
+        elif order != "as drawn":
             terms = sorted(set(terms) if order == "unique" else terms)
         blob = "\0".join(terms).encode("utf-8")
         stored = [t.decode("utf-8") for t in blob.split(b"\0")] if blob else []
