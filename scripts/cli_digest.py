@@ -58,17 +58,21 @@ def calls(index_dir: Path, config: Path):
                        normalized(stderr.getvalue()))
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("index_dir", type=Path)
-    args = parser.parse_args()
+def digest_line(index_dir: Path) -> str:
+    """The line the script prints for INDEX_DIR."""
     digest, count = hashlib.sha256(), 0
     with tempfile.TemporaryDirectory() as tmp:
-        for call in calls(args.index_dir.resolve(), Path(tmp) / "config.json"):
+        for call in calls(index_dir.resolve(), Path(tmp) / "config.json"):
             # json escapes every character, so one call's fields cannot run into the next's.
             digest.update((json.dumps(call) + "\n").encode())
             count += 1
-    print(f"{count} CLI calls, sha256 {digest.hexdigest()}")
+    return f"{count} CLI calls, sha256 {digest.hexdigest()}"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("index_dir", type=Path)
+    print(digest_line(parser.parse_args().index_dir))
 
 
 if __name__ == "__main__":

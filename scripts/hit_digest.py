@@ -69,16 +69,20 @@ def hit_lists(index_dir: Path):
                 )
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("index_dir", type=Path)
-    args = parser.parse_args()
+def digest_line(index_dir: Path) -> str:
+    """The line the script prints for INDEX_DIR."""
     digest, count = hashlib.sha256(), 0
-    for label, hits in hit_lists(args.index_dir):
+    for label, hits in hit_lists(index_dir):
         line = " ".join(f"{h.doc_id}:{float(h.score).hex()}" for h in hits)
         digest.update(f"{label}: {line}\n".encode())
         count += 1
-    print(f"{count} hit lists, sha256 {digest.hexdigest()}")
+    return f"{count} hit lists, sha256 {digest.hexdigest()}"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("index_dir", type=Path)
+    print(digest_line(parser.parse_args().index_dir))
 
 
 if __name__ == "__main__":

@@ -58,6 +58,15 @@ def run_pipeline(corpus: Path, predictions: Path, seed: int, work: Path) -> dict
     return outputs
 
 
+def digests(corpus: Path, predictions: Path, seed: int, work: Path) -> str:
+    """The lines the script prints, for the pipeline run in the empty
+    directory ``work``, which keeps the files it wrote."""
+    blobs = run_pipeline(corpus, predictions, seed, work)
+    for path in sorted(p for p in work.rglob("*") if p.is_file()):
+        blobs[path.relative_to(work).as_posix()] = path.read_bytes()
+    return "".join(f"{hashlib.sha256(blobs[name]).hexdigest()}  {name}\n" for name in sorted(blobs))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("corpus", type=Path)
@@ -65,12 +74,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        blobs = run_pipeline(args.corpus.resolve(), args.predictions.resolve(), args.seed, work)
-        for path in sorted(p for p in work.rglob("*") if p.is_file()):
-            blobs[path.relative_to(work).as_posix()] = path.read_bytes()
-    for name in sorted(blobs):
-        print(f"{hashlib.sha256(blobs[name]).hexdigest()}  {name}")
+        print(digests(args.corpus.resolve(), args.predictions.resolve(), args.seed, Path(tmp)),
+              end="")
 
 
 if __name__ == "__main__":

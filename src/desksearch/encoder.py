@@ -184,16 +184,20 @@ def rmsnorm(
     if a.size == 0:
         raise ValueError("rmsnorm of zero-length input is undefined")
     scale = np.sqrt(np.mean(np.square(a), axis=-1, keepdims=True)) + eps
-    out = a / scale * gain + bias
-    if out.shape != a.shape:
-        raise ValueError(f"gain and bias must broadcast to the input shape {a.shape}")
+    out = a / scale
+    try:  # in place: a gain or bias that would broadcast past a's shape raises
+        out *= gain
+        out += bias
+    except ValueError:
+        raise ValueError(f"gain and bias must broadcast to the input shape {a.shape}") from None
     return out
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def self_attention(
@@ -222,7 +226,8 @@ def self_attention(
     k = split_heads(x @ lw.k_proj)
     v = split_heads(x @ lw.v_proj)
 
-    scores = q @ k.swapaxes(-2, -1) / math.sqrt(d_head)
+    scores = q @ k.swapaxes(-2, -1)
+    scores /= math.sqrt(d_head)
     weights = _softmax(scores)
     context = weights @ v  # (..., n_heads, seq_len, d_head)
     out = context.swapaxes(-3, -2).reshape(x.shape) @ lw.out_proj
@@ -234,12 +239,16 @@ def self_attention(
 def swiglu_ffn(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
     """Gated feed-forward: swish(x @ ffn_in) * (x @ ffn_gate), projected back down."""
     up = x @ lw.ffn_in
+    sigmoid = np.negative(up)
     # exp(-up) overflows to inf for very negative up; 1 / (1 + inf) is the
     # correct limit 0, so the overflow is expected and silenced.
     with np.errstate(over="ignore"):
-        swish = up * (1.0 / (1.0 + np.exp(-up)))
-    gated = swish * (x @ lw.ffn_gate)
-    return gated @ lw.ffn_out
+        np.exp(sigmoid, out=sigmoid)
+    sigmoid += 1.0
+    np.divide(1.0, sigmoid, out=sigmoid)
+    up *= sigmoid  # swish(up), in place: up is this call's own array
+    up *= x @ lw.ffn_gate
+    return up @ lw.ffn_out
 
 
 def _check_ids(token_ids, cfg: EncoderConfig) -> np.ndarray:
@@ -269,9 +278,9 @@ def encode_states(token_ids, cfg: EncoderConfig, weights: EncoderWeights) -> np.
     if held is not None and not ((at < held.size).all() and (held[at] == ids).all()):
         raise ValueError("token id not among the rows of this partial weight table")
     x = weights.token_embedding[at] + positional_encoding(ids.shape[-1], cfg.d_model)
-    for lw in weights.layers:
-        x = x + self_attention(rmsnorm(x, lw.attn_norm_gain, lw.attn_norm_bias), lw, cfg.n_heads)
-        x = x + swiglu_ffn(rmsnorm(x, lw.ffn_norm_gain, lw.ffn_norm_bias), lw)
+    for lw in weights.layers:  # x is this call's own array, so the residuals add in place
+        x += self_attention(rmsnorm(x, lw.attn_norm_gain, lw.attn_norm_bias), lw, cfg.n_heads)
+        x += swiglu_ffn(rmsnorm(x, lw.ffn_norm_gain, lw.ffn_norm_bias), lw)
     return rmsnorm(x, weights.final_norm_gain, weights.final_norm_bias)
 
 
@@ -279,13 +288,14 @@ def encode(token_ids, cfg: EncoderConfig, weights: EncoderWeights) -> DenseEmbed
     """Mean-pool the encoded sequence and L2-normalize it to a unit vector; a
     batch gives one unit row per sequence."""
     pooled = encode_states(token_ids, cfg, weights).mean(axis=-2)
-    # Each row by its own 1-D np.linalg.norm, as one sequence alone: a row-wise
-    # norm(pooled, axis=-1) sums in another order and can differ in the last bit.
-    for row in pooled.reshape(-1, cfg.d_model):
-        norm = np.linalg.norm(row)
-        if norm == 0.0:
-            raise ValueError("pooled representation is the zero vector; cannot normalize")
-        row /= norm
+    # Each row's norm is its dot product with itself, as the 1-D np.linalg.norm
+    # of one sequence alone takes it: a stacked (1, d) @ (d, 1) matmul.  A
+    # row-wise norm(pooled, axis=-1) sums in another order, maybe not bit-equal.
+    rows = pooled.reshape(-1, 1, cfg.d_model)
+    norms = np.sqrt(np.matmul(rows, rows.swapaxes(-2, -1)))
+    if not norms.all():
+        raise ValueError("pooled representation is the zero vector; cannot normalize")
+    rows /= norms
     return pooled
 
 

@@ -50,6 +50,7 @@ VECTOR_FILE_FAULTS = {
     "bool_id": (lambda ids: [True] + ids[1:], None, "integers"),
     "huge_id": (lambda ids: [2**64] + ids[1:], None, "integers"),
     "duplicate_id": (lambda ids: [ids[0], ids[0]] + ids[2:], None, "already present"),
+    "falling_id": (lambda ids: [ids[1], ids[0]] + ids[2:], None, "rise strictly"),
     "non_unit_row": (None, lambda p: _scale_first_row(p, 2.0), "unit-norm"),
     "nan_row": (None, lambda p: _scale_first_row(p, float("nan")), "unit-norm"),
     "overflowing_row": (None, lambda p: _scale_first_row(p, 1e300), "unit-norm"),

@@ -390,6 +390,56 @@ def assert_weights_equal(got, want):
     assert np.array_equal(got.final_norm_bias, want.final_norm_bias)
 
 
+class TestInPlaceSteps:
+    """The encoder works in place on arrays it made itself, never on what it
+    was given."""
+
+    def test_inputs_and_weights_keep_their_bytes(self):
+        rng = np.random.default_rng(12)
+        weights = init_weights(CFG)
+        for lw in weights.layers:  # gains and biases away from one and zero
+            for name in ("attn_norm_gain", "attn_norm_bias", "ffn_norm_gain", "ffn_norm_bias"):
+                getattr(lw, name)[:] = rng.normal(size=CFG.d_model)
+        lw = weights.layers[0]
+        arrays = [
+            weights.token_embedding, weights.final_norm_gain, weights.final_norm_bias,
+            *(getattr(lw, name) for lw in weights.layers for name in vars(lw)),
+        ]
+        x = rng.normal(size=(2, 5, CFG.d_model))
+        gain, bias = rng.normal(size=CFG.d_model), rng.normal(size=CFG.d_model)
+        ids = np.array([[3, 1, 4, 1], [5, 9, 2, 6]])
+        id_lists = [[7, 0, 7], [49], [2, 2, 8, 1, 4]]
+        given = [x, gain, bias, ids]
+        before = [a.tobytes() for a in arrays + given]
+        lists_before = json.dumps(id_lists)
+
+        rmsnorm(x, gain, bias)
+        self_attention(x, lw, CFG.n_heads, return_weights=True)
+        swiglu_ffn(x, lw)
+        encode(ids, CFG, weights)
+        encode(ids[0], CFG, weights)
+        encoder.embed(id_lists, CFG, weights)
+
+        assert [a.tobytes() for a in arrays + given] == before
+        assert json.dumps(id_lists) == lists_before
+
+    def test_steps_equal_their_out_of_place_expressions(self, weights):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(3, 6, CFG.d_model))
+        gain, bias = rng.normal(size=CFG.d_model), rng.normal(size=CFG.d_model)
+        scale = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True)) + encoder.DEFAULT_EPS
+        assert rmsnorm(x, gain, bias).tobytes() == (x / scale * gain + bias).tobytes()
+        lw = weights.layers[0]
+        up = x @ lw.ffn_in
+        gated = up * (1.0 / (1.0 + np.exp(-up))) * (x @ lw.ffn_gate)
+        assert swiglu_ffn(x, lw).tobytes() == (gated @ lw.ffn_out).tobytes()
+        # Each row divided by its own 1-D np.linalg.norm, as one sequence alone.
+        batch = rng.integers(0, CFG.vocab_size, size=(60, 5))
+        pooled = encode_states(batch, CFG, weights).mean(axis=-2)
+        want = np.stack([row / np.linalg.norm(row) for row in pooled])
+        assert encode(batch, CFG, weights).tobytes() == want.tobytes()
+
+
 class TestBatches:
     """A batch of equal-length sequences encodes each row exactly as that
     sequence alone: the same bits, whatever its neighbours."""
