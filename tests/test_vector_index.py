@@ -174,7 +174,11 @@ class TestVectorIndex:
         with pytest.raises(KeyError):
             idx.get(6)
 
-    @pytest.mark.parametrize("n", [0, 1, NORM_CHUNK - 1, NORM_CHUNK, NORM_CHUNK + 1, 2 * NORM_CHUNK + 3])
+    # Around the first and second chunk boundaries, and around 4,096 rows, a
+    # boundary of every power-of-two chunk size up to 4,096.
+    @pytest.mark.parametrize(
+        "n", [0, 1, NORM_CHUNK - 1, NORM_CHUNK, NORM_CHUNK + 1, 2 * NORM_CHUNK + 3, 4095, 4096, 4097, 8195]
+    )
     @pytest.mark.parametrize("dim", [1, 3, 64])
     def test_chunked_norms_equal_linalg_norm(self, n, dim):
         rows = np.random.default_rng(n + dim).normal(size=(n, dim))
@@ -182,11 +186,12 @@ class TestVectorIndex:
         got = vector_index._row_norms(rows)
         assert got.tobytes() == np.linalg.norm(rows, axis=1).tobytes()
 
-    @pytest.mark.parametrize("at", [0, NORM_CHUNK, NORM_CHUNK + 6])
+    @pytest.mark.parametrize("at", [0, NORM_CHUNK, NORM_CHUNK + 6, 4096, 4102])
     @pytest.mark.parametrize("entry", [1e200, np.nan])
     def test_row_with_a_huge_or_nan_entry_rejected(self, at, entry):
-        # In the first chunk, the first row of the second and the last row.
-        rows = random_unit_vectors(30, NORM_CHUNK + 7, 4)
+        # In the first chunk, at the start and inside the second, at the start
+        # of the chunk holding row 4,096, and in the last row.
+        rows = random_unit_vectors(30, 4103, 4)
         rows[at, 2] = entry
         with pytest.raises(ValueError, match=f"embedding for doc {at} is not unit-norm"):
             VectorIndex.from_arrays(range(len(rows)), rows)
