@@ -10,11 +10,12 @@ through the in-process CLI in lexical, vector and hybrid mode, each with the
 default flags, with ``--full`` and with ``--k 40``.  The script prints the
 number of calls and the sha256 of each call's argv, exit code, stdout and
 stderr, taken in that order, where ``<index>`` and ``<config>`` stand for the
-paths of INDEX_DIR and of the config file it writes in a temporary directory.
-Run it once per version on the same index directory with that version's
-``src`` on PYTHONPATH, and compare the two lines.  It is the byte-identity
-check for ``search``, as ``scripts/hit_digest.py`` is for the library's
-rankings.
+paths of INDEX_DIR and of the config file it writes in a temporary directory;
+then a second line with the same sha256 taken with each hit line's ``score``
+dropped from stdout.  Run it once per version on the same index directory with
+that version's ``src`` on PYTHONPATH, and compare the lines.  It is the
+byte-identity check for ``search``, as ``scripts/hit_digest.py`` is for the
+library's rankings; a change that moves only scores keeps the second line.
 """
 
 from __future__ import annotations
@@ -58,21 +59,34 @@ def calls(index_dir: Path, config: Path):
                        normalized(stderr.getvalue()))
 
 
-def digest_line(index_dir: Path) -> str:
-    """The line the script prints for INDEX_DIR."""
-    digest, count = hashlib.sha256(), 0
+def without_scores(stdout: str) -> str:
+    """``stdout`` with the ``score`` key dropped from each hit line."""
+    hits = [json.loads(line) for line in stdout.splitlines()]
+    kept = [{key: value for key, value in hit.items() if key != "score"} for hit in hits]
+    return "".join(json.dumps(hit) + "\n" for hit in kept)
+
+
+def digest_lines(index_dir: Path) -> tuple[str, str]:
+    """The two lines the script prints for INDEX_DIR: over the calls as they
+    printed, then with the scores dropped."""
+    full, no_scores, count = hashlib.sha256(), hashlib.sha256(), 0
     with tempfile.TemporaryDirectory() as tmp:
-        for call in calls(index_dir.resolve(), Path(tmp) / "config.json"):
+        for argv, code, stdout, stderr in calls(index_dir.resolve(), Path(tmp) / "config.json"):
             # json escapes every character, so one call's fields cannot run into the next's.
-            digest.update((json.dumps(call) + "\n").encode())
+            full.update((json.dumps([argv, code, stdout, stderr]) + "\n").encode())
+            dropped = without_scores(stdout)
+            no_scores.update((json.dumps([argv, code, dropped, stderr]) + "\n").encode())
             count += 1
-    return f"{count} CLI calls, sha256 {digest.hexdigest()}"
+    return (
+        f"{count} CLI calls, sha256 {full.hexdigest()}",
+        f"{count} CLI calls, scores dropped, sha256 {no_scores.hexdigest()}",
+    )
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("index_dir", type=Path)
-    print(digest_line(parser.parse_args().index_dir))
+    print(*digest_lines(parser.parse_args().index_dir), sep="\n")
 
 
 if __name__ == "__main__":

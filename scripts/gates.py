@@ -8,10 +8,12 @@ In a temporary directory, which it removes, the script writes the seed-5
 10k-review corpus and predictions file with ``perfbench/inputs.py``, on the
 words of ``tests/conftest.WORDS``, and runs ``ingest``, ``index`` and ``eval``
 on them with seed 3 through ``pipeline_digest.run_pipeline``.  It prints
-``hit_digest.py``'s and ``cli_digest.py``'s lines for the index that built,
-then ``pipeline_digest.py``'s lines for those inputs.  Run it once per version
-with that version's ``src`` first on PYTHONPATH, and compare the two outputs
-with ``diff``.
+``hit_digest.py``'s and ``cli_digest.py``'s two lines each for the index that
+built (a full line, then one over the doc ids alone), then
+``pipeline_digest.py``'s lines for those inputs.  Run it once per version with
+that version's ``src`` first on PYTHONPATH, and compare the two outputs with
+``diff``.  A change that moves only scores may change the two full lines and
+must keep the rest.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ def main() -> None:
         inputs.write_predictions(predictions, CORPUS_SEED)
         work.mkdir()
         pipeline = pipeline_digest.digests(corpus, predictions, INDEX_SEED, work)
-        print(hit_digest.digest_line(work / "index"))
-        print(cli_digest.digest_line(work / "index"))
+        print(*hit_digest.digest_lines(work / "index"), sep="\n")
+        print(*cli_digest.digest_lines(work / "index"), sep="\n")
         print(pipeline, end="")
 
 

@@ -7,9 +7,11 @@ The queries are drawn with a fixed seed from the index's own terms, plus
 tokens that are in no document (some queries hold only those).  Each query is
 searched at every k in KS in lexical, vector and hybrid mode, hybrid at every
 alpha in ALPHAS.  The script prints the number of hit lists and the sha256 of
-each list's doc ids and ``float.hex`` scores, taken in grid order.  Run it
-once per version on the same index directory with that version's ``src`` on
-PYTHONPATH, and compare the two lines.
+each list's doc ids and ``float.hex`` scores, taken in grid order, then a
+second line with the sha256 of the doc ids alone.  Run it once per version on
+the same index directory with that version's ``src`` on PYTHONPATH, and compare
+the lines: a change that keeps every score keeps both, and one that moves only
+scores keeps the second.
 """
 
 from __future__ import annotations
@@ -69,20 +71,26 @@ def hit_lists(index_dir: Path):
                 )
 
 
-def digest_line(index_dir: Path) -> str:
-    """The line the script prints for INDEX_DIR."""
-    digest, count = hashlib.sha256(), 0
+def digest_lines(index_dir: Path) -> tuple[str, str]:
+    """The two lines the script prints for INDEX_DIR: over ids and scores,
+    then over ids alone."""
+    full, ids_only, count = hashlib.sha256(), hashlib.sha256(), 0
     for label, hits in hit_lists(index_dir):
-        line = " ".join(f"{h.doc_id}:{float(h.score).hex()}" for h in hits)
-        digest.update(f"{label}: {line}\n".encode())
+        ids = [str(h.doc_id) for h in hits]
+        scored = [f"{i}:{float(h.score).hex()}" for i, h in zip(ids, hits)]
+        full.update(f"{label}: {' '.join(scored)}\n".encode())
+        ids_only.update(f"{label}: {' '.join(ids)}\n".encode())
         count += 1
-    return f"{count} hit lists, sha256 {digest.hexdigest()}"
+    return (
+        f"{count} hit lists, sha256 {full.hexdigest()}",
+        f"{count} hit lists, doc ids only, sha256 {ids_only.hexdigest()}",
+    )
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("index_dir", type=Path)
-    print(digest_line(parser.parse_args().index_dir))
+    print(*digest_lines(parser.parse_args().index_dir), sep="\n")
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 
 # json.loads and json.dumps(..., ensure_ascii=False) build or look up these on
-# every call; a record file's lines share one of each.
-_raw_decode = json.JSONDecoder().raw_decode
+# every call; a record file's lines share one of each.  scan_once is the JSON
+# scanner that raw_decode wraps, without raw_decode's Python frame.
+_scan_once = json.JSONDecoder().scan_once
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
@@ -81,14 +82,16 @@ def json_lines(lines, skip_bad: bool = False):
     ``json.loads``' per-call cost; anything else (whitespace around it, a BOM,
     extra data, any error) goes to ``json.loads``.  A line it rejects is
     skipped with ``skip_bad``, else raises ``JSONLineError``."""
-    raw_decode, loads = _raw_decode, json.loads
+    scan_once, loads = _scan_once, json.loads
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            value, end = raw_decode(line)
+            value, end = scan_once(line, 0)
             decoded = end == len(line)
-        except (ValueError, RecursionError):  # json.loads raises it again, or its own error
+        # StopIteration: no value starts the line.  json.loads raises its own
+        # error for that, or the same ValueError or RecursionError again.
+        except (StopIteration, ValueError, RecursionError):
             decoded = False
         if not decoded:
             try:

@@ -22,7 +22,6 @@ from .lexical_index import InvertedIndex, SearchHit, search_lexical, top_k
 VECTOR_FORMAT = "desksearch-vector-index"
 VECTOR_VERSION = 2
 UNIT_NORM_TOL = 1e-6
-NORM_CHUNK = 1024  # rows per step of _row_norms; 4,096 rows of 64 fill a 2 MiB L2 cache
 
 
 @dataclass(frozen=True)
@@ -133,16 +132,12 @@ class VectorIndex:
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(rows, axis=1)``, bit for bit: the same squares summed
-    by the same ``np.add.reduce``, but NORM_CHUNK rows at a time through one
-    reused buffer, not a temporary the size of ``rows``."""
-    norms = np.empty(len(rows))
-    squares = np.empty((min(len(rows), NORM_CHUNK), rows.shape[1]))
+    """Each row's norm as its dot product with itself, one stacked (1, d) @
+    (d, 1) matmul, as ``encoder.encode`` takes it: bit-equal to the 1-D
+    ``np.linalg.norm(row)`` of each row, and with no temporary the size of
+    ``rows``."""
     with np.errstate(over="ignore"):  # an overflowing row has norm inf, which is off unit
-        for start in range(0, len(rows), NORM_CHUNK):
-            chunk = rows[start : start + NORM_CHUNK]
-            np.multiply(chunk, chunk, out=squares[: len(chunk)])
-            np.add.reduce(squares[: len(chunk)], axis=1, out=norms[start : start + len(chunk)])
+        norms = np.matmul(rows[:, None, :], rows[:, :, None]).reshape(len(rows))
     return np.sqrt(norms, out=norms)
 
 

@@ -19,7 +19,6 @@ from desksearch import vector_index
 from desksearch.io_utils import write_artifact
 from desksearch.lexical_index import build_index, search_lexical
 from desksearch.vector_index import (
-    NORM_CHUNK,
     HybridConfig,
     VectorIndex,
     load_vectors,
@@ -174,23 +173,23 @@ class TestVectorIndex:
         with pytest.raises(KeyError):
             idx.get(6)
 
-    # Around the first and second chunk boundaries, and around 4,096 rows, a
-    # boundary of every power-of-two chunk size up to 4,096.
-    @pytest.mark.parametrize(
-        "n", [0, 1, NORM_CHUNK - 1, NORM_CHUNK, NORM_CHUNK + 1, 2 * NORM_CHUNK + 3, 4095, 4096, 4097, 8195]
-    )
+    # No rows, one row, and row counts around 1,024, 2,048 and 4,096, where a
+    # norm taken in power-of-two blocks of rows would start a new block.
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2051, 4095, 4096, 4097, 8195])
     @pytest.mark.parametrize("dim", [1, 3, 64])
     def test_chunked_norms_equal_linalg_norm(self, n, dim):
         rows = np.random.default_rng(n + dim).normal(size=(n, dim))
         rows *= np.logspace(-150, 150, n)[:, None] if n else 1.0  # tiny to huge rows
         got = vector_index._row_norms(rows)
-        assert got.tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+        # Each row's own 1-D norm, as encoder.encode takes a pooled row's.
+        want = np.array([np.linalg.norm(row) for row in rows], dtype=float)
+        assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("at", [0, NORM_CHUNK, NORM_CHUNK + 6, 4096, 4102])
+    @pytest.mark.parametrize("at", [0, 1024, 1030, 4096, 4102])
     @pytest.mark.parametrize("entry", [1e200, np.nan])
     def test_row_with_a_huge_or_nan_entry_rejected(self, at, entry):
-        # In the first chunk, at the start and inside the second, at the start
-        # of the chunk holding row 4,096, and in the last row.
+        # In the first row, at and just past row 1,024, at row 4,096, and in
+        # the last row.
         rows = random_unit_vectors(30, 4103, 4)
         rows[at, 2] = entry
         with pytest.raises(ValueError, match=f"embedding for doc {at} is not unit-norm"):
