@@ -30,12 +30,10 @@ from pathlib import Path
 
 from hit_digest import SEED, make_queries  # this script's directory is on sys.path
 
-from desksearch import lexical_index
-from desksearch.cli import LEXICAL_FILE
 from desksearch.cli import main as cli_main
+from desksearch.searcher import MODES, Searcher
 
 N_QUERIES = 60
-MODES = ("lexical", "vector", "hybrid")
 VARIANTS = ([], ["--full"], ["--k", "40"])
 
 
@@ -46,7 +44,7 @@ def calls(index_dir: Path, config: Path):
         return text.replace(str(config), "<config>").replace(str(index_dir), "<index>")
 
     config.write_text(json.dumps({"index_dir": str(index_dir)}))
-    terms = lexical_index.load_index(index_dir / LEXICAL_FILE).vocabulary.id_to_term()
+    terms = Searcher(index_dir).lex.vocabulary.id_to_term()
     for tokens in make_queries(terms, N_QUERIES, SEED):
         for mode in MODES:
             for variant in VARIANTS:

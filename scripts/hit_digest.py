@@ -17,13 +17,13 @@ scores keeps the second.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import random
 from pathlib import Path
 
-from desksearch import encoder, lexical_index, vector_index
-from desksearch.cli import LEXICAL_FILE, VECTOR_FILE, WEIGHTS_FILE
-from desksearch.text_pipeline import token_ids
+from desksearch.searcher import Searcher
+from desksearch.vector_index import HybridConfig
 
 N_QUERIES = 1500
 SEED = 20240301
@@ -48,27 +48,16 @@ def make_queries(terms: list[str], n: int, seed: int) -> list[list[str]]:
 
 def hit_lists(index_dir: Path):
     """Yield (label, hits) for every query x k x mode (x alpha) of the grid."""
-    lex = lexical_index.load_index(index_dir / LEXICAL_FILE)
-    # As `desksearch search` loads it: checked against the sidecar's d_model.
-    enc_cfg, _ = encoder.load_weights(index_dir / WEIGHTS_FILE, lex.vocabulary.size, [])
-    vec = vector_index.load_vectors(index_dir / VECTOR_FILE, enc_cfg.d_model)
-    terms = lex.vocabulary.id_to_term()
+    searcher = Searcher(index_dir)
+    terms = searcher.lex.vocabulary.id_to_term()
     for qi, tokens in enumerate(make_queries(terms, N_QUERIES, SEED)):
-        # As `desksearch search` embeds it: the sidecar read and only the
-        # query's token rows drawn, once per query.
-        ids = token_ids(tokens, lex.vocabulary)
-        embedding = encoder.embed(
-            [ids], *encoder.load_weights(index_dir / WEIGHTS_FILE, lex.vocabulary.size, ids)
-        )[0] if ids else None
+        # Embedded as `desksearch search` embeds it, once for the whole grid.
+        rank = functools.partial(searcher.rank, tokens, searcher.embed(tokens))
         for k in KS:
-            yield f"{qi} lexical k={k}", lexical_index.search_lexical(lex, tokens, k)
-            yield f"{qi} vector k={k}", vec.search(embedding, k) if embedding is not None else []
+            yield f"{qi} lexical k={k}", rank("lexical", HybridConfig(k=k))
+            yield f"{qi} vector k={k}", rank("vector", HybridConfig(k=k))
             for alpha in ALPHAS:
-                cfg = vector_index.HybridConfig(alpha=alpha, k=k)
-                yield (
-                    f"{qi} hybrid k={k} alpha={alpha}",
-                    vector_index.search_hybrid(lex, vec, tokens, embedding, cfg),
-                )
+                yield f"{qi} hybrid k={k} alpha={alpha}", rank("hybrid", HybridConfig(alpha, k))
 
 
 def digest_lines(index_dir: Path) -> tuple[str, str]:

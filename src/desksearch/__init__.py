@@ -8,7 +8,6 @@ from .dataset import (
     SplitSpec,
     balanced_resample,
     class_distribution,
-    filter_by_business,
     load_reviews,
     split,
 )
@@ -53,7 +52,6 @@ from .text_pipeline import (
     SparseVector,
     TokenizerConfig,
     Vocabulary,
-    binarize,
     build_vocabulary,
     count_vectorize,
     idf,

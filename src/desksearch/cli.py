@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -18,18 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, encoder, io_utils, lexical_index, metrics, vector_index
-from .io_utils import atomic_write_text, read_artifact, require_int, write_artifact
+from .io_utils import atomic_write_text, require_int
+from .searcher import LEXICAL_FILE, MODES, VECTOR_FILE, WEIGHTS_FILE, Searcher, write_docs
 from .text_pipeline import TokenizerConfig, token_ids, tokenize
 
 SNIPPET_LEN = 80
 
-LEXICAL_FILE = "lexical_index.json"
-VECTOR_FILE = "vectors.bin"
-WEIGHTS_FILE = "weights.json"
-DOCS_FILE = "docs.jsonl"
-OFFSETS_FILE = "doc_offsets.bin"
-OFFSETS_FORMAT = "desksearch-doc-offsets"
-OFFSETS_VERSION = 1
 # Bytes per confusion-matrix cell that eval holds at its peak: the counts and
 # their bincount, the row-normalized copy, and each CSV as text and as UTF-8
 # bytes.  Peak RSS grew 26.1-26.4 bytes per cell for K = 500..2000; the rest is
@@ -199,7 +192,7 @@ def cmd_index(cfg: RunConfig) -> int:
         )
     vector_index.save_vectors(vec, out_dir / VECTOR_FILE)
 
-    _write_docs(out_dir, docs)
+    write_docs(out_dir, docs)
 
     print(
         json.dumps(
@@ -209,100 +202,12 @@ def cmd_index(cfg: RunConfig) -> int:
     return 0
 
 
-def _write_docs(out_dir: Path, docs: list[dataset.Review]) -> None:
-    """Write doc d's record as line d of ``docs.jsonl``, then the byte where
-    each line starts, and the file's size, to ``doc_offsets.bin``."""
-    blob = io_utils.write_json_lines(
-        out_dir / DOCS_FILE,
-        [{"doc_id": i, "text": r.text, "stars": r.stars} for i, r in enumerate(docs)],
-    )
-    # Line d starts after the d-th newline: JSON escapes a text's newlines,
-    # and no other character's UTF-8 bytes hold 0x0A.
-    starts = np.zeros(len(docs) + 1, dtype="<i8")
-    starts[1:] = np.flatnonzero(np.frombuffer(blob, np.uint8) == 0x0A) + 1
-    write_artifact(
-        out_dir / OFFSETS_FILE, OFFSETS_FORMAT, OFFSETS_VERSION, {"n_docs": len(docs)}, [starts]
-    )
-
-
-def _load_offsets(path: Path, n_docs: int) -> np.ndarray:
-    """The ``n_docs + 1`` line starts of a ``doc_offsets.bin`` written for the
-    lexical index's ``n_docs``; beyond the checks of ``read_artifact``, another
-    doc count or starts that do not rise strictly from 0 raise ValueError
-    naming the file."""
-    header, (starts,) = read_artifact(
-        path, OFFSETS_FORMAT, OFFSETS_VERSION, ("n_docs",), lambda n: [("<i8", n + 1)]
-    )
-    if header["n_docs"] != n_docs:
-        raise ValueError(
-            f"{path}: n_docs {header['n_docs']} is not the {n_docs} docs of the lexical index"
-        )
-    if starts[0] != 0 or not (starts[1:] > starts[:-1]).all():
-        raise ValueError(f"{path}: line starts must rise strictly from 0")
-    return starts
-
-
-def _doc_texts(index_dir: Path, n_docs: int, doc_ids: list[int]) -> list[str]:
-    """The text of each listed doc.  Doc d is the line of ``docs.jsonl`` from
-    byte ``starts[d]`` to ``starts[d + 1]``, the ``doc_offsets.bin`` entries;
-    only those lines are read, and each must be the record of its doc.  An
-    empty list reads no file."""
-    if not doc_ids:
-        return []
-    offsets_path, docs_path = index_dir / OFFSETS_FILE, index_dir / DOCS_FILE
-    starts = _load_offsets(offsets_path, n_docs)
-    texts = []
-    with open(docs_path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if size != starts[-1]:
-            raise CliError(
-                f"{docs_path}: {size} bytes, but {offsets_path} ends its last line at byte "
-                f"{starts[-1]}"
-            )
-        for doc_id in doc_ids:
-            try:
-                if not 0 <= doc_id < n_docs:
-                    raise ValueError("no such line")
-                f.seek(starts[doc_id])
-                line = f.read(starts[doc_id + 1] - starts[doc_id])
-                if not line.endswith(b"\n"):
-                    raise ValueError(f"it does not end where {OFFSETS_FILE} starts the next")
-                record = json.loads(line)
-                if record["doc_id"] != doc_id or not isinstance(record["text"], str):
-                    raise ValueError("doc_id or text does not match")
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                raise CliError(
-                    f"{docs_path}: line {doc_id + 1} is not doc {doc_id}: {exc}"
-                ) from exc
-            texts.append(record["text"])
-    return texts
-
-
 def cmd_search(cfg: RunConfig, query: str, mode: str, full_text: bool) -> int:
-    index_dir = Path(cfg.index_dir)
-    lex_path = index_dir / LEXICAL_FILE
-    if not lex_path.exists():
-        raise CliError(f"no index at {lex_path}; run `desksearch index` first")
-    lex = lexical_index.load_index(lex_path)
-    query_tokens = tokenize(query, cfg.tokenizer)
-
+    searcher = Searcher(cfg.index_dir)
+    tokens = tokenize(query, cfg.tokenizer)
     try:
-        # Only an in-vocabulary token needs the weights and the vectors; an index
-        # with no terms has none.  The loaders check each against the one before.
-        ids = token_ids(query_tokens, lex.vocabulary) if mode != "lexical" else []
-        embedding = vec = None
-        if ids:  # weights of the query's token rows, freed before the vectors are read
-            embedding = encoder.embed(
-                [ids], *encoder.load_weights(index_dir / WEIGHTS_FILE, lex.vocabulary.size, ids)
-            )[0]
-            vec = vector_index.load_vectors(index_dir / VECTOR_FILE, len(embedding))
-        if mode == "lexical":
-            hits = lexical_index.search_lexical(lex, query_tokens, cfg.search.k)
-        elif mode == "hybrid":
-            hits = vector_index.search_hybrid(lex, vec, query_tokens, embedding, cfg.search)
-        else:
-            hits = vec.search(embedding, cfg.search.k) if vec is not None else []
-        texts = _doc_texts(index_dir, lex.vocabulary.n_docs, [hit.doc_id for hit in hits])
+        hits = searcher.search(tokens, mode, cfg.search)
+        texts = searcher.texts(hits)
     except OSError as exc:
         raise CliError(f"cannot load index artifacts: {exc}") from exc
 
@@ -384,9 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--k", type=int, help="number of results to return")
     p_search.add_argument("--alpha", type=float, help="lexical weight for hybrid fusion")
     p_search.add_argument("query")
-    p_search.add_argument(
-        "--mode", choices=("lexical", "vector", "hybrid"), default="hybrid"
-    )
+    p_search.add_argument("--mode", choices=MODES, default="hybrid")
     p_search.add_argument(
         "--full", action="store_true", help="print full document text, not snippets"
     )

@@ -62,10 +62,6 @@ class LoadResult:
     reviews: list[Review]
     skipped: int
 
-    @property
-    def total_lines(self) -> int:
-        return len(self.reviews) + self.skipped
-
 
 def parse_label(value: object, name: str) -> int:
     """A class label read from JSON: an int or an integer-valued float (5.0);
@@ -96,11 +92,6 @@ def load_reviews(path: str | Path) -> LoadResult:
             continue
         reviews.append(review)
     return LoadResult(reviews=reviews, skipped=len(lines) - len(reviews))
-
-
-def filter_by_business(reviews: list[Review], allowed_ids: set[str]) -> list[Review]:
-    """Order-preserving subset of reviews whose business id is allowed."""
-    return [r for r in reviews if r.business_id in allowed_ids]
 
 
 def class_distribution(reviews: list[Review]) -> dict[int, float]:
@@ -154,16 +145,9 @@ def split(reviews: list[Review], spec: SplitSpec) -> DatasetBundle:
     )
 
 
-def review_to_json(review: Review, **extra: object) -> str:
-    return io_utils.encode_json(_record(review, extra))
-
-
-def _record(review: Review, extra: dict) -> dict:
-    """A review's JSON-lines record: its three fields, then ``extra``'s."""
-    return {"text": review.text, "stars": review.stars, "business_id": review.business_id, **extra}
-
-
 def write_reviews(reviews: list[Review], path: str | Path, split_name: str) -> None:
     """Write one split as JSON-lines with an added ``split`` field."""
-    extra = {"split": split_name}
-    io_utils.write_json_lines(path, [_record(r, extra) for r in reviews])
+    io_utils.write_json_lines(path, [
+        {"text": r.text, "stars": r.stars, "business_id": r.business_id, "split": split_name}
+        for r in reviews
+    ])

@@ -9,7 +9,6 @@ rows stay zero), matching the proportional confusion-matrix convention.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -160,10 +159,7 @@ def compute_report(cm: ConfusionMatrix) -> MetricsReport:
 def confusion_to_csv(cm: ConfusionMatrix, normalized: bool = False) -> str:
     """CSV with a true-label row per line; plot-ready data, not a plot."""
     matrix = row_normalize(cm) if normalized else cm.counts
-    buf = io.StringIO()
-    header = ["true\\pred"] + [str(q) for q in range(cm.n_classes)]
-    buf.write(",".join(header) + "\n")
-    for q in range(cm.n_classes):
-        cells = [repr(float(x)) if normalized else str(int(x)) for x in matrix[q]]
-        buf.write(",".join([str(q)] + cells) + "\n")
-    return buf.getvalue()
+    # The cells are the reprs of the Python ints or floats that tolist() gives.
+    lines = ["true\\pred," + ",".join(map(str, range(cm.n_classes)))]
+    lines += [f"{q}," + ",".join(map(repr, row)) for q, row in enumerate(matrix.tolist())]
+    return "\n".join(lines) + "\n"

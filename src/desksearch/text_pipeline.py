@@ -122,12 +122,6 @@ class SparseVector:
     def norm(self) -> float:
         return math.sqrt(sum(v * v for v in self.values))
 
-    def dot(self, other: SparseVector) -> float:
-        if self.dimension != other.dimension:
-            raise ValueError("dimension mismatch")
-        weights = dict(zip(other.indices, other.values))
-        return sum(v * weights[i] for i, v in zip(self.indices, self.values) if i in weights)
-
 
 def _from_pairs(dimension: int, pairs: dict[int, float]) -> SparseVector:
     items = sorted((i, w) for i, w in pairs.items() if w != 0)
@@ -162,12 +156,3 @@ def tfidf_vectorize(tokens: list[str], vocab: Vocabulary) -> SparseVector:
     counts = count_vectorize(tokens, vocab)
     pairs = {tid: tf * idf(tid, vocab) for tid, tf in counts.entries()}
     return _from_pairs(vocab.size, pairs)
-
-
-def binarize(v: SparseVector) -> SparseVector:
-    """Set every stored weight to 1, keeping the entry set unchanged."""
-    return SparseVector(
-        dimension=v.dimension,
-        indices=v.indices,
-        values=tuple(1.0 for _ in v.values),
-    )

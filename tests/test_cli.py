@@ -7,6 +7,7 @@ import re
 import shutil
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from conftest import ARTIFACT_FAULTS, VECTOR_FILE_FAULTS, corrupt_artifact, corr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desksearch import cli, encoder, lexical_index, vector_index
+from desksearch import cli, encoder, lexical_index, searcher, vector_index
 from desksearch.cli import CONFIG_KEYS, SPLIT_KEYS, load_config, main
 from desksearch.dataset import Review
 from desksearch.io_utils import read_artifact
@@ -472,6 +473,27 @@ class TestSearch:
                     (h.doc_id, h.score) for h in library_hits
                 ]
 
+    def test_one_embedding_serves_every_search_of_a_searcher(self, pipeline, monkeypatch):
+        load_vectors, reads = vector_index.load_vectors, []
+
+        def read_vectors(*args):
+            reads.append(args)
+            return load_vectors(*args)
+
+        monkeypatch.setattr(vector_index, "load_vectors", read_vectors)
+        index = searcher.Searcher(pipeline["index_dir"])
+        tokens = tokenize(pipeline["docs"][3])
+        embedding = index.embed(tokens)
+        for mode in searcher.MODES:
+            for cfg in (vector_index.HybridConfig(k=3), vector_index.HybridConfig(0.2, 7)):
+                assert index.rank(tokens, embedding, mode, cfg) == index.search(tokens, mode, cfg)
+        assert len(reads) == 1  # the vectors are read once, by the first search that embeds
+        unknown = "mode must be one of lexical, vector, hybrid, got 'fuzzy'"
+        with pytest.raises(ValueError, match=unknown):
+            index.search(tokens, "fuzzy", vector_index.HybridConfig())
+        with pytest.raises(ValueError, match=unknown):
+            index.rank(tokens, embedding, "fuzzy", vector_index.HybridConfig())
+
     def test_search_embeds_the_query_as_the_full_weights_do(self, pipeline, capsys, monkeypatch):
         # The search path draws only the query's distinct token rows; the
         # vector it scans with must still be embed's with every row drawn.
@@ -505,6 +527,32 @@ class TestSearch:
             assert len(tables[-1]) == len(set(ids[: enc_cfg.max_seq_len])) < enc_cfg.vocab_size
             assert np.array_equal(queries[-1], encoder.embed([ids], enc_cfg, weights)[0])
         assert len(ids) > enc_cfg.max_seq_len and len(tables[-1]) == len(FILLER) < len(set(ids))
+
+    @pytest.mark.parametrize("mode", ["vector", "hybrid"])
+    def test_query_weights_are_freed_before_the_vectors_are_read(
+        self, pipeline, capsys, monkeypatch, mode
+    ):
+        # Weights kept alive across the read of vectors.bin change which pages
+        # that read faults in (hundreds more per cold vector search).
+        load_weights, load_vectors = encoder.load_weights, vector_index.load_vectors
+        refs, reads = [], []
+
+        def load_rows(*args):
+            loaded = load_weights(*args)
+            refs.append(weakref.ref(loaded[1]))
+            return loaded
+
+        def read_vectors(*args):
+            assert refs and refs[-1]() is None, "the query's weights are still alive"
+            reads.append(args)
+            return load_vectors(*args)
+
+        monkeypatch.setattr(encoder, "load_weights", load_rows)
+        monkeypatch.setattr(vector_index, "load_vectors", read_vectors)
+        code, hits = search_lines(
+            capsys, ["search", pipeline["docs"][3], "--mode", mode, "--config", pipeline["config"]]
+        )
+        assert code == 0 and hits and len(refs) == len(reads) == 1
 
     def test_search_starts_no_thread(self, pipeline, capsys, monkeypatch):
         # A query is one chunk, so even with many CPUs cold search encodes it
@@ -583,7 +631,7 @@ class TestSearch:
 
         monkeypatch.setattr(Path, "read_bytes", guarded(read_bytes))
         monkeypatch.setattr(Path, "read_text", guarded(read_text))
-        monkeypatch.setattr(cli, "open", lambda *a: Recorded(real_open(*a)), raising=False)
+        monkeypatch.setattr(searcher, "open", lambda *a: Recorded(real_open(*a)), raising=False)
         for mode in ("lexical", "vector", "hybrid"):
             reads.clear()
             code, hits = search_lines(
@@ -612,19 +660,19 @@ class TestDocTexts:
                         else st.just([]), label="ids")
         with tempfile.TemporaryDirectory() as tmp:
             index_dir = Path(tmp)
-            cli._write_docs(index_dir, [Review(text, 3, "b") for text in texts])
+            searcher.write_docs(index_dir, [Review(text, 3, "b") for text in texts])
             lines = (index_dir / "docs.jsonl").read_bytes().split(b"\n")
-            assert cli._doc_texts(index_dir, len(texts), ids) == [
+            assert searcher._doc_texts(index_dir, len(texts), ids) == [
                 json.loads(lines[doc_id])["text"] for doc_id in ids
             ] == [texts[doc_id] for doc_id in ids]
 
     def test_no_hits_read_no_file(self, tmp_path):
-        assert cli._doc_texts(tmp_path / "missing", 5, []) == []
+        assert searcher._doc_texts(tmp_path / "missing", 5, []) == []
 
     def test_doc_id_past_the_docs_rejected(self, tmp_path):
-        cli._write_docs(tmp_path, [Review("one", 3, "b")])
-        with pytest.raises(cli.CliError, match="line 2 is not doc 1: no such line"):
-            cli._doc_texts(tmp_path, 1, [0, 1])
+        searcher.write_docs(tmp_path, [Review("one", 3, "b")])
+        with pytest.raises(ValueError, match="line 2 is not doc 1: no such line"):
+            searcher._doc_texts(tmp_path, 1, [0, 1])
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):

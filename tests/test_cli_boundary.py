@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import naive_eval
 
-from desksearch import cli, encoder, metrics
+from desksearch import encoder, metrics, searcher
 from desksearch.cli import SPLIT_KEYS, main
 from desksearch.dataset import load_reviews
 from desksearch.io_utils import write_artifact
@@ -108,8 +108,8 @@ class TestDeepJson:
         line = (DEEP + "\n").encode()
         (index_dir / "docs.jsonl").write_bytes(line * n_docs)
         starts = np.arange(n_docs + 1, dtype="<i8") * len(line)
-        write_artifact(index_dir / cli.OFFSETS_FILE, cli.OFFSETS_FORMAT, cli.OFFSETS_VERSION,
-                       {"n_docs": n_docs}, [starts])
+        write_artifact(index_dir / searcher.OFFSETS_FILE, searcher.OFFSETS_FORMAT,
+                       searcher.OFFSETS_VERSION, {"n_docs": n_docs}, [starts])
         config = write_config(tmp_path / "c.json", index_dir=str(index_dir))
         code, _, err = run(["search", "great", "--config", config, "--k", "1"])
         assert code == 1 and ": line " in err and ": maximum recursion" in err

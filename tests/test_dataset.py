@@ -10,9 +10,7 @@ from desksearch.dataset import (
     SplitSpec,
     balanced_resample,
     class_distribution,
-    filter_by_business,
     load_reviews,
-    review_to_json,
     split,
     write_reviews,
 )
@@ -102,7 +100,6 @@ class TestLoadReviews:
         result = load_reviews(path)
         assert result.skipped == 3
         assert len(result.reviews) == 1
-        assert result.total_lines == 4
 
     def test_integer_valued_float_stars_accepted(self, tmp_path):
         path = tmp_path / "reviews.jsonl"
@@ -137,21 +134,6 @@ class TestLoadReviews:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
             load_reviews(tmp_path / "nope.jsonl")
-
-
-class TestFilterByBusiness:
-    def test_subset(self):
-        reviews = make_reviews(9)
-        kept = filter_by_business(reviews, {"b0", "b2"})
-        assert all(r.business_id in {"b0", "b2"} for r in kept)
-        assert kept == [r for r in reviews if r.business_id in {"b0", "b2"}]
-
-    def test_no_match(self):
-        assert filter_by_business(make_reviews(5), {"zz"}) == []
-
-    def test_all_match_is_identity(self):
-        reviews = make_reviews(5)
-        assert filter_by_business(reviews, {f"b{i}" for i in range(7)}) == reviews
 
 
 class TestClassDistribution:
@@ -283,10 +265,6 @@ class TestWriteReviews:
         path = tmp_path / "empty.jsonl"
         write_reviews([], path, split_name="val")
         assert path.read_text() == ""
-
-    def test_review_to_json_unicode_preserved(self):
-        r = Review(text="crème brûlée", stars=4, business_id="b")
-        assert "crème brûlée" in review_to_json(r)
 
     def test_byte_identical_reruns(self, tmp_path):
         reviews = make_reviews(20)

@@ -8,11 +8,11 @@ from conftest import random_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desksearch.cli import CliError, _doc_texts, _write_docs
 from desksearch.dataset import Review
 from desksearch.encoder import EncoderConfig, init_weights, load_weights, save_weights
 from desksearch.io_utils import read_artifact, write_artifact
 from desksearch.lexical_index import build_index, load_index, save_index
+from desksearch.searcher import _doc_texts, write_docs
 from desksearch.vector_index import VectorIndex, load_vectors, save_vectors
 
 
@@ -160,7 +160,7 @@ def built(tmp_path_factory):
     vec = VectorIndex.from_arrays(range(len(docs)), rows / np.linalg.norm(rows, axis=1)[:, None])
     save_vectors(vec, root / "vectors.bin")
     texts = [" ".join(doc) + "\u2028\n" for doc in docs]
-    _write_docs(root, [Review(text, 3, "b") for text in texts])
+    write_docs(root, [Review(text, 3, "b") for text in texts])
 
     def load_texts(path):
         """Every doc's snippet through a damaged doc_offsets.bin: the true
@@ -182,8 +182,7 @@ def built(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 def test_damaged_artifact_loads_or_fails_naming_the_file(built, name, data):
     """A truncated, overwritten or grown artifact either loads or raises one
-    ValueError (a CliError for a snippet line) naming the file; any other
-    exception or a warning fails."""
+    ValueError naming the file; any other exception or a warning fails."""
     raw, load, path = built[name]
     edit = data.draw(st.sampled_from(["truncate", "overwrite", "insert"]), label="edit")
     if edit == "truncate":
@@ -200,5 +199,5 @@ def test_damaged_artifact_loads_or_fails_naming_the_file(built, name, data):
         warnings.simplefilter("error")
         try:
             load(path)
-        except (ValueError, CliError) as exc:
+        except ValueError as exc:
             assert str(exc).startswith((f"{path}: ", f"{path.parent / 'docs.jsonl'}: ")), exc

@@ -197,21 +197,41 @@ class TestReport:
         assert payload["per_class"][1]["precision"] == pytest.approx(2 / 3)
 
 
+def wide_cm():
+    """K = 40 from 300 pairs, none of true class 7: a larger K with a zero row."""
+    pairs = [p for p in random_pairs(random.Random(11), 300, 40) if p[0] != 7]
+    return confusion_counts(pairs, 40)
+
+
 class TestCsv:
     def test_raw_counts(self, hand_cm):
         lines = confusion_to_csv(hand_cm).splitlines()
         assert lines[0] == "true\\pred,0,1"
         assert lines[1] == "0,1,1"
         assert lines[2] == "1,0,2"
+        cm = wide_cm()
+        lines = confusion_to_csv(cm).splitlines()
+        assert lines[0] == "true\\pred," + ",".join(str(q) for q in range(40))
+        assert lines[8] == "7," + ",".join(["0"] * 40)
+        assert lines[1:] == [
+            ",".join([str(q)] + [str(int(x)) for x in row]) for q, row in enumerate(cm.counts)
+        ]
 
     def test_normalized(self, hand_cm):
         lines = confusion_to_csv(hand_cm, normalized=True).splitlines()
         assert lines[1] == "0,0.5,0.5"
         assert lines[2] == "1,0.0,1.0"
+        cm = wide_cm()
+        lines = confusion_to_csv(cm, normalized=True).splitlines()
+        assert lines[8] == "7," + ",".join(["0.0"] * 40)
+        assert lines[1:] == [
+            ",".join([str(q)] + [repr(float(x)) for x in row])
+            for q, row in enumerate(row_normalize(cm))
+        ]
 
     def test_parses_back_to_same_counts(self):
         rng = random.Random(6)
-        cm = confusion_counts(random_pairs(rng, 80, 3), 3)
-        lines = confusion_to_csv(cm).splitlines()[1:]
-        parsed = [[int(c) for c in line.split(",")[1:]] for line in lines]
-        assert parsed == cm.counts.tolist()
+        for cm in (confusion_counts(random_pairs(rng, 80, 3), 3), wide_cm()):
+            lines = confusion_to_csv(cm).splitlines()[1:]
+            parsed = [[int(c) for c in line.split(",")[1:]] for line in lines]
+            assert parsed == cm.counts.tolist()

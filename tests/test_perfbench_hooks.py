@@ -116,3 +116,31 @@ def test_traced_searches_count_the_query_terms_postings(perfbench):
             tracer.end()
     counts = [tracer.counts[(op, "lexical_index.postings_scanned")] for op in tracer.ops]
     assert counts == [df_sum, df_sum] == [5, 5]
+
+
+def test_traced_search_reports_the_load_spans(perfbench, tmp_path):
+    """cold_search's load and token metrics come from the wrappers perfbench
+    puts on the loaders' and cli's module attributes; a search path that bound
+    those names at import would read 0 there, with no error."""
+    _, tracing = perfbench
+    source = tmp_path / "source.jsonl"
+    source.write_text("".join(
+        json.dumps({"text": text, "stars": 1, "business_id": "b"}) + "\n"
+        for text in ("great food", "slow service and cold food", "great staff")
+    ))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"index_dir": str(tmp_path / "idx"), "index_source": str(source)}))
+    assert cli.main(["index", "--config", str(config)]) == 0
+    loads = ("lexical_index.load_index", "encoder.load_weights", "vector_index.load_vectors")
+    for mode in ("lexical", "vector", "hybrid"):
+        tracer = installed_tracer(perfbench)
+        tracer.begin(tracing.QUERY)
+        try:
+            assert cli.main(["search", "great food", "--mode", mode, "--config", str(config)]) == 0
+        finally:
+            tracer.end()
+        # A lexical search reads neither the weights nor the vectors.
+        reached = loads[:1] if mode == "lexical" else loads
+        for span in loads:
+            assert (tracer.layer_value(span, tracing.QUERY, "incl") > 0) == (span in reached), span
+        assert tracer.layer_value("text_pipeline.tokens", tracing.QUERY, "count") == 2, mode

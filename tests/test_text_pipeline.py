@@ -9,7 +9,6 @@ from desksearch.text_pipeline import (
     SparseVector,
     TokenizerConfig,
     Vocabulary,
-    binarize,
     build_vocabulary,
     count_vectorize,
     idf,
@@ -94,10 +93,8 @@ class TestSparseVector:
         with pytest.raises(ValueError):
             SparseVector(dimension=2, indices=(0,), values=(0.0,))
 
-    def test_dot_and_norm(self):
+    def test_norm(self):
         a = SparseVector(dimension=4, indices=(0, 2), values=(1.0, 2.0))
-        b = SparseVector(dimension=4, indices=(2, 3), values=(3.0, 4.0))
-        assert a.dot(b) == 6.0
         assert a.norm() == pytest.approx(math.sqrt(5.0))
 
 
@@ -174,39 +171,9 @@ class TestTfidfVectorize:
                 assert got[tid] == pytest.approx(want[tid], abs=1e-12)
 
 
-class TestBinarize:
-    def test_nonzero_weights_become_one(self):
-        v = SparseVector(dimension=5, indices=(0, 4), values=(3.0, 7.0))
-        assert binarize(v).entries() == [(0, 1.0), (4, 1.0)]
-
-    def test_empty(self):
-        assert binarize(SparseVector(dimension=3)).entries() == []
-
-    def test_idempotent_on_ones(self):
-        v = SparseVector(dimension=3, indices=(2,), values=(1.0,))
-        assert binarize(v) == v
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 49), st.floats(-100, 100).filter(lambda x: x != 0)),
-            max_size=20,
-            unique_by=lambda t: t[0],
-        )
-    )
-    def test_binarize_is_idempotent(self, pairs):
-        pairs = sorted(pairs)
-        v = SparseVector(
-            dimension=50,
-            indices=tuple(i for i, _ in pairs),
-            values=tuple(w for _, w in pairs),
-        )
-        assert binarize(binarize(v)) == binarize(v)
-
-
 @given(st.lists(st.lists(st.sampled_from(WORDS), max_size=8), max_size=15))
 def test_entries_strictly_ascending_everywhere(corpus):
     vocab = build_vocabulary(corpus)
     for doc in corpus:
         for vec in (count_vectorize(doc, vocab), tfidf_vectorize(doc, vocab)):
             assert list(vec.indices) == sorted(set(vec.indices))
-            assert binarize(vec).indices == vec.indices
