@@ -132,7 +132,8 @@ def write_artifact(
 
 
 def read_artifact(
-    path: str | Path, fmt: str, version: int, counts: tuple[str, ...] = (), layout=None
+    path: str | Path, fmt: str, version: int, counts: tuple[str, ...] = (), layout=None,
+    int_list: str | None = None,
 ) -> tuple[dict, list[np.ndarray]]:
     """The header and the arrays of a ``write_artifact`` file, read-only
     ``np.frombuffer`` views of the bytes read: ``layout`` maps the values of
@@ -141,11 +142,24 @@ def read_artifact(
     count that is missing or no non-negative integer, a payload that is
     missing, unaligned or not exactly as long as the layout, or any payload
     without a layout raises ValueError naming the file.  Without a layout, a
-    file with no newline is all header."""
+    file with no newline is all header.
+
+    The header key ``int_list``, if given, is a list of 64-bit integers that
+    ``write_artifact`` wrote last, and its value is one int64 array decoded
+    from the header's bytes by ``_int64_list``; JSON decodes only the rest.
+    A header that does not end with the key in that form raises ValueError
+    naming the file and the key."""
     raw = Path(path).read_bytes()
     end = raw.find(b"\n") if b"\n" in raw else len(raw)
+    head, ints = raw[:end], None
+    if int_list is not None:
+        # json.dumps writes the key last as `, "<int_list>": [1, 2]}`; spaces pad the line.
+        key, line = f', "{int_list}": ['.encode(), head.rstrip(b" ")
+        at = line.rfind(key)
+        if at >= 0 and line.endswith(b"]}"):
+            head, ints = line[:at] + b"}", memoryview(line)[at + len(key) : -2]
     try:
-        header = json.loads(raw[:end].decode("utf-8"))
+        header = json.loads(head.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, malformed or too deeply nested
         raise ValueError(f"{path}: header is not valid JSON: {exc}") from None
     if not isinstance(header, dict) or header.get("format") != fmt:
@@ -153,6 +167,14 @@ def read_artifact(
     found = header.get("version")
     if type(found) is not int or found != version:  # true and 1.0 equal 1 but are no version
         raise ValueError(f"{path}: unsupported {fmt} version {found!r}")
+    if int_list is not None:
+        ids = None if ints is None else _int64_list(ints)
+        if ids is None:
+            raise ValueError(
+                f"{path}: malformed header: it must end with {int_list}, a list of 64-bit "
+                "integers as json.dumps writes it"
+            )
+        header[int_list] = ids
     payload = memoryview(raw)[end + 1 :]
     if layout is None:
         if payload:
@@ -180,3 +202,40 @@ def read_artifact(
         arrays.append(np.frombuffer(payload, dtype, n, offset))
         offset += dtype.itemsize * n
     return header, arrays
+
+
+_POW10 = 10 ** np.arange(19, dtype=np.uint64)  # 19 digits fit in a uint64
+_INT64_MAX = np.uint64(2**63 - 1)
+
+
+def _int64_list(text) -> np.ndarray | None:
+    """The int64 array of ``text``, the bytes inside a list that ``json.dumps``
+    wrote, such as ``b"-3, 0, 17"``, decoded in a few numpy passes, with no
+    Python int per value; None unless ``text`` is exactly that form: values
+    from -2**63 to 2**63 - 1 joined by ``", "``, with no sign but ``-``, no
+    leading zero and no ``-0``."""
+    b = np.frombuffer(text, np.uint8)
+    if not b.size:
+        return np.empty(0, np.int64)
+    comma = np.flatnonzero(b == ord(","))
+    starts, ends = np.append(0, comma + 2), np.append(comma, b.size)
+    size = ends - starts
+    if size.min() < 1 or (b[comma + 1] != ord(" ")).any():
+        return None
+    neg = b[starts] == ord("-")
+    width = size - neg  # the digits of each value
+    digit = b - np.uint8(ord("0"))  # wraps below "0", so only a digit is < 10
+    # Every byte but the ", " separators and the leading minus signs is a digit.
+    if (np.count_nonzero(digit < 10) != b.size - 2 * comma.size - np.count_nonzero(neg)
+            or not 1 <= width.min() <= width.max() <= 19):
+        return None
+    magnitude = np.zeros(len(starts), np.uint64)
+    for place in range(int(width.max())):  # one decimal place of every value at a time
+        # A 1-element array, not a scalar, makes the product uint64 under every
+        # numpy's promotion rules; numpy 1 would size it by the scalar's value.
+        magnitude += np.where(width > place, digit[ends - 1 - place], 0) * _POW10[place : place + 1]
+    if (((b[ends - width] == ord("0")) & (size > 1)).any()  # a leading zero, or -0
+            or (magnitude > _INT64_MAX + neg).any()):
+        return None
+    ids = magnitude.astype(np.int64)  # 2**63 wraps to -2**63, which negation keeps
+    return np.negative(ids, out=ids, where=neg)

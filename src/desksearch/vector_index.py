@@ -202,34 +202,32 @@ def save_vectors(index: VectorIndex, path: str | Path) -> None:
     """
     order = np.argsort(index._ids, kind="stable")
     ids = index._ids[order].tolist()
+    # doc_ids last: load_vectors decodes the list from the end of the header line.
     fields = {"dimension": index.dimension, "count": len(order), "doc_ids": ids}
     matrix = index._matrix.take(order, axis=0).astype("<f8", copy=False)
     write_artifact(path, VECTOR_FORMAT, VECTOR_VERSION, fields, [matrix])
 
 
 def load_vectors(path: str | Path, dimension: int | None = None) -> VectorIndex:
-    """Read a ``save_vectors`` file; the index scans its rows in place, read-only.
-    Beyond the checks of ``read_artifact``, a header that does not match its
-    rows or a given ``dimension``, or whose doc ids are not integers that fit
-    in 64 bits and rise strictly, raises ValueError naming the file, never a
-    partial index."""
+    """Read a ``save_vectors`` file; the index scans its rows in place, read-only,
+    and its doc ids are one read-only int64 array that ``read_artifact``
+    decodes from the header's bytes, with no Python int per id.  Beyond the
+    checks of ``read_artifact``, which accepts the doc ids only as the last
+    key, in the form ``save_vectors`` writes (``json.dumps`` of 64-bit
+    integers), a header that does not match its rows or a given
+    ``dimension``, or whose doc ids do not rise strictly, raises ValueError
+    naming the file, never a partial index."""
     header, (rows,) = read_artifact(
         path, VECTOR_FORMAT, VECTOR_VERSION, ("dimension", "count"),
-        lambda dim, count: [("<f8", dim * count)],
+        lambda dim, count: [("<f8", dim * count)], int_list="doc_ids",
     )
-    dim, count, doc_ids = header["dimension"], header["count"], header.get("doc_ids")
-    if dim < 1 or not isinstance(doc_ids, list):
-        raise ValueError(f"{path}: malformed header (dimension or doc_ids)")
+    dim, count, ids = header["dimension"], header["count"], header["doc_ids"]
+    if dim < 1:
+        raise ValueError(f"{path}: malformed header (dimension)")
     if dimension is not None and dim != dimension:
         raise ValueError(f"{path}: dimension {dim} is not the d_model {dimension} of the encoder")
-    if len(doc_ids) != count:
-        raise ValueError(f"{path}: header lists {len(doc_ids)} doc ids for count {count}")
-    if not set(map(type, doc_ids)) <= {int}:  # bool and float are not ids
-        raise ValueError(f"{path}: doc ids must be integers")
-    try:
-        ids = np.array(doc_ids, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"{path}: doc ids must be a flat sequence of 64-bit integers") from None
+    if len(ids) != count:
+        raise ValueError(f"{path}: header lists {len(ids)} doc ids for count {count}")
     # save_vectors writes the ids in rising order, so one pass over
     # neighbours finds a repeat, where add and from_arrays must sort.
     fall = np.flatnonzero(ids[1:] <= ids[:-1])

@@ -39,44 +39,92 @@ def _scale_first_row(payload: bytes, factor: float) -> bytes:
     return rows.tobytes()
 
 
-# fault name -> (edit of the header's doc-id list, edit of the raw payload,
-# a fragment of the loader's error message)
+def _doc_ids(edit):
+    """An edit of the header's doc-id list, which json.dumps writes back."""
+    def apply(line: bytes) -> bytes:
+        header = json.loads(line)
+        header["doc_ids"] = edit(header["doc_ids"])
+        return json.dumps(header).encode("utf-8")
+
+    return apply
+
+
+def _doc_ids_bytes(edit):
+    """An edit of the bytes of the header's doc-id list, from `[` to `]`, into
+    a form that json.dumps never writes; the rest of the header keeps its bytes."""
+    def apply(line: bytes) -> bytes:
+        at = line.index(b'"doc_ids": ') + len(b'"doc_ids": ')
+        return line[:at] + edit(line[at:-1]) + line[-1:]
+
+    return apply
+
+
+def _doc_ids_not_last(line: bytes) -> bytes:
+    header = json.loads(line)
+    ids, count = header.pop("doc_ids"), header.pop("count")
+    return json.dumps({**header, "doc_ids": ids, "count": count}).encode("utf-8")
+
+
+# fault name -> (edit of the header line as json.dumps wrote it, edit of the
+# raw payload, a fragment of the loader's error message)
 VECTOR_FILE_FAULTS = {
-    "doc_ids_shorter_than_count": (lambda ids: ids[:-1], None, "doc ids for count"),
-    "doc_ids_longer_than_count": (lambda ids: ids + [10**6], None, "doc ids for count"),
+    "doc_ids_shorter_than_count": (_doc_ids(lambda ids: ids[:-1]), None, "doc ids for count"),
+    "doc_ids_longer_than_count": (
+        _doc_ids(lambda ids: ids + [10**6]), None, "doc ids for count"
+    ),
     "truncated_payload": (None, lambda p: p[:-8], "payload is"),
     "extra_payload": (None, lambda p: p + bytes(8), "payload is"),
-    "float_id": (lambda ids: [0.5] + ids[1:], None, "integers"),
-    "bool_id": (lambda ids: [True] + ids[1:], None, "integers"),
-    "huge_id": (lambda ids: [2**64] + ids[1:], None, "integers"),
-    "duplicate_id": (lambda ids: [ids[0], ids[0]] + ids[2:], None, "already present"),
-    "falling_id": (lambda ids: [ids[1], ids[0]] + ids[2:], None, "rise strictly"),
+    "float_id": (_doc_ids(lambda ids: [0.5] + ids[1:]), None, "integers"),
+    "bool_id": (_doc_ids(lambda ids: [True] + ids[1:]), None, "integers"),
+    "huge_id": (_doc_ids(lambda ids: [2**64] + ids[1:]), None, "integers"),
+    "id_past_int64_max": (_doc_ids(lambda ids: ids[:-1] + [2**63]), None, "integers"),
+    "id_below_int64_min": (_doc_ids(lambda ids: [-(2**63) - 1] + ids[1:]), None, "integers"),
+    "duplicate_id": (
+        _doc_ids(lambda ids: [ids[0], ids[0]] + ids[2:]), None, "already present"
+    ),
+    "falling_id": (_doc_ids(lambda ids: [ids[1], ids[0]] + ids[2:]), None, "rise strictly"),
+    # Headers that write_artifact never writes.  json.loads reads the first
+    # four as rising 64-bit ids; the loader accepts only json.dumps's form.
+    "ids_without_spaces": (
+        _doc_ids_bytes(lambda ids: ids.replace(b", ", b",")), None, "integers"
+    ),
+    "minus_zero_id": (
+        _doc_ids_bytes(lambda ids: b"[-0" + ids[ids.index(b","):]), None, "integers"
+    ),
+    "doc_ids_not_last": (_doc_ids_not_last, None, "integers"),
+    "tab_after_header": (lambda line: line + b"\t", None, "integers"),
+    "leading_zero_id": (_doc_ids_bytes(lambda ids: b"[0" + ids[1:]), None, "integers"),
+    "plus_sign_id": (_doc_ids_bytes(lambda ids: b"[+" + ids[1:]), None, "integers"),
+    "trailing_comma": (_doc_ids_bytes(lambda ids: ids[:-1] + b",]"), None, "integers"),
     "non_unit_row": (None, lambda p: _scale_first_row(p, 2.0), "unit-norm"),
     "nan_row": (None, lambda p: _scale_first_row(p, float("nan")), "unit-norm"),
     "overflowing_row": (None, lambda p: _scale_first_row(p, 1e300), "unit-norm"),
 }
 
 
-def _artifact_file(header: dict, payload: bytes) -> bytes:
-    """A vectors.bin or lexical_index.json from its header and payload, the
-    header line padded as write_artifact pads it, so that the payload starts
-    8-byte aligned."""
-    line = json.dumps(header).encode("utf-8")
+def _padded(line: bytes, payload: bytes) -> bytes:
+    """An artifact from its header line and payload, the line padded as
+    write_artifact pads it, so that the payload starts 8-byte aligned."""
     return line + b" " * (-(len(line) + 1) % 8) + b"\n" + payload
+
+
+def _artifact_file(header: dict, payload: bytes) -> bytes:
+    """A vectors.bin or lexical_index.json from its header and payload."""
+    return _padded(json.dumps(header).encode("utf-8"), payload)
 
 
 def corrupt_vectors_file(path, fault: str) -> str:
     """Rewrite a vectors.bin in place with one header/payload inconsistency
     from VECTOR_FILE_FAULTS; returns the message fragment the loader must give."""
-    edit_ids, edit_payload, message = VECTOR_FILE_FAULTS[fault]
+    edit_header, edit_payload, message = VECTOR_FILE_FAULTS[fault]
     raw = path.read_bytes()
     newline = raw.index(b"\n")
-    header, payload = json.loads(raw[:newline]), raw[newline + 1 :]
-    if edit_ids is not None:
-        header["doc_ids"] = edit_ids(header["doc_ids"])
+    line, payload = raw[:newline].rstrip(b" "), raw[newline + 1 :]
+    if edit_header is not None:
+        line = edit_header(line)
     if edit_payload is not None:
         payload = edit_payload(payload)
-    path.write_bytes(_artifact_file(header, payload))
+    path.write_bytes(_padded(line, payload))
     return message
 
 

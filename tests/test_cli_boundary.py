@@ -101,6 +101,21 @@ class TestDeepJson:
         code, _, err = run(["search", "great", "--config", config])
         assert code == 1 and err.startswith(f"error: {path}: header is not valid JSON: maximum")
 
+    @pytest.mark.parametrize("where", ["whole header", "key before doc_ids"])
+    def test_vectors_header_line(self, built, tmp_path, where):
+        index_dir = tmp_path / "idx"
+        shutil.copytree(built["index_dir"], index_dir)
+        path = index_dir / "vectors.bin"
+        raw = path.read_bytes()
+        end = raw.index(b"\n")
+        line = DEEP.encode() if where == "whole header" else raw[:end].replace(
+            b'"count"', b'"deep": ' + (DEEP + "]" * len(DEEP)).encode() + b', "count"'
+        )
+        path.write_bytes(line + raw[end:])
+        config = write_config(tmp_path / "c.json", index_dir=str(index_dir))
+        code, _, err = run(["search", "great", "--mode", "vector", "--config", config])
+        assert code == 1 and err.startswith(f"error: {path}: header is not valid JSON: maximum")
+
     def test_docs_line(self, built, tmp_path):
         index_dir = tmp_path / "idx"
         shutil.copytree(built["index_dir"], index_dir)
@@ -432,3 +447,50 @@ def test_any_artifact_header_line(built, data, name, mode):
         path.write_bytes(data.draw(damaged([json.dumps(header)], st.just(b""))) + raw[end:])
         config = write_config(Path(tmp) / "c.json", index_dir=str(index_dir))
         run(["search", "great food doc3", "--mode", mode, "--config", config])
+
+
+ID_CHARS = "0123456789-+., e"
+
+
+@st.composite
+def id_list_bytes(draw, ids: bytes) -> bytes:
+    """The bytes inside a vectors.bin's doc-id list, ``ids``, rewritten as
+    json.dumps never writes them: one byte inserted, replaced or deleted, the
+    values joined by another separator, one value swapped for a token near
+    the edges of the form, or any text of the characters a list of numbers
+    uses."""
+    how = draw(st.sampled_from(["insert", "replace", "delete", "join", "token", "any"]))
+    at = draw(st.integers(0, len(ids)))
+    if how in ("insert", "replace", "delete"):
+        byte = draw(st.sampled_from(ID_CHARS)).encode()
+        return ids[:at] + (b"" if how == "delete" else byte) + ids[at + (how != "insert"):]
+    tokens = ids.split(b", ")
+    if how == "join":
+        return draw(st.sampled_from([b",", b" ,", b",  ", b", , "])).join(tokens)
+    if how == "token":
+        tokens[at % len(tokens)] = draw(st.sampled_from([
+            b"-0", b"00", b"+1", b"1.0", b"1e3", b"", b"-", b"9223372036854775808",
+            b"-9223372036854775809", b"-9223372036854775808", b"9223372036854775807",
+        ]))
+        return b", ".join(tokens)
+    return draw(st.text(ID_CHARS, max_size=40)).encode()
+
+
+@FUZZ
+@given(data=st.data(), mode=st.sampled_from(["lexical", "vector", "hybrid"]))
+def test_any_vectors_id_list(built, data, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        index_dir = Path(tmp) / "idx"
+        shutil.copytree(built["index_dir"], index_dir)
+        path = index_dir / "vectors.bin"
+        raw = path.read_bytes()
+        end = raw.index(b"\n")
+        line = raw[:end].rstrip(b" ")
+        start = line.index(b'"doc_ids": [') + len(b'"doc_ids": [')
+        text = data.draw(id_list_bytes(line[start:-2]))
+        line = line[:start] + text + b"]}"
+        path.write_bytes(line + b" " * (-(len(line) + 1) % 8) + raw[end:])
+        config = write_config(Path(tmp) / "c.json", index_dir=str(index_dir))
+        code, _, _ = run(["search", "great food doc3", "--mode", mode, "--config", config])
+        if code == 0 and mode != "lexical":  # only a list that JSON reads as integers loads
+            assert all(type(i) is int for i in json.loads(b"[" + text + b"]"))

@@ -1,5 +1,7 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from oracles import brute_force_knn, dense_cosine, recompute_fusion
 
 from desksearch import vector_index
-from desksearch.io_utils import write_artifact
+from desksearch.io_utils import _int64_list, write_artifact
 from desksearch.lexical_index import build_index, search_lexical
 from desksearch.vector_index import (
     HybridConfig,
@@ -26,6 +28,10 @@ from desksearch.vector_index import (
     save_vectors,
     search_hybrid,
 )
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+INT64_EDGES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
 
 
 def unit(v):
@@ -548,6 +554,16 @@ class TestPersistence:
             load_vectors(path)
         assert str(path) in str(exc.value)
 
+    @given(ids=st.lists(st.sampled_from(INT64_EDGES) | INT64, unique=True, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_any_int64_ids_round_trip(self, ids):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vectors.bin"
+            save_vectors(VectorIndex.from_arrays(ids, random_unit_vectors(35, len(ids), 3)), path)
+            loaded = load_vectors(path)
+        assert loaded.doc_ids == sorted(ids)
+        assert loaded._ids.dtype == np.int64 and not loaded._ids.flags.writeable
+
     def test_loaded_rows_are_the_payload_read_only(self, tmp_path, monkeypatch):
         path = tmp_path / "vectors.bin"
         save_vectors(VectorIndex.from_arrays([3, 1, 2], random_unit_vectors(32, 3, 4)), path)
@@ -615,6 +631,36 @@ class TestPersistence:
         path.write_bytes(raw)
         with pytest.raises(ValueError, match="vectors.bin"):
             load_vectors(path)
+
+
+# The list texts the id decoder must reject or read as json.loads does: any
+# text over these characters, or tokens near the edges of the accepted form.
+ID_TEXTS = st.text(alphabet="0123456789-+., e", max_size=40) | st.builds(
+    lambda tokens, sep: sep.join(tokens),
+    st.lists(st.sampled_from([
+        "0", "-0", "00", "01", "-01", "+1", "1", "-1", " 1", "1 ", "", "-", "1.0", "1e3",
+        "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+        "-9223372036854775809", "18446744073709551616", "12345678901234567890",
+    ]), max_size=4),
+    st.sampled_from([", ", ",", " ,", ",  ", ", , "]),
+)
+
+
+class TestIdDecoder:
+    @given(text=ID_TEXTS)
+    @settings(max_examples=500, deadline=None)
+    def test_accepts_only_what_json_reads_as_int64s(self, text):
+        got = _int64_list(text.encode())
+        if got is not None:
+            expected = json.loads("[" + text + "]")
+            assert all(type(value) is int for value in expected)
+            assert got.dtype == np.int64 and got.tolist() == expected
+
+    @given(ids=st.lists(st.sampled_from(INT64_EDGES) | INT64, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_reads_every_json_dumps_of_int64s(self, ids):
+        got = _int64_list(json.dumps(ids)[1:-1].encode())
+        assert got is not None and got.dtype == np.int64 and got.tolist() == ids
 
 
 class TestOracleAgreement:
