@@ -14,10 +14,17 @@ built (a full line, then one over the doc ids alone), then
 that version's ``src`` first on PYTHONPATH, and compare the two outputs with
 ``diff``.  A change that moves only scores may change the two full lines and
 must keep the rest.
+
+Last, it runs ``eval`` alone on a copy of the predictions file with each
+line re-serialized by ``json.dumps(..., separators=(",", ":"))``, a form that
+``eval`` decodes line by line rather than in bulk.  If any of that run's
+``eval`` digests differs from the canonical file's, it exits 1 naming the
+first that differs; if they agree, it prints nothing more.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -47,6 +54,23 @@ def main() -> None:
         print(*hit_digest.digest_lines(work / "index"), sep="\n")
         print(*cli_digest.digest_lines(work / "index"), sep="\n")
         print(pipeline, end="")
+        # The same predictions in another form must give byte-identical eval output.
+        loose, loose_work = tmp / "loose.jsonl", tmp / "loose"
+        loose.write_text("".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+                                 for line in predictions.read_text().splitlines()))
+        loose_work.mkdir()
+        want = eval_digests(pipeline)
+        got = eval_digests(pipeline_digest.digests(corpus, loose, INDEX_SEED, loose_work, ("eval",)))
+        for name in sorted(want.keys() | got.keys()):
+            if want.get(name) != got.get(name):
+                sys.exit(f"eval of {loose.name}, the predictions re-serialized with "
+                         f'separators=(",", ":"), differs from eval of the canonical file at {name}')
+
+
+def eval_digests(lines: str) -> dict[str, str]:
+    """The sha256 of each ``eval`` output among ``pipeline_digest`` lines, by name."""
+    pairs = (line.split("  ", 1) for line in lines.splitlines())
+    return {name: digest for digest, name in pairs if name.startswith("eval")}
 
 
 if __name__ == "__main__":

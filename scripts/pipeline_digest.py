@@ -30,9 +30,10 @@ from pathlib import Path
 from desksearch.cli import main as cli_main
 
 
-def run_pipeline(corpus: Path, predictions: Path, seed: int, work: Path) -> dict[str, bytes]:
-    """Run the three commands in ``work``; each one's exit code, stdout and
-    stderr by name, as bytes."""
+def run_pipeline(corpus: Path, predictions: Path, seed: int, work: Path,
+                 commands: tuple[str, ...] = ("ingest", "index", "eval")) -> dict[str, bytes]:
+    """Run the three commands, or those of them named in ``commands``, in
+    ``work``; each one's exit code, stdout and stderr by name, as bytes."""
     config = work / "config.json"
     # A message naming a file names it the same way wherever the files are.
     placeholders = {str(work): "<work>", str(corpus): "<corpus>", str(predictions): "<predictions>"}
@@ -42,6 +43,8 @@ def run_pipeline(corpus: Path, predictions: Path, seed: int, work: Path) -> dict
         ("index", "index", []),
         ("eval", "eval", [str(predictions)]),
     ):
+        if command not in commands:
+            continue
         config.write_text(json.dumps({
             "corpus": str(corpus), "index_dir": str(work / index_dir),
             "index_source": str(work / "split" / "train.jsonl"), "seed": seed,
@@ -58,10 +61,12 @@ def run_pipeline(corpus: Path, predictions: Path, seed: int, work: Path) -> dict
     return outputs
 
 
-def digests(corpus: Path, predictions: Path, seed: int, work: Path) -> str:
+def digests(corpus: Path, predictions: Path, seed: int, work: Path,
+            commands: tuple[str, ...] = ("ingest", "index", "eval")) -> str:
     """The lines the script prints, for the pipeline run in the empty
-    directory ``work``, which keeps the files it wrote."""
-    blobs = run_pipeline(corpus, predictions, seed, work)
+    directory ``work``, which keeps the files it wrote; ``commands`` as for
+    ``run_pipeline``."""
+    blobs = run_pipeline(corpus, predictions, seed, work, commands)
     for path in sorted(p for p in work.rglob("*") if p.is_file()):
         blobs[path.relative_to(work).as_posix()] = path.read_bytes()
     return "".join(f"{hashlib.sha256(blobs[name]).hexdigest()}  {name}\n" for name in sorted(blobs))

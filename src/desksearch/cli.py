@@ -218,15 +218,26 @@ def cmd_search(cfg: RunConfig, query: str, mode: str, full_text: bool) -> int:
     return 0
 
 
+def _out_of_range(path: str, line_no: int, y_true: int, y_pred: int, n_classes: int) -> CliError:
+    label = y_pred if 0 <= y_true < n_classes else y_true
+    return CliError(f"{path}: line {line_no}: label {label} out of range for {n_classes} classes")
+
+
 def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
     try:
-        lines = io_utils.read_lines(predictions_path)
+        raw = Path(predictions_path).read_bytes()
+        labels = io_utils.label_pairs(raw)  # json.dumps's exact form, decoded in bulk
+        lines = io_utils.decode_lines(raw) if labels is None else ()
+        del raw  # the loop holds the lines, not the bytes too
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read predictions {predictions_path}: {exc}") from exc
 
     n_classes, ys_true, ys_pred, line_no = cfg.n_classes, [], [], 0
+    if labels is not None and int(labels.max()) >= n_classes:  # so n_classes fits int64
+        line_no = int(np.argmax(labels.max(axis=1) >= n_classes))
+        raise _out_of_range(predictions_path, line_no + 1, *labels[line_no].tolist(), n_classes)
     try:
-        for line_no, record in io_utils.json_lines(lines):
+        for line_no, record in io_utils.json_lines(lines) if labels is None else ():
             y_true = record["y_true"]
             if type(y_true) is not int:
                 y_true = dataset.parse_label(y_true, "y_true")
@@ -234,18 +245,14 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
             if type(y_pred) is not int:
                 y_pred = dataset.parse_label(y_pred, "y_pred")
             if not 0 <= y_true < n_classes > y_pred >= 0:  # both labels in range
-                label = y_pred if 0 <= y_true < n_classes else y_true
-                raise CliError(
-                    f"{predictions_path}: line {line_no}: label {label} out of range "
-                    f"for {n_classes} classes"
-                )
+                raise _out_of_range(predictions_path, line_no, y_true, y_pred, n_classes)
             ys_true.append(y_true)
             ys_pred.append(y_pred)
     except io_utils.JSONLineError as exc:
         raise CliError(f"{predictions_path}: line {exc.line_no}: bad record: {exc.error}") from exc
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CliError(f"{predictions_path}: line {line_no}: bad record: {exc}") from exc
-    if not ys_true:
+    if labels is None and not ys_true:
         raise CliError(f"{predictions_path} contains no predictions")
 
     # Before any label becomes int64 (one past int64 fits only a matrix that
@@ -254,7 +261,9 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
         EVAL_BYTES_PER_CELL * n_classes**2,
         f"confusion matrices and CSVs for n_classes {n_classes}",
     )
-    cm = metrics.confusion_counts(np.array([ys_true, ys_pred], dtype=np.int64).T, n_classes)
+    if labels is None:
+        labels = np.array([ys_true, ys_pred], dtype=np.int64).T
+    cm = metrics.confusion_counts(labels, n_classes)
     report = metrics.compute_report(cm)
     out_dir = Path(cfg.index_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -54,12 +54,17 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def read_lines(path: str | Path) -> list[str]:
-    """The lines of the UTF-8 text file ``path``, without their ends, split as
+    """``decode_lines`` of the bytes of the file ``path``."""
+    return decode_lines(Path(path).read_bytes())
+
+
+def decode_lines(raw: bytes) -> list[str]:
+    """The lines of the UTF-8 text ``raw``, without their ends, split as
     ``open()`` splits them: at ``\n``, ``\r\n`` or a lone ``\r``, never at
     U+2028, U+0085 or a form feed as ``str.splitlines`` would.  A last line
     with no newline is a line too."""
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().split("\n")
+    text = raw.decode("utf-8")  # a scan for "\r" is fast, a replace of "\r\n" is not
+    lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
     if lines[-1] == "":  # the end of the last line, or an empty file
         lines.pop()
     return lines
@@ -206,14 +211,34 @@ def read_artifact(
 
 _POW10 = 10 ** np.arange(19, dtype=np.uint64)  # 19 digits fit in a uint64
 _INT64_MAX = np.uint64(2**63 - 1)
+_PAIR_HEAD, _PAIR_MID = b'{"y_true": ', b', "y_pred": '  # the keys as json.dumps writes them
+
+
+def _decimals(b: np.ndarray, ends: np.ndarray, width: np.ndarray, limit) -> np.ndarray | None:
+    """The uint64 values of the runs of ``width`` decimal digits that end
+    before ``ends`` in the bytes ``b``, with no Python int per value; None
+    unless every run is 1 to 19 digits, with no leading zero, and at most ``limit``."""
+    if not 1 <= width.min() <= width.max() <= 19:
+        return None
+    values = np.zeros(len(ends), np.uint64)
+    for place in range(int(width.max())):  # one decimal place of every value at a time
+        # b - "0" wraps below "0", so only a digit is < 10; a shorter value has 0 here.
+        digit = (b[ends - 1 - place] - np.uint8(ord("0"))) * (width > place)
+        if digit.max() >= 10:
+            return None
+        # A 1-element array, not a scalar, makes the product uint64 under every
+        # numpy's promotion rules; numpy 1 would size it by the scalar's value.
+        values += digit * _POW10[place : place + 1]
+    if ((b[ends - width] == ord("0")) & (width > 1)).any() or (values > limit).any():
+        return None
+    return values
 
 
 def _int64_list(text) -> np.ndarray | None:
     """The int64 array of ``text``, the bytes inside a list that ``json.dumps``
-    wrote, such as ``b"-3, 0, 17"``, decoded in a few numpy passes, with no
-    Python int per value; None unless ``text`` is exactly that form: values
-    from -2**63 to 2**63 - 1 joined by ``", "``, with no sign but ``-``, no
-    leading zero and no ``-0``."""
+    wrote, such as ``b"-3, 0, 17"``, decoded by ``_decimals``; None unless
+    ``text`` is exactly that form: values from -2**63 to 2**63 - 1 joined by
+    ``", "``, with no sign but ``-``, no leading zero and no ``-0``."""
     b = np.frombuffer(text, np.uint8)
     if not b.size:
         return np.empty(0, np.int64)
@@ -223,19 +248,34 @@ def _int64_list(text) -> np.ndarray | None:
     if size.min() < 1 or (b[comma + 1] != ord(" ")).any():
         return None
     neg = b[starts] == ord("-")
-    width = size - neg  # the digits of each value
-    digit = b - np.uint8(ord("0"))  # wraps below "0", so only a digit is < 10
     # Every byte but the ", " separators and the leading minus signs is a digit.
-    if (np.count_nonzero(digit < 10) != b.size - 2 * comma.size - np.count_nonzero(neg)
-            or not 1 <= width.min() <= width.max() <= 19):
-        return None
-    magnitude = np.zeros(len(starts), np.uint64)
-    for place in range(int(width.max())):  # one decimal place of every value at a time
-        # A 1-element array, not a scalar, makes the product uint64 under every
-        # numpy's promotion rules; numpy 1 would size it by the scalar's value.
-        magnitude += np.where(width > place, digit[ends - 1 - place], 0) * _POW10[place : place + 1]
-    if (((b[ends - width] == ord("0")) & (size > 1)).any()  # a leading zero, or -0
-            or (magnitude > _INT64_MAX + neg).any()):
+    magnitude = _decimals(b, ends, size - neg, _INT64_MAX + neg)
+    if magnitude is None or (neg & (magnitude == 0)).any():  # -0
         return None
     ids = magnitude.astype(np.int64)  # 2**63 wraps to -2**63, which negation keeps
     return np.negative(ids, out=ids, where=neg)
+
+
+def label_pairs(raw: bytes) -> np.ndarray | None:
+    """The ``(n, 2)`` int64 labels of the predictions file ``raw`` when each
+    of its n lines is exactly ``json.dumps({"y_true": t, "y_pred": p})`` and
+    a newline, with 0 <= t, p < 2**63, proven and decoded in a few numpy
+    passes; else None.  The first line is tried alone first, so that a file
+    in another form costs next to nothing."""
+    first = raw[: raw.find(b"\n") + 1]
+    if not raw.endswith(b"\n") or (first != raw and label_pairs(first) is None):
+        return None
+    b = np.frombuffer(raw, np.uint8)
+    newline, comma = np.flatnonzero(b == ord("\n")), np.flatnonzero(b == ord(","))
+    # Line i is _PAIR_HEAD from head[i], t, _PAIR_MID from its one comma, p and "}\n".
+    head = np.append(0, newline[:-1] + 1)
+    ends = np.concatenate([comma, newline - 1])  # every t, then every p
+    width = ends - np.concatenate([head + len(_PAIR_HEAD), comma + len(_PAIR_MID)])
+    if comma.size != newline.size or width.min() < 1 or (b[newline - 1] != ord("}")).any():
+        return None
+    for at, text in ((head, _PAIR_HEAD), (comma, _PAIR_MID)):  # one gather of each
+        if (np.ndarray((b.size - len(text) + 1,), f"S{len(text)}", raw, 0, (1,))[at] != text).any():
+            return None
+    values = _decimals(b, ends, width, _INT64_MAX)
+    # Column by column in memory, as metrics.confusion_counts reads them.
+    return None if values is None else values.astype(np.int64).reshape(2, -1).T

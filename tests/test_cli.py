@@ -15,8 +15,9 @@ import pytest
 from conftest import ARTIFACT_FAULTS, VECTOR_FILE_FAULTS, corrupt_artifact, corrupt_vectors_file
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import naive_eval
 
-from desksearch import cli, encoder, lexical_index, searcher, vector_index
+from desksearch import cli, encoder, io_utils, lexical_index, searcher, vector_index
 from desksearch.cli import CONFIG_KEYS, SPLIT_KEYS, load_config, main
 from desksearch.dataset import Review
 from desksearch.io_utils import read_artifact
@@ -813,6 +814,51 @@ class TestEval:
             assert main(["eval", str(preds), "--config", config]) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"error: {preds}: line 4: bad record: Expecting value"), err
+
+    def eval_matches_naive_eval(self, tmp_path, capsys, lines: list[str]) -> None:
+        """eval of ``lines``, each ended by a newline, for 12 classes gives
+        naive_eval's exit code, stdout, stderr and files."""
+        preds, out_dir = tmp_path / "preds.jsonl", tmp_path / "out"
+        shutil.rmtree(out_dir, ignore_errors=True)
+        preds.write_text("".join(line + "\n" for line in lines))
+        config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", out_dir, n_classes=12)
+        code = main(["eval", str(preds), "--config", config])
+        out, err = capsys.readouterr()
+        files = {f.name: f.read_bytes() for f in out_dir.iterdir()} if out_dir.exists() else {}
+        assert (code, out, err, files) == naive_eval(preds, 12)
+
+    DUMPS_LINES = [json.dumps({"y_true": i % 12, "y_pred": i * 7 % 12}) for i in range(30)]
+
+    def test_json_dumps_lines_skip_the_json_loop(self, tmp_path, capsys, monkeypatch):
+        """A file of json.dumps lines is decoded in bulk, out-of-range labels
+        included: io_utils.json_lines never runs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("io_utils.json_lines ran")
+
+        monkeypatch.setattr(io_utils, "json_lines", refuse)
+        self.eval_matches_naive_eval(tmp_path, capsys, self.DUMPS_LINES)
+        for k in (0, 13, 29):
+            for pair in ((12, 3), (3, 12), (2**63 - 1, 99), (0, 10**18)):
+                lines = list(self.DUMPS_LINES)
+                lines[k] = json.dumps({"y_true": pair[0], "y_pred": pair[1]})
+                self.eval_matches_naive_eval(tmp_path, capsys, lines)
+
+    @pytest.mark.parametrize("k", [0, 13, 29])
+    @pytest.mark.parametrize("pair", [(1, 2), (12, 3)])
+    def test_one_other_line_takes_the_json_loop(self, tmp_path, capsys, monkeypatch, k, pair):
+        """One line in another form, first, in the middle or last, sends the
+        whole file through io_utils.json_lines, with the same outcome."""
+        calls, json_lines = [], io_utils.json_lines
+
+        def recorded(lines, *args, **kwargs):
+            calls.append(len(lines))
+            return json_lines(lines, *args, **kwargs)
+
+        monkeypatch.setattr(io_utils, "json_lines", recorded)
+        lines = list(self.DUMPS_LINES)
+        lines[k] = json.dumps({"y_true": pair[0], "y_pred": pair[1]}, separators=(",", ":"))
+        self.eval_matches_naive_eval(tmp_path, capsys, lines)
+        assert calls == [30]
 
     def test_missing_predictions_file(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", tmp_path / "idx")

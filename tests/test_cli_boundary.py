@@ -5,6 +5,7 @@ exits 1 with one `error:` line, and never raises."""
 import contextlib
 import io
 import json
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -393,23 +394,66 @@ def prediction_lines(draw) -> str:
     return line
 
 
-@settings(max_examples=200, deadline=None)
+# A label as json.dumps writes it: mostly in range for 2 or 5 classes, else
+# one of several digits, past n_classes, or past int64.
+DUMPS_LABEL = st.integers(0, 4) | st.integers(0, 2**64) | st.sampled_from([10, 2**63 - 1, 2**63])
+DUMPS_LINE = st.tuples(DUMPS_LABEL, DUMPS_LABEL).map(
+    lambda p: json.dumps({"y_true": p[0], "y_pred": p[1]}))
+# Edits of one json.dumps line that leave every other byte of the file in
+# json.dumps's form, so that only a check of the whole file tells them apart.
+DUMPS_EDITS = ["none", "leading zero", "minus zero", "digit in key", "no final newline", "crlf",
+               "cr", "two records", "repeated key", "non-ascii", "replace a byte", "drop a byte"]
+
+
+@st.composite
+def dumps_file(draw) -> bytes:
+    """json.dumps lines, each ended by a newline, with one of DUMPS_EDITS
+    made to one of them."""
+    lines = [line.encode() + b"\n" for line in draw(st.lists(DUMPS_LINE, min_size=1, max_size=6))]
+    i, edit = draw(st.integers(0, len(lines) - 1)), draw(st.sampled_from(DUMPS_EDITS))
+    line = lines[i]
+    if edit == "leading zero":
+        line = line.replace(b": ", b": 0", 1)
+    elif edit == "minus zero":
+        line = re.sub(rb": [0-9]+", b": -0", line, count=1)
+    elif edit == "digit in key":
+        line = line.replace(b'"y_true"', b'"y_1true"')
+    elif edit in ("crlf", "cr"):
+        line = line[:-1] + (b"\r\n" if edit == "crlf" else b"\r")
+    elif edit == "two records":
+        line = line[:-1] + line
+    elif edit == "repeated key":  # json.loads keeps the last y_pred
+        line = line[:-2] + b', "y_pred": 1}\n'
+    elif edit in ("replace a byte", "drop a byte"):  # of the line, not its newline
+        at = draw(st.integers(0, len(line) - 2))
+        byte = draw(st.sampled_from(list(b'0123456789 ,:"{}_')).map(lambda b: bytes([b])))
+        line = line[:at] + (byte if edit == "replace a byte" else b"") + line[at + 1 :]
+    elif edit == "non-ascii":
+        at = draw(st.integers(0, len(line) - 1))
+        char = draw(st.sampled_from(["\xe9", "\xa0", "\u0661", "\uff11"]))  # \u0661 is a digit
+        line = line[:at] + char.encode() + line[at:]
+    lines[i] = line
+    blob = b"".join(lines)
+    return blob[:-1] if edit == "no final newline" else blob
+
+
+@settings(max_examples=400, deadline=None)
 @given(
     data=st.data(),
-    lines=st.lists(mostly(
-        st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
-            lambda p: json.dumps({"y_true": p[0], "y_pred": p[1]})),
-        prediction_lines(),
-    ), max_size=6),
+    lines=st.lists(mostly(DUMPS_LINE, prediction_lines()), max_size=6),
     n_classes=st.sampled_from([2, 5, 5, 2**63]) | INTS,
+    dumps=st.booleans(),
 )
-def test_any_predictions_file(data, lines, n_classes):
+def test_any_predictions_file(data, lines, n_classes, dumps):
     """eval gives what the naive loop of tests/oracles.py gives: the same exit
-    code, stdout, stderr and files."""
+    code, stdout, stderr and files.  Half the files are json.dumps lines with
+    at most one line edited (``dumps_file``), as eval decodes in bulk; the
+    other half are any lines, ended by any line end."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         preds = work / "p.jsonl"
-        preds.write_bytes(data.draw(damaged(lines, st.sampled_from([b"\n", b"\r\n", b"\r"]))))
+        ends = st.sampled_from([b"\n", b"\r\n", b"\r"])
+        preds.write_bytes(data.draw(dumps_file() if dumps else damaged(lines, ends)))
         out_dir = work / "out"
         config = write_config(work / "c.json", index_dir=str(out_dir), n_classes=n_classes)
         code, out, err = run(["eval", str(preds), "--config", config])
