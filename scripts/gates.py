@@ -15,16 +15,22 @@ that version's ``src`` first on PYTHONPATH, and compare the two outputs with
 ``diff``.  A change that moves only scores may change the two full lines and
 must keep the rest.
 
-Last, it runs ``eval`` alone on a copy of the predictions file with each
+Then it runs ``eval`` alone on a copy of the predictions file with each
 line re-serialized by ``json.dumps(..., separators=(",", ":"))``, a form that
 ``eval`` decodes line by line rather than in bulk.  If any of that run's
 ``eval`` digests differs from the canonical file's, it exits 1 naming the
-first that differs; if they agree, it prints nothing more.
+first that differs; if they agree, it prints nothing for them.
+
+Last, it runs ``ingest`` and ``index`` alone on a seeded corpus of hard
+text (``write_hard_corpus``), whose reviews hold every character that JSON
+escapes or that a line split might cut at, and prints their
+``pipeline_digest.py`` lines with each name under ``hard/``.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -41,6 +47,16 @@ from conftest import WORDS  # noqa: E402
 
 CORPUS_SEED = 5
 INDEX_SEED = 3
+HARD_SEED = 11
+HARD_DOCS = 1_000
+# What json.dumps escapes (a quote, a backslash, control characters), what it
+# writes raw with ensure_ascii=False (U+007F, U+0085, U+2028 and U+2029, a
+# BOM, accented, CJK and astral characters), and the text of an escape and of
+# a line template's slot.
+HARD_CHARS = [
+    '"', "\\", "\t", "\n", "\r", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029",
+    "\ufeff", "é", "ß", "日本", "\U0001f600", "\\u00e9", "%s",
+]
 
 
 def main() -> None:
@@ -65,6 +81,28 @@ def main() -> None:
             if want.get(name) != got.get(name):
                 sys.exit(f"eval of {loose.name}, the predictions re-serialized with "
                          f'separators=(",", ":"), differs from eval of the canonical file at {name}')
+        hard, hard_work = tmp / "hard.jsonl", tmp / "hard"
+        write_hard_corpus(hard, HARD_SEED, WORDS)
+        hard_work.mkdir()
+        lines = pipeline_digest.digests(hard, predictions, INDEX_SEED, hard_work, ("ingest", "index"))
+        print("".join(line.replace("  ", "  hard/", 1) + "\n" for line in lines.splitlines()), end="")
+
+
+def write_hard_corpus(path: Path, seed: int, words: list[str], n_docs: int = HARD_DOCS) -> None:
+    """``n_docs`` reviews whose text is 1 to 12 words and whose business_id
+    is one of 13 ids, each followed by 0 to 2 of ``HARD_CHARS``; one
+    ``json.dumps`` line each, every other line with ``ensure_ascii=False``."""
+    rng = random.Random(seed)
+
+    def hard(word: str) -> str:
+        return word + "".join(rng.choices(HARD_CHARS, k=rng.randint(0, 2)))
+
+    with open(path, "w", encoding="utf-8") as f:
+        for i in range(n_docs):
+            text = " ".join(hard(rng.choice(words)) for _ in range(rng.randint(1, 12)))
+            business_id = hard(f"b{i % 13}")
+            record = {"text": text, "stars": (i % 5) + 1, "business_id": business_id}
+            f.write(json.dumps(record, ensure_ascii=bool(i % 2)) + "\n")
 
 
 def eval_digests(lines: str) -> dict[str, str]:

@@ -227,8 +227,10 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
     try:
         raw = Path(predictions_path).read_bytes()
         labels = io_utils.label_pairs(raw)  # json.dumps's exact form, decoded in bulk
-        lines = io_utils.decode_lines(raw) if labels is None else ()
-        del raw  # the loop holds the lines, not the bytes too
+        text = raw.decode("utf-8") if labels is None else ""
+        del raw  # the split holds the text and its lines, not the bytes too
+        lines = io_utils.split_lines(text)
+        del text
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read predictions {predictions_path}: {exc}") from exc
 

@@ -28,8 +28,11 @@ class Review:
     business_id: str
 
     def __post_init__(self) -> None:
-        if self.stars not in STAR_VALUES:
-            raise ValueError(f"stars must be in 1..5, got {self.stars!r}")
+        if not isinstance(self.text, str) or not isinstance(self.business_id, str):
+            raise ValueError("text and business_id must be strings")
+        # True == 1 and 5.0 == 5, but a split file would hold true and 5.0.
+        if type(self.stars) is not int or self.stars not in STAR_VALUES:
+            raise ValueError(f"stars must be an integer in 1..5, got {self.stars!r}")
 
 
 @dataclass(frozen=True)
@@ -80,14 +83,11 @@ def load_reviews(path: str | Path) -> LoadResult:
     reviews: list[Review] = []
     for _, record in io_utils.json_lines(lines, skip_bad=True):
         try:
-            text, business_id = record["text"], record["business_id"]
-            if not isinstance(text, str) or not isinstance(business_id, str):
-                raise ValueError("text and business_id must be strings")
-            # No split file can hold a lone surrogate (a JSON "\ud800"): a ValueError.
-            (text + business_id).encode("utf-8")
             review = Review(
-                text=text, stars=parse_label(record["stars"], "stars"), business_id=business_id
+                record["text"], parse_label(record["stars"], "stars"), record["business_id"]
             )
+            # No split file can hold a lone surrogate (a JSON "\ud800"): a ValueError.
+            (review.text + review.business_id).encode("utf-8")
         except (KeyError, TypeError, ValueError, RecursionError):
             continue
         reviews.append(review)
@@ -147,7 +147,9 @@ def split(reviews: list[Review], spec: SplitSpec) -> DatasetBundle:
 
 def write_reviews(reviews: list[Review], path: str | Path, split_name: str) -> None:
     """Write one split as JSON-lines with an added ``split`` field."""
-    io_utils.write_json_lines(path, [
-        {"text": r.text, "stars": r.stars, "business_id": r.business_id, "split": split_name}
-        for r in reviews
-    ])
+    io_utils.write_json_lines(path, {
+        "text": [r.text for r in reviews],
+        "stars": [r.stars for r in reviews],
+        "business_id": [r.business_id for r in reviews],
+        "split": [split_name] * len(reviews),
+    })

@@ -7,14 +7,17 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Sequence
+from json.encoder import encode_basestring
 from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 # json.loads and json.dumps(..., ensure_ascii=False) build or look up these on
-# every call; a record file's lines share one of each.  scan_once is the JSON
-# scanner that raw_decode wraps, without raw_decode's Python frame.
+# every call; a record file's lines, or search's hits, share one of each.
+# scan_once is the JSON scanner that raw_decode wraps, without raw_decode's
+# Python frame.
 _scan_once = json.JSONDecoder().scan_once
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
@@ -54,16 +57,16 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def read_lines(path: str | Path) -> list[str]:
-    """``decode_lines`` of the bytes of the file ``path``."""
-    return decode_lines(Path(path).read_bytes())
+    """``split_lines`` of the UTF-8 text of the file ``path``."""
+    return split_lines(Path(path).read_bytes().decode("utf-8"))
 
 
-def decode_lines(raw: bytes) -> list[str]:
-    """The lines of the UTF-8 text ``raw``, without their ends, split as
-    ``open()`` splits them: at ``\n``, ``\r\n`` or a lone ``\r``, never at
-    U+2028, U+0085 or a form feed as ``str.splitlines`` would.  A last line
-    with no newline is a line too."""
-    text = raw.decode("utf-8")  # a scan for "\r" is fast, a replace of "\r\n" is not
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, without their ends, split as ``open()`` splits
+    them: at ``\n``, ``\r\n`` or a lone ``\r``, never at U+2028, U+0085 or a
+    form feed as ``str.splitlines`` would.  A last line with no newline is a
+    line too."""
+    # A scan for "\r" is fast, a replace of "\r\n" is not.
     lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
     if lines[-1] == "":  # the end of the last line, or an empty file
         lines.pop()
@@ -113,11 +116,27 @@ def encode_json(value) -> str:
     return _encode(value)
 
 
-def write_json_lines(path: str | Path, records) -> bytes:
-    """Atomically write each record as one ``encode_json`` line, each ended by
-    a newline, in UTF-8, and return the bytes written."""
-    lines = [_encode(record) for record in records]
-    blob = ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+# json.dumps(value, ensure_ascii=False) of a str, and of an int that is no bool.
+_ENCODERS = {str: encode_basestring, int: int.__repr__}
+
+
+def write_json_lines(path: str | Path, columns: dict[str, Sequence]) -> bytes:
+    """Atomically write record i of ``columns``, which hold one sequence of
+    values per key, as the line ``json.dumps({key: values[i] for key, values
+    in columns.items()}, ensure_ascii=False)`` and a newline, in UTF-8, and
+    return the bytes written.  Every line fills one template with its values,
+    each encoded on its own.  A column whose values are not all str or all
+    int (no bool) raises TypeError, and columns of two lengths ValueError."""
+    encoded = []
+    for key, values in columns.items():
+        kinds = set(map(type, values)) or {str}  # an empty column encodes nothing
+        if len(kinds) > 1 or not kinds <= _ENCODERS.keys():
+            names = ", ".join(sorted(kind.__name__ for kind in kinds))
+            raise TypeError(f"{key} values must be all str or all int, got {names}")
+        encoded.append(map(_ENCODERS[kinds.pop()], values))
+    keys = (encode_basestring(key).replace("%", "%%") for key in columns)
+    template = "{" + ", ".join(f"{key}: %s" for key in keys) + "}\n"
+    blob = "".join(map(template.__mod__, zip(*encoded, strict=True))).encode("utf-8")
     atomic_write_bytes(path, blob)
     return blob
 

@@ -79,10 +79,11 @@ class Searcher:
 def write_docs(out_dir: Path, docs: list[Review]) -> None:
     """Write doc d's record as line d of ``docs.jsonl``, then the byte where
     each line starts, and the file's size, to ``doc_offsets.bin``."""
-    blob = io_utils.write_json_lines(
-        out_dir / DOCS_FILE,
-        [{"doc_id": i, "text": r.text, "stars": r.stars} for i, r in enumerate(docs)],
-    )
+    blob = io_utils.write_json_lines(out_dir / DOCS_FILE, {
+        "doc_id": range(len(docs)),
+        "text": [r.text for r in docs],
+        "stars": [r.stars for r in docs],
+    })
     # Line d starts after the d-th newline: JSON escapes a text's newlines,
     # and no other character's UTF-8 bytes hold 0x0A.
     starts = np.zeros(len(docs) + 1, dtype="<i8")

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,18 @@ class TestReview:
     def test_valid(self):
         r = Review(text="Wow! Yummy, try the lobster.", stars=5, business_id="b1")
         assert r.stars == 5
+
+    # True == 1 and 5.0 == 5, but a split file would hold true or 5.0, which
+    # load_reviews reads back as no review or as another value's type.
+    @pytest.mark.parametrize("stars", [True, False, 5.0, 3.0, np.int64(3), "3", None])
+    def test_stars_must_be_an_int(self, stars):
+        with pytest.raises(ValueError, match="^stars must be an integer in 1..5, got "):
+            Review(text="good food", stars=stars, business_id="b")
+
+    @pytest.mark.parametrize("text, business_id", [(3, "b"), (None, "b"), ("x", 7), ("x", b"b")])
+    def test_text_and_business_id_must_be_strings(self, text, business_id):
+        with pytest.raises(ValueError, match="^text and business_id must be strings$"):
+            Review(text=text, stars=3, business_id=business_id)
 
 
 class TestSplitSpec:

@@ -14,9 +14,16 @@ from hypothesis import strategies as st
 from oracles import naive_eval, naive_load_reviews
 
 from desksearch.cli import main
-from desksearch.dataset import load_reviews
-from desksearch.io_utils import JSONLineError, encode_json, json_lines, read_lines
+from desksearch.dataset import STAR_VALUES, LoadResult, Review, load_reviews, write_reviews
+from desksearch.io_utils import (
+    JSONLineError,
+    encode_json,
+    json_lines,
+    read_lines,
+    write_json_lines,
+)
 from desksearch.metrics import confusion_counts
+from desksearch.searcher import DOCS_FILE, _doc_texts, write_docs
 
 SURROGATES = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
 TEXT = st.text(st.characters() | SURROGATES | st.sampled_from("\u2028\u0085\x0c\r\n\"\\"))
@@ -108,6 +115,101 @@ class TestDecodeJson:
 @given(JSON_VALUES)
 def test_encode_json_matches_json_dumps(value):
     assert encode_json(value) == json.dumps(value, ensure_ascii=False)
+
+
+# Any text UTF-8 can hold, with what json.dumps escapes or writes raw drawn
+# often: quotes, backslashes, control characters, U+007F, U+0085, U+2028,
+# U+2029, astral characters and the "%" of the writer's own template.
+WRITABLE_TEXT = st.text(
+    st.characters(exclude_categories=("Cs",))
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\r", "\x7f", "\x85", "\u2028", "\u2029",
+                       "\U0001f600", "%"])
+)
+REVIEWS = st.lists(st.builds(Review, WRITABLE_TEXT, st.sampled_from(STAR_VALUES), WRITABLE_TEXT),
+                   max_size=8)
+SPLIT_NAMES = st.sampled_from(["train", "val", "test"])
+
+
+def dumps_lines(records) -> bytes:
+    """Each record as its ``json.dumps(..., ensure_ascii=False)`` line, in UTF-8."""
+    return "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records).encode()
+
+
+def review_record(review, split_name):
+    return {"text": review.text, "stars": review.stars, "business_id": review.business_id,
+            "split": split_name}
+
+
+class TestWriteJsonLines:
+    @settings(max_examples=200, deadline=None)
+    @given(REVIEWS, SPLIT_NAMES)
+    def test_split_file_is_json_dumps_lines_that_load_back(self, tmp_path_factory, reviews,
+                                                          split_name):
+        path = tmp_path_factory.mktemp("split") / f"{split_name}.jsonl"
+        write_reviews(reviews, path, split_name)
+        assert path.read_bytes() == dumps_lines(review_record(r, split_name) for r in reviews)
+        assert load_reviews(path) == LoadResult(reviews, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(REVIEWS)
+    def test_doc_store_is_json_dumps_lines(self, tmp_path_factory, reviews):
+        root = tmp_path_factory.mktemp("docs")
+        write_docs(root, reviews)
+        records = ({"doc_id": i, "text": r.text, "stars": r.stars} for i, r in enumerate(reviews))
+        assert (root / DOCS_FILE).read_bytes() == dumps_lines(records)
+        ids = list(range(len(reviews)))
+        assert _doc_texts(root, len(reviews), ids) == [r.text for r in reviews]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**63 - 1) | st.just(2**63 - 1), WRITABLE_TEXT,
+                              st.sampled_from(STAR_VALUES)), max_size=8))
+    def test_any_int64_doc_id(self, tmp_path_factory, docs):
+        path = tmp_path_factory.mktemp("docs") / DOCS_FILE
+        keys = ("doc_id", "text", "stars")
+        blob = write_json_lines(path, {key: [doc[i] for doc in docs] for i, key in enumerate(keys)})
+        assert blob == path.read_bytes() == dumps_lines(dict(zip(keys, doc)) for doc in docs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(WRITABLE_TEXT, st.booleans(), max_size=4), st.data())
+    def test_any_keys_and_columns(self, tmp_path_factory, int_keys, data):
+        n = data.draw(st.integers(0, 5), label="records")
+        columns = {
+            key: data.draw(st.lists(st.integers(-(2**70), 2**70) if is_int else WRITABLE_TEXT,
+                                    min_size=n, max_size=n), label=f"column {key!r}")
+            for key, is_int in int_keys.items()
+        }
+        path = tmp_path_factory.mktemp("any") / "records.jsonl"
+        write_json_lines(path, columns)
+        records = (dict(zip(columns, row)) for row in zip(*columns.values()))
+        assert path.read_bytes() == dumps_lines(records)
+
+    @settings(max_examples=100, deadline=None)
+    @given(REVIEWS, SPLIT_NAMES, st.data())
+    def test_lone_surrogate_fails_as_json_dumps_lines_do(self, tmp_path_factory, reviews,
+                                                         split_name, data):
+        text = data.draw(WRITABLE_TEXT, label="text")
+        at = data.draw(st.integers(0, len(text)), label="at")
+        text = text[:at] + data.draw(SURROGATES, label="surrogate") + text[at:]
+        reviews.insert(data.draw(st.integers(0, len(reviews)), label="index"),
+                       Review(text, 3, "b"))
+        with pytest.raises(UnicodeEncodeError) as expected:
+            dumps_lines(review_record(r, split_name) for r in reviews)
+        path = tmp_path_factory.mktemp("split") / "train.jsonl"
+        with pytest.raises(UnicodeEncodeError) as raised:
+            write_reviews(reviews, path, split_name)
+        assert str(raised.value) == str(expected.value)
+        assert not path.exists() and not list(path.parent.iterdir())
+
+    @pytest.mark.parametrize("values", [[1, True], [False], [5.0], [1, "a"], [None], [b"x"]])
+    def test_column_of_another_type_rejected(self, tmp_path, values):
+        with pytest.raises(TypeError, match="^v values must be all str or all int, got "):
+            write_json_lines(tmp_path / "f.jsonl", {"s": ["x"] * len(values), "v": values})
+        assert not list(tmp_path.iterdir())
+
+    def test_columns_of_two_lengths_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_json_lines(tmp_path / "f.jsonl", {"a": [1, 2], "b": ["x"]})
+        assert not list(tmp_path.iterdir())
 
 
 def test_nested_too_deep_raises_as_json_loads_does():
@@ -261,6 +363,21 @@ class TestConfusionCounts:
             counts = Counter(pairs)
             expected = [[counts[(t, p)] for p in range(k)] for t in range(k)]
             assert confusion_counts(pairs, k).counts.tolist() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6), st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)),
+                                       max_size=30))
+    def test_list_row_major_and_column_major_count_alike(self, k, pairs):
+        row_major = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        column_major = np.asfortranarray(row_major)
+        assert row_major.flags.c_contiguous and column_major.flags.f_contiguous
+        outcomes = []
+        for labels in (pairs, row_major, column_major):
+            try:
+                outcomes.append(confusion_counts(labels, k).counts.tolist())
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_empty_list_counts_nothing(self):
         cm = confusion_counts([], 3)
