@@ -34,10 +34,6 @@ WEIGHTS_VERSION = 4
 # slower per sequence: their attention tensors no longer fit in cache.
 ENCODE_TOKEN_BUDGET = 512
 
-# Unit-norm float64 vector of length d_model, as encode() emits for one
-# sequence; a batch gives an (n, d_model) matrix of them.
-DenseEmbedding = np.ndarray
-
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -167,14 +163,6 @@ def positional_encoding(seq_len: int, d_model: int) -> np.ndarray:
     return out
 
 
-def rms(a: np.ndarray) -> float:
-    """Root mean square, sqrt(mean(a_i^2))."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        raise ValueError("rms of zero-length input is undefined")
-    return float(np.sqrt(np.mean(np.square(a))))
-
-
 def rmsnorm(
     a: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = DEFAULT_EPS
 ) -> np.ndarray:
@@ -284,19 +272,26 @@ def encode_states(token_ids, cfg: EncoderConfig, weights: EncoderWeights) -> np.
     return rmsnorm(x, weights.final_norm_gain, weights.final_norm_bias)
 
 
-def encode(token_ids, cfg: EncoderConfig, weights: EncoderWeights) -> DenseEmbedding:
+def encode(token_ids, cfg: EncoderConfig, weights: EncoderWeights) -> np.ndarray:
     """Mean-pool the encoded sequence and L2-normalize it to a unit vector; a
     batch gives one unit row per sequence."""
     pooled = encode_states(token_ids, cfg, weights).mean(axis=-2)
-    # Each row's norm is its dot product with itself, as the 1-D np.linalg.norm
-    # of one sequence alone takes it: a stacked (1, d) @ (d, 1) matmul.  A
-    # row-wise norm(pooled, axis=-1) sums in another order, maybe not bit-equal.
-    rows = pooled.reshape(-1, 1, cfg.d_model)
-    norms = np.sqrt(np.matmul(rows, rows.swapaxes(-2, -1)))
+    rows = pooled.reshape(-1, cfg.d_model)
+    norms = row_norms(rows)
     if not norms.all():
         raise ValueError("pooled representation is the zero vector; cannot normalize")
-    rows /= norms
+    rows /= norms[:, None]
     return pooled
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's L2 norm, from its dot product with itself in one stacked
+    (1, d) @ (d, 1) matmul: bit-equal to each row's 1-D ``np.linalg.norm``,
+    which the row-wise ``norm(rows, axis=-1)`` may not be, as it sums in
+    another order.  Makes no temporary the size of ``rows``."""
+    with np.errstate(over="ignore"):  # an overflowing row has norm inf
+        norms = np.matmul(rows[:, None, :], rows[:, :, None]).reshape(len(rows))
+    return np.sqrt(norms, out=norms)
 
 
 def embed(id_lists: list[list[int]], cfg: EncoderConfig, weights: EncoderWeights) -> np.ndarray:

@@ -171,17 +171,8 @@ class Postings:
         lo, hi = self.term_ptr[t], self.term_ptr[t + 1]
         return np.column_stack((self.doc_ids[lo:hi], self.tf[lo:hi]))
 
-    def __iter__(self):
-        return (self[t] for t in range(len(self)))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Postings) and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("term_ptr", "doc_ids", "tf")
-        )
-
-
-@dataclass
+@dataclass(eq=False)
 class InvertedIndex:
     vocabulary: Vocabulary
     postings: Postings

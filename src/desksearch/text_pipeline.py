@@ -110,9 +110,6 @@ class SparseVector:
                 raise ValueError("zero-valued entries must not be stored")
             prev = idx
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
     def entries(self) -> list[tuple[int, float]]:
         return list(zip(self.indices, self.values))
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .encoder import row_norms
 from .io_utils import atomic_write_bytes  # noqa: F401  perfbench/layers.py wraps it here
 from .io_utils import read_artifact, require_int, write_artifact
 from .lexical_index import InvertedIndex, SearchHit, search_lexical, top_k
@@ -131,20 +132,10 @@ class VectorIndex:
         return top_k(self._ids, (self._matrix @ q) / (self._norms * q_norm), k)
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Each row's norm as its dot product with itself, one stacked (1, d) @
-    (d, 1) matmul, as ``encoder.encode`` takes it: bit-equal to the 1-D
-    ``np.linalg.norm(row)`` of each row, and with no temporary the size of
-    ``rows``."""
-    with np.errstate(over="ignore"):  # an overflowing row has norm inf, which is off unit
-        norms = np.matmul(rows[:, None, :], rows[:, :, None]).reshape(len(rows))
-    return np.sqrt(norms, out=norms)
-
-
 def _unit_norms(ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The row norms, once every row is checked to be unit-norm."""
-    norms = _row_norms(rows)
-    off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN is off too
+    norms = row_norms(rows)
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN and inf are off too
     if off.size:
         i = off[0]
         raise ValueError(f"embedding for doc {ids[i]} is not unit-norm (|v| = {norms[i]:.6g})")

@@ -24,7 +24,6 @@ from desksearch.encoder import (
     load_weights,
     mse,
     positional_encoding,
-    rms,
     rmsnorm,
     save_weights,
     self_attention,
@@ -83,21 +82,6 @@ class TestPositionalEncoding:
         assert angles == sorted(angles, reverse=True)
 
 
-class TestRms:
-    def test_hand_value(self):
-        assert rms(np.array([3.0, 4.0])) == pytest.approx(math.sqrt(12.5), abs=1e-12)
-
-    def test_ones(self):
-        assert rms(np.ones(17)) == 1.0
-
-    def test_zeros(self):
-        assert rms(np.zeros(4)) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            rms(np.array([]))
-
-
 class TestRmsnorm:
     def test_hand_value(self):
         out = rmsnorm(np.array([3.0, 4.0]), np.ones(2), np.zeros(2), eps=0.0)
@@ -143,7 +127,7 @@ class TestRmsnorm:
     )
     def test_output_rms_is_one(self, a):
         out = rmsnorm(a, np.ones(a.size), np.zeros(a.size), eps=0.0)
-        assert rms(out) == pytest.approx(1.0, abs=1e-9)
+        assert np.sqrt(np.mean(np.square(out))) == pytest.approx(1.0, abs=1e-9)
 
     @given(
         arrays(float, 8, elements=st.floats(-100, 100)).filter(

@@ -18,6 +18,7 @@ from oracles import brute_force_lexical, naive_postings
 
 from desksearch.lexical_index import (
     InvertedIndex,
+    Postings,
     TermTable,
     build_index,
     load_index,
@@ -29,6 +30,11 @@ from desksearch.text_pipeline import tokenize
 
 def corpus_of(*texts):
     return [tokenize(t) for t in texts]
+
+
+def postings_arrays(postings):
+    """The three CSR arrays of a Postings, as lists that compare by value."""
+    return [postings.term_ptr.tolist(), postings.doc_ids.tolist(), postings.tf.tolist()]
 
 
 class TestBuildIndex:
@@ -48,8 +54,9 @@ class TestBuildIndex:
     def test_postings_sorted_by_doc_id(self):
         docs = random_corpus(random.Random(3), 40)
         idx = build_index(docs)
-        for plist in idx.postings:
-            ids = [doc_id for doc_id, _ in plist]
+        p = idx.postings
+        for lo, hi in zip(p.term_ptr[:-1], p.term_ptr[1:]):
+            ids = p.doc_ids[lo:hi].tolist()
             assert ids == sorted(ids)
 
     def test_empty_corpus(self):
@@ -96,7 +103,7 @@ class TestBuildIndex:
     def test_rebuild_identical(self):
         docs = random_corpus(random.Random(5), 30)
         a, b = build_index(docs), build_index(docs)
-        assert a.postings == b.postings
+        assert postings_arrays(a.postings) == postings_arrays(b.postings)
         assert a.doc_norms.tolist() == b.doc_norms.tolist()
         assert a.vocabulary.term_to_id == b.vocabulary.term_to_id
 
@@ -258,7 +265,7 @@ class TestPersistence:
         save_index(idx, path)
         loaded = load_index(path)
         assert loaded.vocabulary.n_docs == idx.vocabulary.n_docs
-        assert loaded.postings == idx.postings
+        assert postings_arrays(loaded.postings) == postings_arrays(idx.postings)
         assert loaded.doc_norms == pytest.approx(idx.doc_norms, abs=0)
         assert loaded.vocabulary.term_to_id == idx.vocabulary.term_to_id
         assert loaded.vocabulary.doc_freq == idx.vocabulary.doc_freq
@@ -277,7 +284,9 @@ class TestPersistence:
             loaded = load_index(Path(tmp) / "lexical_index.json")
         for field in dataclasses.fields(InvertedIndex):
             got, want = getattr(loaded, field.name), getattr(idx, field.name)
-            if isinstance(want, np.ndarray):
+            if isinstance(want, Postings):
+                got, want = postings_arrays(got), postings_arrays(want)
+            elif isinstance(want, np.ndarray):
                 got, want = got.tolist(), want.tolist()
             assert got == want, field.name
         assert loaded.vocabulary.n_docs == len(docs)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_knn, dense_cosine, recompute_fusion
 
-from desksearch import vector_index
+from desksearch import encoder, vector_index
 from desksearch.io_utils import _int64_list, write_artifact
 from desksearch.lexical_index import build_index, search_lexical
 from desksearch.vector_index import (
@@ -186,7 +186,7 @@ class TestVectorIndex:
     def test_chunked_norms_equal_linalg_norm(self, n, dim):
         rows = np.random.default_rng(n + dim).normal(size=(n, dim))
         rows *= np.logspace(-150, 150, n)[:, None] if n else 1.0  # tiny to huge rows
-        got = vector_index._row_norms(rows)
+        got = encoder.row_norms(rows)
         # Each row's own 1-D norm, as encoder.encode takes a pooled row's.
         want = np.array([np.linalg.norm(row) for row in rows], dtype=float)
         assert got.tobytes() == want.tobytes()
