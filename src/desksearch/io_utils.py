@@ -151,7 +151,7 @@ def write_artifact(
     widest first, each then starts at a multiple of its item size."""
     header = json.dumps({"format": fmt, "version": version, **fields}).encode("utf-8")
     padding = b"" if arrays is None else b" " * (-(len(header) + 1) % 8)
-    payload = [a.tobytes() for a in arrays or ()]
+    payload = [np.ascontiguousarray(a) for a in arrays or ()]
     atomic_write_bytes(path, b"".join([header, padding, b"\n", *payload]))
 
 

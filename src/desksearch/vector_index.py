@@ -44,30 +44,37 @@ class HybridConfig:
 class VectorIndex:
     """doc id -> unit-norm embedding, fixed dimension, exact cosine search.
 
-    The rows live in one contiguous (n, dimension) float64 matrix beside an
-    int64 doc-id array and the row norms, which are computed once, when the
-    rows arrive.  All three arrays are read-only; ``get`` returns a view.  A
-    loaded index scans the file's rows in place.
+    The rows live in one contiguous (n, dimension) float64 matrix, in strictly
+    rising doc-id order, beside an int64 doc-id array and the row norms, which
+    are computed once, when the rows arrive.  All three arrays are read-only;
+    ``get`` returns a view.  A loaded index scans the file's rows in place.
     """
 
     def __init__(self, dimension: int):
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
-        self._ids = _frozen(np.empty(0, dtype=np.int64))
-        self._matrix = _frozen(np.empty((0, dimension)))
-        self._norms = _frozen(np.empty(0))
+        _install(self, np.empty(0, dtype=np.int64), np.empty((0, dimension)))
 
     @classmethod
     def from_arrays(cls, doc_ids, matrix: np.ndarray) -> VectorIndex:
-        """Build an index from n doc ids and an (n, dimension) matrix of unit
-        rows in one vectorized pass; the index keeps its own copy."""
-        rows = np.array(matrix, dtype=float, order="C")
+        """Build an index from n doc ids, in any order, and an (n, dimension)
+        matrix of unit rows; the index keeps its own copy, sorted by doc id."""
+        rows = np.asarray(matrix, dtype=float)
         if rows.ndim != 2:
             raise ValueError(f"expected an (n, dimension) matrix, got shape {rows.shape}")
         index = cls(rows.shape[1])
-        index._append(doc_ids, rows)
-        return index
+        ids = np.asarray(doc_ids)
+        if ids.ndim != 1 or (
+            ids.size and (ids.dtype.kind not in "iu" or not np.can_cast(ids.dtype, np.int64))
+        ):
+            raise ValueError("doc ids must be a flat sequence of 64-bit integers")
+        if len(rows) != len(ids):
+            raise ValueError(
+                f"expected {len(ids)} rows of dimension {index.dimension}, got shape {rows.shape}"
+            )
+        order = np.argsort(ids, kind="stable")
+        return _install(index, ids[order].astype(np.int64, copy=False), rows.take(order, axis=0))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -77,37 +84,15 @@ class VectorIndex:
         return self._ids.tolist()
 
     def add(self, doc_id: int, embedding: np.ndarray) -> None:
-        """Append one row.  Each call copies the stored matrix, so build large
-        indexes with ``from_arrays``."""
-        vec = np.array(embedding, dtype=float)
+        """Insert one row at its doc id's place.  Each call copies the stored
+        matrix, so build large indexes with ``from_arrays``."""
+        vec = np.asarray(embedding, dtype=float)
         if vec.shape != (self.dimension,):
             raise ValueError(f"expected dimension {self.dimension}, got shape {vec.shape}")
-        self._append([doc_id], vec[None, :])
-
-    def _append(self, doc_ids, rows: np.ndarray) -> None:
-        # The checks every row passes on its way in, by add or in bulk, with
-        # ids in any order; load_vectors checks a file's rising ids itself.
-        # The index takes ``rows`` as they are, without a copy: callers pass a
-        # C-contiguous array that nothing else writes to.
-        ids = np.asarray(doc_ids)
-        if ids.ndim != 1 or (
-            ids.size and (ids.dtype.kind not in "iu" or not np.can_cast(ids.dtype, np.int64))
-        ):
-            raise ValueError("doc ids must be a flat sequence of 64-bit integers")
-        if rows.shape != (len(ids), self.dimension):
-            raise ValueError(
-                f"expected {len(ids)} rows of dimension {self.dimension}, got shape {rows.shape}"
-            )
-        all_ids = np.concatenate([self._ids, ids.astype(np.int64)])
-        ordered = np.sort(all_ids)
-        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-        if repeated.size:
-            raise ValueError(f"duplicate doc id {repeated[0]}: already present")
-        norms = _unit_norms(ids, rows)
-        if len(self):
-            rows = np.concatenate([self._matrix, rows])
-            norms = np.concatenate([self._norms, norms])
-        self._ids, self._matrix, self._norms = map(_frozen, (all_ids, rows, norms))
+        require_int("doc id", doc_id, -(2**63))  # np.append would take a bool for 0 or 1
+        ids = np.append(self._ids, doc_id)
+        grown = VectorIndex.from_arrays(ids, np.vstack([self._matrix, vec]))
+        self._ids, self._matrix, self._norms = grown._ids, grown._matrix, grown._norms
 
     def get(self, doc_id: int) -> np.ndarray:
         pos = np.flatnonzero(self._ids == doc_id)
@@ -132,19 +117,25 @@ class VectorIndex:
         return top_k(self._ids, (self._matrix @ q) / (self._norms * q_norm), k)
 
 
-def _unit_norms(ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The row norms, once every row is checked to be unit-norm."""
+def _install(index: VectorIndex, ids: np.ndarray, rows: np.ndarray) -> VectorIndex:
+    """Give ``index`` int64 ``ids`` and C-contiguous float64 ``rows``, read-only
+    and without a copy, once the ids rise strictly and every row is unit-norm:
+    the one rule of every index.  The caller must own both arrays."""
+    fall = np.flatnonzero(ids[1:] <= ids[:-1])
+    if fall.size:
+        before, after = ids[fall[0]], ids[fall[0] + 1]
+        if before == after:
+            raise ValueError(f"duplicate doc id {after}: already present")
+        raise ValueError(f"doc ids must rise strictly, but {after} follows {before}")
     norms = row_norms(rows)
     off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN and inf are off too
     if off.size:
         i = off[0]
         raise ValueError(f"embedding for doc {ids[i]} is not unit-norm (|v| = {norms[i]:.6g})")
-    return norms
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+    for a in (ids, rows, norms):
+        a.flags.writeable = False
+    index._ids, index._matrix, index._norms = ids, rows, norms
+    return index
 
 
 def minmax_normalize(scores: np.ndarray) -> np.ndarray:
@@ -186,16 +177,15 @@ def search_hybrid(
 
 def save_vectors(index: VectorIndex, path: str | Path) -> None:
     """Persist as a header line (dimension, count, doc ids) followed by the
-    raw little-endian float64 matrix, rows in ascending doc-id order.
+    raw little-endian float64 matrix as the index holds it, rows in rising
+    doc-id order, with no sort and no copy.
 
     The byte stream is a pure function of the stored vectors, so identical
     indexes serialize to identical files.
     """
-    order = np.argsort(index._ids, kind="stable")
-    ids = index._ids[order].tolist()
     # doc_ids last: load_vectors decodes the list from the end of the header line.
-    fields = {"dimension": index.dimension, "count": len(order), "doc_ids": ids}
-    matrix = index._matrix.take(order, axis=0).astype("<f8", copy=False)
+    fields = {"dimension": index.dimension, "count": len(index), "doc_ids": index.doc_ids}
+    matrix = index._matrix.astype("<f8", copy=False)
     write_artifact(path, VECTOR_FORMAT, VECTOR_VERSION, fields, [matrix])
 
 
@@ -219,19 +209,7 @@ def load_vectors(path: str | Path, dimension: int | None = None) -> VectorIndex:
         raise ValueError(f"{path}: dimension {dim} is not the d_model {dimension} of the encoder")
     if len(ids) != count:
         raise ValueError(f"{path}: header lists {len(ids)} doc ids for count {count}")
-    # save_vectors writes the ids in rising order, so one pass over
-    # neighbours finds a repeat, where add and from_arrays must sort.
-    fall = np.flatnonzero(ids[1:] <= ids[:-1])
-    if fall.size:
-        before, after = ids[fall[0]], ids[fall[0] + 1]
-        if before == after:
-            raise ValueError(f"{path}: duplicate doc id {after}: already present")
-        raise ValueError(f"{path}: doc ids must rise strictly, but {after} follows {before}")
-    rows = rows.reshape(count, dim)
     try:
-        norms = _unit_norms(ids, rows)
+        return _install(VectorIndex(dim), ids, rows.reshape(count, dim))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    index = VectorIndex(dim)
-    index._ids, index._matrix, index._norms = map(_frozen, (ids, rows, norms))
-    return index

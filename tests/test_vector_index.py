@@ -1,6 +1,7 @@
 import json
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -154,7 +155,7 @@ class TestVectorIndex:
         incremental = VectorIndex(8)
         for doc_id, v in zip(ids, vecs):
             incremental.add(doc_id, v)
-        assert bulk.doc_ids == incremental.doc_ids == ids
+        assert bulk.doc_ids == incremental.doc_ids == sorted(ids)
         for q in random_unit_vectors(4, 5, 8):
             assert bulk.search(q, k=7) == incremental.search(q, k=7)
 
@@ -171,6 +172,14 @@ class TestVectorIndex:
             VectorIndex.from_arrays([0], random_unit_vectors(7, 2, 2))
         with pytest.raises(ValueError, match="matrix"):
             VectorIndex.from_arrays([0], unit([1.0, 0.0]))
+
+    @pytest.mark.parametrize("doc_id", [True, 1.5, "1", 2**63, -(2**63) - 1])
+    def test_add_rejects_an_id_that_is_no_64_bit_integer(self, doc_id):
+        idx = VectorIndex(2)
+        idx.add(0, unit([1.0, 0.0]))
+        with pytest.raises(ValueError, match="integer"):
+            idx.add(doc_id, unit([0.0, 1.0]))
+        assert idx.doc_ids == [0]
 
     def test_stored_rows_are_read_only(self):
         idx = VectorIndex.from_arrays([5], np.array([[0.0, 1.0]]))
@@ -563,6 +572,42 @@ class TestPersistence:
             loaded = load_vectors(path)
         assert loaded.doc_ids == sorted(ids)
         assert loaded._ids.dtype == np.int64 and not loaded._ids.flags.writeable
+
+    @given(ids=st.lists(st.sampled_from(INT64_EDGES) | INT64, unique=True, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_every_build_holds_and_writes_its_rows_in_rising_id_order(self, ids):
+        rows = random_unit_vectors(36, len(ids), 3)
+        bulk = VectorIndex.from_arrays(ids, rows)
+        grown = VectorIndex(3)
+        for doc_id, row in zip(ids, rows):
+            grown.add(doc_id, row)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        presorted = VectorIndex.from_arrays(sorted(ids), rows[order])
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / f"{name}.bin" for name in ("bulk", "grown", "presorted", "loaded")]
+            for index, path in zip((bulk, grown, presorted), paths):
+                save_vectors(index, path)
+            loaded = load_vectors(paths[0])
+            save_vectors(loaded, paths[3])
+            files = [path.read_bytes() for path in paths]
+        assert files == [files[0]] * 4
+        for index in (bulk, grown, presorted, loaded):
+            assert index.doc_ids == sorted(ids)
+            for doc_id, row in zip(ids, rows):
+                assert index.get(doc_id).tobytes() == row.tobytes()
+
+    def test_save_makes_no_copy_of_the_matrix(self, tmp_path):
+        idx = VectorIndex.from_arrays(range(20_000), random_unit_vectors(37, 20_000, 64))
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            save_vectors(idx, tmp_path / "vectors.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The file's bytes are one matrix and a header of under 0.2 MB; one more
+        # copy of the matrix, as a sort or a tobytes makes, would pass 2 times.
+        assert peak - live < 1.5 * idx._matrix.nbytes
 
     def test_loaded_rows_are_the_payload_read_only(self, tmp_path, monkeypatch):
         path = tmp_path / "vectors.bin"
