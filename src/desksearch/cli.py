@@ -240,12 +240,8 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
         raise _out_of_range(predictions_path, line_no + 1, *labels[line_no].tolist(), n_classes)
     try:
         for line_no, record in io_utils.json_lines(lines) if labels is None else ():
-            y_true = record["y_true"]
-            if type(y_true) is not int:
-                y_true = dataset.parse_label(y_true, "y_true")
-            y_pred = record["y_pred"]
-            if type(y_pred) is not int:
-                y_pred = dataset.parse_label(y_pred, "y_pred")
+            y_true = dataset.parse_label(record["y_true"], "y_true")
+            y_pred = dataset.parse_label(record["y_pred"], "y_pred")
             if not 0 <= y_true < n_classes > y_pred >= 0:  # both labels in range
                 raise _out_of_range(predictions_path, line_no, y_true, y_pred, n_classes)
             ys_true.append(y_true)
@@ -269,12 +265,12 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
     report = metrics.compute_report(cm)
     out_dir = Path(cfg.index_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out_dir / "report.json", report.to_json() + "\n")
+    atomic_write_text(out_dir / "report.json", json.dumps(report, indent=2) + "\n")
     atomic_write_text(out_dir / "confusion.csv", metrics.confusion_to_csv(cm))
     atomic_write_text(
         out_dir / "confusion_normalized.csv", metrics.confusion_to_csv(cm, normalized=True)
     )
-    print(json.dumps({"accuracy": report.accuracy, "weighted_f1": report.weighted_f1}))
+    print(json.dumps({"accuracy": report["accuracy"], "weighted_f1": report["weighted_f1"]}))
     return 0
 
 

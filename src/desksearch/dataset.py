@@ -120,7 +120,7 @@ def balanced_resample(reviews: list[Review], per_class: int, seed: int) -> list[
     rng = random.Random(seed)
     sample: list[Review] = []
     for stars in STAR_VALUES:
-        pool = list(by_class[stars])
+        pool = by_class[stars]
         rng.shuffle(pool)
         sample.extend(pool[:per_class])
     return sample
@@ -135,9 +135,8 @@ def split(reviews: list[Review], spec: SplitSpec) -> DatasetBundle:
     n_test = n * spec.test_pct // 100
     n_train = n - n_val - n_test
 
-    order = list(range(n))
-    random.Random(spec.seed).shuffle(order)
-    shuffled = [reviews[i] for i in order]
+    shuffled = list(reviews)
+    random.Random(spec.seed).shuffle(shuffled)
     return DatasetBundle(
         train=shuffled[:n_train],
         validation=shuffled[n_train : n_train + n_val],

@@ -310,6 +310,8 @@ def embed(id_lists: list[list[int]], cfg: EncoderConfig, weights: EncoderWeights
     by_length: dict[int, list[int]] = {}
     for i, ids in enumerate(seqs):
         by_length.setdefault(len(ids), []).append(i)
+    if 0 in by_length:
+        raise ValueError(f"id list {by_length[0][0]} is empty; each needs a token id")
     chunks: list[list[int]] = []
     for length, members in by_length.items():
         step = max(1, ENCODE_TOKEN_BUDGET // length)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections.abc import Sequence
 from json.encoder import encode_basestring
 from numbers import Integral
@@ -40,8 +39,11 @@ def require_memory(need: int, what: str) -> None:
 
 
 def atomic_write_bytes(path: str | Path, blob: bytes) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write ``blob`` to a new temp file beside ``path``, then rename it over
+    ``path``.  The file gets the mode ``open()`` would give it, 0o666 less the
+    umask, not the 0o600 of a ``tempfile.mkstemp`` file."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(blob)

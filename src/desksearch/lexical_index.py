@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -69,8 +69,7 @@ class TermTable(Mapping):
     key, its first bytes as a big-endian integer, zero past its end, so keys
     order as the terms do.  ``[]`` encodes the probe and bisects the keys,
     then the bytes where keys tie; only iterating decodes the terms.
-    ``items()`` pairs them with ``ids`` in one pass; ``get``, ``in``, ``==``
-    and the other views are ``Mapping``'s."""
+    ``get``, ``in``, ``==`` and the views are ``Mapping``'s."""
 
     __slots__ = ("_bytes", "_bounds", "_keys", "_ids")
 
@@ -120,18 +119,6 @@ class TermTable(Mapping):
     def __iter__(self):
         text = str(memoryview(self._bytes)[1:-8], "utf-8")
         return iter(text.split("\0") if text else ())
-
-    def items(self):
-        return _TermItems(self)
-
-
-class _TermItems(ItemsView):
-    """A ``TermTable``'s items: the decoded terms zipped with their ids."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._ids.tolist())
 
 
 # _KEY_MASKS[n] keeps the high n bytes of a 64-bit key.

@@ -9,8 +9,7 @@ rows stay zero), matching the proportional confusion-matrix convention.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,51 +111,28 @@ def _check_class(cm: ConfusionMatrix, q: int) -> None:
         raise ValueError(f"class {q} out of range for {cm.n_classes} classes")
 
 
-@dataclass
-class MetricsReport:
-    accuracy: float
-    precision: list[float]
-    recall: list[float]
-    f1: list[float]
-    weighted_f1: float
-    support: list[int]
-    degenerate_classes: list[int] = field(default_factory=list)  # 0/0 rule applied
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "weighted_f1": self.weighted_f1,
-            "per_class": [
-                {
-                    "class": q,
-                    "precision": self.precision[q],
-                    "recall": self.recall[q],
-                    "f1": self.f1[q],
-                    "support": self.support[q],
-                }
-                for q in range(len(self.precision))
-            ],
-            "degenerate_classes": self.degenerate_classes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-
-def compute_report(cm: ConfusionMatrix) -> MetricsReport:
+def compute_report(cm: ConfusionMatrix) -> dict:
+    """The ``report.json`` object: accuracy, weighted F1, one record per
+    class, and the classes where the 0/0 rule applied."""
     supports = [int(s) for s in cm.counts.sum(axis=1)]
     predicted = [int(s) for s in cm.counts.sum(axis=0)]
-    return MetricsReport(
-        accuracy=accuracy(cm),
-        precision=[precision(cm, q) for q in range(cm.n_classes)],
-        recall=[recall(cm, q) for q in range(cm.n_classes)],
-        f1=[f1(cm, q) for q in range(cm.n_classes)],
-        weighted_f1=weighted_f1(cm),
-        support=supports,
-        degenerate_classes=[
+    return {
+        "accuracy": accuracy(cm),
+        "weighted_f1": weighted_f1(cm),
+        "per_class": [
+            {
+                "class": q,
+                "precision": precision(cm, q),
+                "recall": recall(cm, q),
+                "f1": f1(cm, q),
+                "support": supports[q],
+            }
+            for q in range(cm.n_classes)
+        ],
+        "degenerate_classes": [
             q for q in range(cm.n_classes) if supports[q] == 0 or predicted[q] == 0
         ],
-    )
+    }
 
 
 def confusion_to_csv(cm: ConfusionMatrix, normalized: bool = False) -> str:

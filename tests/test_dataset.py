@@ -204,6 +204,22 @@ class TestBalancedResample:
         with pytest.raises(ValueError):
             balanced_resample(make_reviews(50, stars_of=lambda i: (i % 5) + 1), 0, 0)
 
+    @given(st.integers(1, 6), st.lists(st.integers(1, 5), max_size=120),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_order_is_a_seeded_index_shuffle_per_class(self, per_class, extra, seed):
+        stars = extra + [1, 2, 3, 4, 5] * per_class
+        reviews = make_reviews(len(stars), stars_of=stars.__getitem__)
+        before = list(reviews)
+        rng, want = random.Random(seed), []
+        for value in range(1, 6):
+            members = [r for r in reviews if r.stars == value]
+            order = list(range(len(members)))
+            rng.shuffle(order)
+            want += [members[i] for i in order[:per_class]]
+        assert balanced_resample(reviews, per_class, seed) == want
+        assert reviews == before
+
 
 class TestSplit:
     def test_sizes_100(self):
@@ -240,6 +256,17 @@ class TestSplit:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             split([], SplitSpec())
+
+    @given(st.integers(1, 400), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_order_is_a_seeded_index_shuffle(self, n, seed):
+        reviews = make_reviews(n, rng_seed=seed)
+        before = list(reviews)
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        bundle = split(reviews, SplitSpec(seed=seed))
+        assert bundle.train + bundle.validation + bundle.test == [reviews[i] for i in order]
+        assert reviews == before
 
     @given(st.integers(10, 400), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

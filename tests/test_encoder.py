@@ -529,6 +529,10 @@ class TestBatches:
             rows = encoder.embed([], CFG, weights)
         assert rows.shape == (0, CFG.d_model)
 
+    def test_empty_id_list_is_named(self, weights):
+        with pytest.raises(ValueError, match="id list 1 is empty"):
+            encoder.embed([[1], [], [2, 3], []], CFG, weights)
+
 
 # A config and a sorted list of distinct token rows for it.
 configs_and_rows = small_configs.flatmap(lambda cfg: st.tuples(

@@ -1,5 +1,7 @@
+import os
 import random
 import re
+import stat
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from desksearch.dataset import Review
 from desksearch.encoder import EncoderConfig, init_weights, load_weights, save_weights
-from desksearch.io_utils import read_artifact, write_artifact
+from desksearch.io_utils import atomic_write_bytes, read_artifact, write_artifact
 from desksearch.lexical_index import build_index, load_index, save_index
 from desksearch.searcher import _doc_texts, write_docs
 from desksearch.vector_index import VectorIndex, load_vectors, save_vectors
@@ -84,6 +86,19 @@ class TestArtifactCodec:
         path.write_bytes(raw)
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
             read_artifact(path, "fmt", 1)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_file_gets_the_mode_open_gives(self, tmp_path, umask, mode):
+        before = os.umask(umask)
+        try:
+            atomic_write_bytes(tmp_path / "out.bin", b"blob")
+        finally:
+            os.umask(before)
+        assert stat.S_IMODE((tmp_path / "out.bin").stat().st_mode) == mode
+        assert (tmp_path / "out.bin").read_bytes() == b"blob"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]  # no .tmp left
 
 
 COUNTS = ("n_i8", "n_f8", "n_i4", "n_u1")

@@ -179,19 +179,25 @@ class TestOracleAgreement:
 class TestReport:
     def test_hand_report(self, hand_cm):
         report = compute_report(hand_cm)
-        assert report.accuracy == pytest.approx(0.75, abs=1e-12)
-        assert report.weighted_f1 == pytest.approx(0.733333, abs=1e-6)
-        assert report.support == [2, 2]
-        assert report.degenerate_classes == []
+        assert report["accuracy"] == pytest.approx(0.75, abs=1e-12)
+        assert report["weighted_f1"] == pytest.approx(0.733333, abs=1e-6)
+        assert [row["support"] for row in report["per_class"]] == [2, 2]
+        assert all(type(row["support"]) is int for row in report["per_class"])
+        # report.json's key order.
+        assert list(report) == ["accuracy", "weighted_f1", "per_class", "degenerate_classes"]
+        assert [list(row) for row in report["per_class"]] == [
+            ["class", "precision", "recall", "f1", "support"]
+        ] * 2
+        assert report["degenerate_classes"] == []
 
     def test_degenerate_classes_flagged(self):
         # class 2 never appears on either axis
         cm = confusion_counts([(0, 0), (1, 1)], 3)
         report = compute_report(cm)
-        assert report.degenerate_classes == [2]
+        assert report["degenerate_classes"] == [2]
 
     def test_to_json_round_trips(self, hand_cm):
-        payload = json.loads(compute_report(hand_cm).to_json())
+        payload = json.loads(json.dumps(compute_report(hand_cm), indent=2))
         assert payload["accuracy"] == pytest.approx(0.75)
         assert len(payload["per_class"]) == 2
         assert payload["per_class"][1]["precision"] == pytest.approx(2 / 3)
