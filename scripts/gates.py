@@ -21,18 +21,27 @@ line re-serialized by ``json.dumps(..., separators=(",", ":"))``, a form that
 ``eval`` digests differs from the canonical file's, it exits 1 naming the
 first that differs; if they agree, it prints nothing for them.
 
-Last, it runs ``ingest`` and ``index`` alone on a seeded corpus of hard
+Then it runs ``ingest`` and ``index`` alone on a seeded corpus of hard
 text (``write_hard_corpus``), whose reviews hold every character that JSON
 escapes or that a line split might cut at, and prints their
 ``pipeline_digest.py`` lines with each name under ``hard/``.
+
+Last, it runs ``ingest`` and ``index`` alone on a seeded corpus that looks
+like reviews (``write_review_corpus``): Zipf-distributed words, log-normal
+lengths past the encoder's ``max_seq_len``, words that go with the stars.
+It prints ``hit_digest.py``'s two lines for that index, each after
+``reviews: ``, then the two commands' ``pipeline_digest.py`` lines with each
+name under ``reviews/``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 import tempfile
+from itertools import accumulate
 from pathlib import Path
 
 import cli_digest  # this script's directory is on sys.path
@@ -49,6 +58,13 @@ CORPUS_SEED = 5
 INDEX_SEED = 3
 HARD_SEED = 11
 HARD_DOCS = 1_000
+REVIEW_SEED = 13
+REVIEW_DOCS = 2_000
+REVIEW_LEXICON = 30_000  # pseudo-words, ranked for the Zipf draw
+ZIPF_EXPONENT = 1.1
+MEDIAN_WORDS = 60  # of the log-normal review length
+STAR_SHARES = (0.15, 0.08, 0.11, 0.22, 0.44)  # of reviews with 1..5 stars
+SYLLABLES = [c + v for c in "bcdfghjklmnprstvwz" for v in "aeiou"] + ["qu", "th", "sh", "ch"]
 # What json.dumps escapes (a quote, a backslash, control characters), what it
 # writes raw with ensure_ascii=False (U+007F, U+0085, U+2028 and U+2029, a
 # BOM, accented, CJK and astral characters), and the text of an escape and of
@@ -85,7 +101,21 @@ def main() -> None:
         write_hard_corpus(hard, HARD_SEED, WORDS)
         hard_work.mkdir()
         lines = pipeline_digest.digests(hard, predictions, INDEX_SEED, hard_work, ("ingest", "index"))
-        print("".join(line.replace("  ", "  hard/", 1) + "\n" for line in lines.splitlines()), end="")
+        print(under("hard/", lines), end="")
+        reviews, reviews_work = tmp / "reviews.jsonl", tmp / "reviews"
+        write_review_corpus(reviews, REVIEW_SEED)
+        reviews_work.mkdir()
+        lines = pipeline_digest.digests(
+            reviews, predictions, INDEX_SEED, reviews_work, ("ingest", "index")
+        )
+        print(*(f"reviews: {line}" for line in hit_digest.digest_lines(reviews_work / "index")),
+              sep="\n")
+        print(under("reviews/", lines), end="")
+
+
+def under(prefix: str, lines: str) -> str:
+    """``pipeline_digest`` lines with ``prefix`` before each name."""
+    return "".join(line.replace("  ", "  " + prefix, 1) + "\n" for line in lines.splitlines())
 
 
 def write_hard_corpus(path: Path, seed: int, words: list[str], n_docs: int = HARD_DOCS) -> None:
@@ -103,6 +133,41 @@ def write_hard_corpus(path: Path, seed: int, words: list[str], n_docs: int = HAR
             business_id = hard(f"b{i % 13}")
             record = {"text": text, "stars": (i % 5) + 1, "business_id": business_id}
             f.write(json.dumps(record, ensure_ascii=bool(i % 2)) + "\n")
+
+
+def write_review_corpus(path: Path, seed: int, n_docs: int = REVIEW_DOCS) -> None:
+    """``n_docs`` reviews that look like real ones, one ``json.dumps`` line
+    each.  The words are ``REVIEW_LEXICON`` pseudo-words of 2 to 5
+    syllables, one in eight an older word with a syllable added, so runs of
+    terms share 8-byte prefixes.  A review is a unique marker token
+    (``r00000``, ...) then a log-normal number of words (median
+    ``MEDIAN_WORDS``, about one review in ten longer than 128) drawn by Zipf
+    rank, with 0 to 3 of its star value's three words, and the stars drawn
+    with ``STAR_SHARES``."""
+    rng = random.Random(seed)
+    ranked: list[str] = []
+    seen: set[str] = set()
+    while len(ranked) < REVIEW_LEXICON:
+        if ranked and rng.random() < 1 / 8:
+            word = rng.choice(ranked) + rng.choice(SYLLABLES)
+        else:
+            word = "".join(rng.choices(SYLLABLES, k=rng.randint(2, 5)))
+        if word not in seen:
+            seen.add(word)
+            ranked.append(word)
+    rng.shuffle(ranked)
+    cum_weights = list(accumulate(1 / rank**ZIPF_EXPONENT for rank in range(1, len(ranked) + 1)))
+    star_words = {stars: ranked[-3 * stars:][:3] for stars in range(1, 6)}
+    with open(path, "w", encoding="utf-8") as f:
+        for i in range(n_docs):
+            stars = rng.choices(range(1, 6), weights=STAR_SHARES)[0]
+            n_words = max(1, round(rng.lognormvariate(math.log(MEDIAN_WORDS), 0.6)))
+            words = rng.choices(ranked, cum_weights=cum_weights, k=n_words)
+            for _ in range(rng.randint(0, 3)):
+                words.insert(rng.randint(0, len(words)), rng.choice(star_words[stars]))
+            text = " ".join([f"r{i:05d}", *words])
+            record = {"text": text, "stars": stars, "business_id": f"b{rng.randrange(200)}"}
+            f.write(json.dumps(record) + "\n")
 
 
 def eval_digests(lines: str) -> dict[str, str]:

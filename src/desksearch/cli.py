@@ -133,10 +133,6 @@ def cmd_ingest(cfg: RunConfig) -> int:
         raise CliError(f"corpus {cfg.corpus} contains no valid reviews")
 
     bundle = dataset.split(result.reviews, cfg.split_spec)
-    if cfg.split_spec.per_class_train is not None:
-        bundle.train = dataset.balanced_resample(
-            bundle.train, cfg.split_spec.per_class_train, cfg.split_spec.seed
-        )
 
     out_dir = Path(cfg.index_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

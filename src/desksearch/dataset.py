@@ -4,8 +4,8 @@ Input is JSON-lines with fields text (string), stars (integer 1..5), and
 business_id (string).  Malformed lines are skipped and counted, never fatal.
 Splitting shuffles with a seeded RNG and cuts train/val/test by percentage
 (any rounding remainder goes to train); val and test keep the natural class
-imbalance, while the train portion can be balanced separately with
-balanced_resample.
+imbalance.  With ``per_class_train`` set, split balances the train cut with
+balanced_resample and the spec's seed.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ def balanced_resample(reviews: list[Review], per_class: int, seed: int) -> list[
 
 
 def split(reviews: list[Review], spec: SplitSpec) -> DatasetBundle:
-    """Seeded shuffle, then cut by percentage with the remainder going to train."""
+    """Seeded shuffle, then cut by percentage with the remainder going to
+    train; with ``per_class_train`` set, the train cut is then balanced."""
     if not reviews:
         raise ValueError("cannot split an empty review list")
     n = len(reviews)
@@ -137,8 +138,11 @@ def split(reviews: list[Review], spec: SplitSpec) -> DatasetBundle:
 
     shuffled = list(reviews)
     random.Random(spec.seed).shuffle(shuffled)
+    train = shuffled[:n_train]
+    if spec.per_class_train is not None:
+        train = balanced_resample(train, spec.per_class_train, spec.seed)
     return DatasetBundle(
-        train=shuffled[:n_train],
+        train=train,
         validation=shuffled[n_train : n_train + n_val],
         test=shuffled[n_train + n_val :],
     )

@@ -100,9 +100,9 @@ class TermTable(Mapping):
         return self._bytes[self._bounds[i] + 1 : self._bounds[i + 1]]
 
     def __getitem__(self, term: str) -> int:
-        try:
-            probe = term.encode("utf-8")
-        except UnicodeEncodeError:  # a lone surrogate is in no UTF-8 table
+        try:  # str.encode, not term.encode: a key that is not a str is a TypeError
+            probe = str.encode(term, "utf-8")
+        except (TypeError, UnicodeEncodeError):  # no such key, nor a lone surrogate, is a term
             raise KeyError(term) from None
         keys, bounds = self._keys, self._bounds
         key = int.from_bytes(probe[:8].ljust(8, b"\0"), "big")

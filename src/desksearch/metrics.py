@@ -63,12 +63,19 @@ def confusion_counts(pairs, n_classes: int) -> ConfusionMatrix:
 
 def row_normalize(cm: ConfusionMatrix) -> np.ndarray:
     """Each row divided by its sum; rows with no support come back all zero."""
-    counts = cm.counts.astype(float)
-    row_sums = counts.sum(axis=1, keepdims=True)
-    safe = np.where(row_sums == 0, 1.0, row_sums)
-    out = counts / safe
-    out[row_sums[:, 0] == 0] = 0.0
-    return out
+    return _ratio(cm.counts, cm.counts.sum(axis=1, keepdims=True, dtype=float))
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den as floats, 0 wherever den is 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den > 0)
+
+
+def _per_class(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every class's precision, recall and F1, each 0 where it would be 0/0."""
+    tp = np.diagonal(cm.counts)
+    p, r = _ratio(tp, cm.counts.sum(axis=0)), _ratio(tp, cm.counts.sum(axis=1))
+    return p, r, _ratio(2.0 * p * r, p + r)
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
@@ -80,30 +87,26 @@ def accuracy(cm: ConfusionMatrix) -> float:
 def precision(cm: ConfusionMatrix, q: int) -> float:
     """Fraction of predicted-q samples that are truly q (0 when q is never predicted)."""
     _check_class(cm, q)
-    predicted = int(cm.counts[:, q].sum())
-    return int(cm.counts[q, q]) / predicted if predicted else 0.0
+    return _per_class(cm)[0].item(q)
 
 
 def recall(cm: ConfusionMatrix, q: int) -> float:
     """Fraction of truly-q samples predicted as q (0 when q has no support)."""
     _check_class(cm, q)
-    support = int(cm.counts[q, :].sum())
-    return int(cm.counts[q, q]) / support if support else 0.0
+    return _per_class(cm)[1].item(q)
 
 
 def f1(cm: ConfusionMatrix, q: int) -> float:
     """Harmonic mean 2PR / (P + R), 0 when both are 0."""
-    p, r = precision(cm, q), recall(cm, q)
-    return 2.0 * p * r / (p + r) if p + r else 0.0
+    _check_class(cm, q)
+    return _per_class(cm)[2].item(q)
 
 
 def weighted_f1(cm: ConfusionMatrix) -> float:
-    """Per-class F1 averaged with true-label support as weights."""
+    """Per-class F1 averaged with true-label support as weights: the report's."""
     if cm.total == 0:
         raise ValueError("weighted F1 of an empty confusion matrix is undefined")
-    supports = cm.counts.sum(axis=1)
-    num = sum(int(supports[q]) * f1(cm, q) for q in range(cm.n_classes))
-    return num / int(supports.sum())
+    return compute_report(cm)["weighted_f1"]
 
 
 def _check_class(cm: ConfusionMatrix, q: int) -> None:
@@ -114,24 +117,17 @@ def _check_class(cm: ConfusionMatrix, q: int) -> None:
 def compute_report(cm: ConfusionMatrix) -> dict:
     """The ``report.json`` object: accuracy, weighted F1, one record per
     class, and the classes where the 0/0 rule applied."""
-    supports = [int(s) for s in cm.counts.sum(axis=1)]
-    predicted = [int(s) for s in cm.counts.sum(axis=0)]
+    supports, predicted = cm.counts.sum(axis=1), cm.counts.sum(axis=0)
+    p, r, f = _per_class(cm)
     return {
         "accuracy": accuracy(cm),
-        "weighted_f1": weighted_f1(cm),
+        # A Python sum in class order: numpy's pairwise sum rounds otherwise for K > 8.
+        "weighted_f1": sum((supports * f).tolist()) / cm.total,
         "per_class": [
-            {
-                "class": q,
-                "precision": precision(cm, q),
-                "recall": recall(cm, q),
-                "f1": f1(cm, q),
-                "support": supports[q],
-            }
-            for q in range(cm.n_classes)
+            {"class": q, "precision": pq, "recall": rq, "f1": fq, "support": s}
+            for q, (pq, rq, fq, s) in enumerate(zip(*(a.tolist() for a in (p, r, f, supports))))
         ],
-        "degenerate_classes": [
-            q for q in range(cm.n_classes) if supports[q] == 0 or predicted[q] == 0
-        ],
+        "degenerate_classes": np.flatnonzero((supports == 0) | (predicted == 0)).tolist(),
     }
 
 

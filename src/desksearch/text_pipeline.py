@@ -13,6 +13,7 @@ import re
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .io_utils import require_int
 
@@ -67,20 +68,12 @@ class Vocabulary:
 
 
 def build_vocabulary(corpus: list[list[str]]) -> Vocabulary:
-    """Assign ids in first-occurrence order and count document frequencies."""
-    term_to_id: dict[str, int] = {}
-    doc_freq: list[int] = []
-    for tokens in corpus:
-        seen: set[int] = set()
-        for token in tokens:
-            tid = term_to_id.get(token)
-            if tid is None:
-                tid = term_to_id[token] = len(term_to_id)
-                doc_freq.append(0)
-            seen.add(tid)
-        for tid in seen:
-            doc_freq[tid] += 1
-    return Vocabulary(term_to_id, doc_freq, len(corpus))
+    """Assign ids in first-occurrence order and count document frequencies:
+    one pass over the tokens, one over each document's set of them."""
+    terms = dict.fromkeys(chain.from_iterable(corpus))
+    doc_freq = Counter(chain.from_iterable(map(set, corpus)))
+    term_to_id = dict(zip(terms, range(len(terms))))
+    return Vocabulary(term_to_id, [doc_freq[t] for t in terms], len(corpus))
 
 
 @dataclass(frozen=True)

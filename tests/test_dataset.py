@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -278,6 +279,26 @@ class TestSplit:
         assert len(bundle.train) + len(bundle.validation) + len(bundle.test) == n
         combined = bundle.train + bundle.validation + bundle.test
         assert sorted(r.text for r in combined) == sorted(r.text for r in reviews)
+
+    @given(st.integers(1, 8), st.lists(st.integers(1, 5), max_size=200),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_per_class_train_balances_the_train_cut(self, per_class, extra, seed):
+        """The spec's per_class_train is applied by split itself: the train
+        cut resampled with the spec's seed, val and test as without it."""
+        stars = extra + [1, 2, 3, 4, 5] * (2 * per_class)
+        reviews = make_reviews(len(stars), stars_of=stars.__getitem__)
+        plain = split(reviews, SplitSpec(seed=seed))
+        try:
+            want = balanced_resample(plain.train, per_class, seed)
+        except ValueError:  # a class short of per_class in the train cut
+            with pytest.raises(ValueError, match="has only"):
+                split(reviews, SplitSpec(per_class_train=per_class, seed=seed))
+            return
+        balanced = split(reviews, SplitSpec(per_class_train=per_class, seed=seed))
+        assert balanced.train == want
+        assert sorted(Counter(r.stars for r in balanced.train).values()) == [per_class] * 5
+        assert balanced.validation == plain.validation and balanced.test == plain.test
 
 
 class TestWriteReviews:

@@ -429,6 +429,19 @@ class TestTermTable:
         assert sorted(table.values()) == sorted(built.values()) and dict(table) == built
         assert ("a", built["a"]) in table.items() and ("a", -1) not in table.items()
 
+    def test_non_str_keys_answer_as_the_built_dict(self, tmp_path):
+        idx = build_index([["great", "5"], ["none"]])
+        built = idx.vocabulary.term_to_id
+        save_index(idx, tmp_path / "lexical_index.json")
+        table = load_index(tmp_path / "lexical_index.json").vocabulary.term_to_id
+        for key in (5, None, b"great", ("great",)):
+            assert table.get(key) is built.get(key) is None
+            assert table.get(key, -1) == built.get(key, -1) == -1
+            assert (key in table) is (key in built) is False
+            for mapping in (table, built):
+                with pytest.raises(KeyError):
+                    mapping[key]
+
     def test_lookups_bisect_the_sorted_terms(self):
         table = TermTable(b"a\0ab\0b", np.array([2, 0, 1], dtype=np.int32))
         assert dict(table.items()) == {"a": 2, "ab": 0, "b": 1}

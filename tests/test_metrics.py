@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import metrics_from_pairs
 
 from desksearch.metrics import (
@@ -68,6 +70,10 @@ class TestRowNormalize:
     def test_zero_support_row_stays_zero(self):
         cm = ConfusionMatrix(np.array([[2, 0], [0, 0]]))
         assert row_normalize(cm).tolist() == [[1.0, 0.0], [0.0, 0.0]]
+
+    def test_row_sum_past_int64_is_summed_as_floats(self):
+        cm = ConfusionMatrix(np.array([[2**62, 2**62], [0, 1]]))
+        assert row_normalize(cm).tolist() == [[0.5, 0.5], [0.0, 1.0]]
 
     def test_rows_sum_to_one_or_zero(self):
         rng = random.Random(1)
@@ -241,3 +247,64 @@ class TestCsv:
             lines = confusion_to_csv(cm).splitlines()[1:]
             parsed = [[int(c) for c in line.split(",")[1:]] for line in lines]
             assert parsed == cm.counts.tolist()
+
+
+def reference_files(counts: list[list[int]]) -> tuple[str, str]:
+    """``report.json``'s text without its newline and the normalized CSV, one
+    class at a time in pure Python, as ``oracles.naive_eval`` builds them."""
+    k = len(counts)
+    supports = [sum(row) for row in counts]
+    predicted = [sum(row[q] for row in counts) for q in range(k)]
+    per_class, weighted_num = [], 0.0
+    for q in range(k):
+        tp = counts[q][q]
+        prec = tp / predicted[q] if predicted[q] else 0.0
+        rec = tp / supports[q] if supports[q] else 0.0
+        f1_q = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
+        weighted_num += supports[q] * f1_q
+        per_class.append(
+            {"class": q, "precision": prec, "recall": rec, "f1": f1_q, "support": supports[q]}
+        )
+    report = {
+        "accuracy": sum(counts[q][q] for q in range(k)) / sum(supports),
+        "weighted_f1": weighted_num / sum(supports),
+        "per_class": per_class,
+        "degenerate_classes": [q for q in range(k) if supports[q] == 0 or predicted[q] == 0],
+    }
+    rows = [["true\\pred", *map(str, range(k))]]
+    rows += [
+        [str(t), *(repr(counts[t][p] / supports[t] if supports[t] else 0.0) for p in range(k))]
+        for t in range(k)
+    ]
+    return json.dumps(report, indent=2), "".join(",".join(row) + "\n" for row in rows)
+
+
+@given(
+    k=st.integers(2, 64),
+    top=st.sampled_from([1, 10, 1000, 10**9]),
+    zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+    empty_share=st.sampled_from([0.0, 0.2, 0.6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_report_and_normalized_csv_match_a_pure_python_reference(
+    k, top, zero_share, empty_share, seed
+):
+    """Counts up to ``top`` with a share of zero cells, and a share of the
+    classes with an empty row or column: the report's text and the
+    normalized CSV equal the per-class reference, bit for bit."""
+    rng = random.Random(seed)
+    counts = [[0 if rng.random() < zero_share else rng.randint(0, top) for _ in range(k)]
+              for _ in range(k)]
+    for q in range(k):
+        if rng.random() < empty_share:
+            counts[q] = [0] * k
+        if rng.random() < empty_share:
+            for row in counts:
+                row[q] = 0
+    if not any(map(any, counts)):
+        counts[rng.randrange(k)][rng.randrange(k)] = top
+    cm = ConfusionMatrix(np.array(counts))
+    assert (json.dumps(compute_report(cm), indent=2), confusion_to_csv(cm, normalized=True)) == (
+        reference_files(counts)
+    )

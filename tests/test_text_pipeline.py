@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desksearch.text_pipeline import (
@@ -177,3 +177,37 @@ def test_entries_strictly_ascending_everywhere(corpus):
     for doc in corpus:
         for vec in (count_vectorize(doc, vocab), tfidf_vectorize(doc, vocab)):
             assert list(vec.indices) == sorted(set(vec.indices))
+
+
+def naive_vocabulary(corpus: list[list[str]]) -> tuple[list[tuple[str, int]], list[int]]:
+    """Ids in first-occurrence order and each term's document frequency, one
+    document and one token at a time."""
+    term_to_id: dict[str, int] = {}
+    doc_freq: list[int] = []
+    for doc in corpus:
+        seen = set()
+        for token in doc:
+            if token not in term_to_id:
+                term_to_id[token] = len(term_to_id)
+                doc_freq.append(0)
+            if token not in seen:
+                seen.add(token)
+                doc_freq[term_to_id[token]] += 1
+    return list(term_to_id.items()), doc_freq
+
+
+TOKENS = st.one_of(
+    st.sampled_from(WORDS[:6] + ["café", "日本", "naïve", "\U0001f600", "ß"]),
+    st.text(min_size=1, max_size=4),
+)
+
+
+@given(st.lists(st.lists(TOKENS, max_size=12), max_size=15))
+@settings(max_examples=300, deadline=None)
+def test_vocabulary_matches_a_naive_loop(corpus):
+    """Empty documents, tokens repeated within and across documents, and
+    non-ASCII tokens: the same ids in the same insertion order, the same df."""
+    vocab = build_vocabulary(corpus)
+    items, doc_freq = naive_vocabulary(corpus)
+    assert list(vocab.term_to_id.items()) == items
+    assert vocab.doc_freq == doc_freq and vocab.n_docs == len(corpus)
