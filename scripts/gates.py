@@ -32,6 +32,11 @@ lengths past the encoder's ``max_seq_len``, words that go with the stars.
 It prints ``hit_digest.py``'s two lines for that index, each after
 ``reviews: ``, then the two commands' ``pipeline_digest.py`` lines with each
 name under ``reviews/``.
+
+After every other line, it runs ``ingest`` alone on a seeded corpus that
+mixes valid lines with every kind of line that ``ingest`` skips
+(``write_mixed_corpus``), and prints its ``pipeline_digest.py`` lines with
+each name under ``mixed/``.
 """
 
 from __future__ import annotations
@@ -64,6 +69,8 @@ REVIEW_LEXICON = 30_000  # pseudo-words, ranked for the Zipf draw
 ZIPF_EXPONENT = 1.1
 MEDIAN_WORDS = 60  # of the log-normal review length
 STAR_SHARES = (0.15, 0.08, 0.11, 0.22, 0.44)  # of reviews with 1..5 stars
+MIXED_SEED = 17
+MIXED_LINES = 600
 SYLLABLES = [c + v for c in "bcdfghjklmnprstvwz" for v in "aeiou"] + ["qu", "th", "sh", "ch"]
 # What json.dumps escapes (a quote, a backslash, control characters), what it
 # writes raw with ensure_ascii=False (U+007F, U+0085, U+2028 and U+2029, a
@@ -111,6 +118,11 @@ def main() -> None:
         print(*(f"reviews: {line}" for line in hit_digest.digest_lines(reviews_work / "index")),
               sep="\n")
         print(under("reviews/", lines), end="")
+        mixed, mixed_work = tmp / "mixed.jsonl", tmp / "mixed"
+        write_mixed_corpus(mixed, MIXED_SEED, WORDS)
+        mixed_work.mkdir()
+        lines = pipeline_digest.digests(mixed, predictions, INDEX_SEED, mixed_work, ("ingest",))
+        print(under("mixed/", lines), end="")
 
 
 def under(prefix: str, lines: str) -> str:
@@ -168,6 +180,44 @@ def write_review_corpus(path: Path, seed: int, n_docs: int = REVIEW_DOCS) -> Non
             text = " ".join([f"r{i:05d}", *words])
             record = {"text": text, "stars": stars, "business_id": f"b{rng.randrange(200)}"}
             f.write(json.dumps(record) + "\n")
+
+
+# Lines that ingest skips whole: blank ones, bad JSON, values that are no
+# object, and objects that miss a key.
+SKIPPED_LINES = [
+    "", " \t ", '{"text": "cut short', "not json", '["x", 5, "b"]', '"x"', "null", "7",
+    '{"stars": 5, "business_id": "b"}', '{"text": "x", "business_id": "b"}',
+    '{"text": "x", "stars": 5}',
+]
+# JSON values that make a review line skipped, by the field they stand in for.
+SKIPPED_VALUES = [
+    *(("stars", value) for value in ("true", "5.5", '"5"', "0", "6", "1e400")),
+    ("text", "3"), ("text", '["x"]'), ("business_id", "null"),
+    ("text", '"x \\ud800"'), ("business_id", '"b\\udfff"'),  # lone surrogates
+]
+
+
+def write_mixed_corpus(path: Path, seed: int, words: list[str], n_lines: int = MIXED_LINES) -> None:
+    """``n_lines`` lines, each ended by ``\\n``, ``\\r\\n`` or a lone ``\\r``.
+    About half are valid reviews, one in ten of them with its stars written
+    as ``5.0``, which ``ingest`` reads as 5.  The rest are one of
+    ``SKIPPED_LINES`` or a review with one field's value taken from
+    ``SKIPPED_VALUES``, in equal shares."""
+    rng = random.Random(seed)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        for i in range(n_lines):
+            text = " ".join(rng.choices(words, k=rng.randint(1, 10)))
+            fields = {"text": json.dumps(text), "stars": str(i % 5 + 1), "business_id": f'"b{i % 9}"'}
+            draw = rng.random()
+            if draw < 0.25:
+                line = rng.choice(SKIPPED_LINES)
+            else:
+                if draw < 0.5:
+                    fields.update([rng.choice(SKIPPED_VALUES)])
+                elif draw < 0.55:
+                    fields["stars"] += ".0"
+                line = "{" + ", ".join(f'"{name}": {value}' for name, value in fields.items()) + "}"
+            f.write(line + rng.choice(("\n", "\r\n", "\r")))
 
 
 def eval_digests(lines: str) -> dict[str, str]:

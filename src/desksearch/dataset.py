@@ -2,6 +2,8 @@
 
 Input is JSON-lines with fields text (string), stars (integer 1..5), and
 business_id (string).  Malformed lines are skipped and counted, never fatal.
+A ``Review`` is an immutable named tuple ``(text, stars, business_id)`` that
+checks its fields whenever one is built.
 Splitting shuffles with a seeded RNG and cuts train/val/test by percentage
 (any rounding remainder goes to train); val and test keep the natural class
 imbalance.  With ``per_class_train`` set, split balances the train cut with
@@ -14,6 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import io_utils
 from .io_utils import require_int
@@ -21,18 +24,29 @@ from .io_utils import require_int
 STAR_VALUES = (1, 2, 3, 4, 5)
 
 
-@dataclass(frozen=True)
-class Review:
+class _ReviewFields(NamedTuple):
     text: str
     stars: int
     business_id: str
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.text, str) or not isinstance(self.business_id, str):
+
+class Review(_ReviewFields):
+    """A review: an immutable named tuple whose fields are checked however
+    it is built, by position, by keyword or through ``_make`` and ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, text: str, stars: int, business_id: str) -> Review:
+        if not isinstance(text, str) or not isinstance(business_id, str):
             raise ValueError("text and business_id must be strings")
         # True == 1 and 5.0 == 5, but a split file would hold true and 5.0.
-        if type(self.stars) is not int or self.stars not in STAR_VALUES:
-            raise ValueError(f"stars must be an integer in 1..5, got {self.stars!r}")
+        if type(stars) is not int or stars not in STAR_VALUES:
+            raise ValueError(f"stars must be an integer in 1..5, got {stars!r}")
+        return tuple.__new__(cls, (text, stars, business_id))
+
+    @classmethod
+    def _make(cls, iterable) -> Review:  # and so _replace: both check, as Review() does
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -83,11 +97,10 @@ def load_reviews(path: str | Path) -> LoadResult:
     reviews: list[Review] = []
     for _, record in io_utils.json_lines(lines, skip_bad=True):
         try:
-            review = Review(
-                record["text"], parse_label(record["stars"], "stars"), record["business_id"]
-            )
+            text, business_id = record["text"], record["business_id"]
+            review = Review(text, parse_label(record["stars"], "stars"), business_id)
             # No split file can hold a lone surrogate (a JSON "\ud800"): a ValueError.
-            (review.text + review.business_id).encode("utf-8")
+            (text + business_id).encode("utf-8")
         except (KeyError, TypeError, ValueError, RecursionError):
             continue
         reviews.append(review)

@@ -35,7 +35,13 @@ class ConfusionMatrix:
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum())
+        """The sum of the counts as Python ints, which bounds every row and
+        column sum: past int64, where numpy's sums wrap, every metric raises
+        ValueError here."""
+        total = sum(self.counts.ravel().tolist())
+        if total > np.iinfo(np.int64).max:
+            raise ValueError("confusion matrix counts must sum to at most 2**63 - 1")
+        return total
 
 
 def confusion_counts(pairs, n_classes: int) -> ConfusionMatrix:
@@ -71,17 +77,21 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros(np.shape(num)), where=den > 0)
 
 
-def _per_class(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every class's precision, recall and F1, each 0 where it would be 0/0."""
-    tp = np.diagonal(cm.counts)
-    p, r = _ratio(tp, cm.counts.sum(axis=0)), _ratio(tp, cm.counts.sum(axis=1))
-    return p, r, _ratio(2.0 * p * r, p + r)
+def _per_class(cm: ConfusionMatrix) -> tuple[np.ndarray, ...]:
+    """Every class's precision, recall and F1, each 0 where it would be 0/0,
+    its support and its predicted count, then the counts' total.  The total
+    is read first: it raises past int64, and it bounds every sum after it."""
+    total, tp = cm.total, np.diagonal(cm.counts)
+    supports, predicted = cm.counts.sum(axis=1), cm.counts.sum(axis=0)
+    p, r = _ratio(tp, predicted), _ratio(tp, supports)
+    return p, r, _ratio(2.0 * p * r, p + r), supports, predicted, total
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
-    if cm.total == 0:
+    total = cm.total
+    if total == 0:
         raise ValueError("accuracy of an empty confusion matrix is undefined")
-    return float(np.trace(cm.counts)) / cm.total
+    return float(np.trace(cm.counts)) / total
 
 
 def precision(cm: ConfusionMatrix, q: int) -> float:
@@ -117,12 +127,11 @@ def _check_class(cm: ConfusionMatrix, q: int) -> None:
 def compute_report(cm: ConfusionMatrix) -> dict:
     """The ``report.json`` object: accuracy, weighted F1, one record per
     class, and the classes where the 0/0 rule applied."""
-    supports, predicted = cm.counts.sum(axis=1), cm.counts.sum(axis=0)
-    p, r, f = _per_class(cm)
+    p, r, f, supports, predicted, total = _per_class(cm)
     return {
         "accuracy": accuracy(cm),
         # A Python sum in class order: numpy's pairwise sum rounds otherwise for K > 8.
-        "weighted_f1": sum((supports * f).tolist()) / cm.total,
+        "weighted_f1": sum((supports * f).tolist()) / total,
         "per_class": [
             {"class": q, "precision": pq, "recall": rq, "f1": fq, "support": s}
             for q, (pq, rq, fq, s) in enumerate(zip(*(a.tolist() for a in (p, r, f, supports))))

@@ -57,6 +57,36 @@ class TestReview:
         with pytest.raises(ValueError, match="^text and business_id must be strings$"):
             Review(text=text, stars=3, business_id=business_id)
 
+    @pytest.mark.parametrize("field, value", [("text", "y"), ("stars", 4), ("business_id", "c")])
+    def test_fields_cannot_be_reassigned(self, field, value):
+        review = Review("x", 3, "b")
+        with pytest.raises(AttributeError):
+            setattr(review, field, value)
+        assert review == Review("x", 3, "b")
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_position = Review("good food", 4, "b1")
+        by_keyword = Review(business_id="b1", text="good food", stars=4)
+        assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
+        assert (by_keyword.text, by_keyword.stars, by_keyword.business_id) == ("good food", 4, "b1")
+
+    def test_copies_are_checked_as_construction_is(self):
+        review = Review("x", 3, "b")
+        assert review._replace(stars=5) == Review("x", 5, "b")
+        with pytest.raises(ValueError, match="^stars must be an integer in 1..5, got True$"):
+            review._replace(stars=True)
+        with pytest.raises(ValueError, match="^text and business_id must be strings$"):
+            Review._make([None, 3, "b"])
+
+    def test_load_reviews_returns_reviews(self, tmp_path):
+        path = tmp_path / "reviews.jsonl"
+        write_jsonl(path, [{"text": "ok", "stars": 5.0, "business_id": "a"},
+                           {"text": "fine", "stars": 2, "business_id": "b"}])
+        reviews = load_reviews(path).reviews
+        assert [type(r) for r in reviews] == [Review, Review]
+        assert reviews == [Review("ok", 5, "a"), Review("fine", 2, "b")]
+        assert type(reviews[0].stars) is int
+
 
 class TestSplitSpec:
     def test_must_sum_to_100(self):

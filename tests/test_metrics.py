@@ -57,6 +57,22 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError):
             ConfusionMatrix(np.array([[1, -1], [0, 2]]))
 
+    # Each count fits int64, but the sums that every metric reads would wrap.
+    @pytest.mark.parametrize("counts", [[[2**62, 2**62], [0, 1]], [[2**62, 2**62], [2**62, 2**62]]])
+    def test_total_past_int64_is_an_error_for_every_metric(self, counts):
+        cm = ConfusionMatrix(np.array(counts))
+        for metric in (lambda cm: cm.total, accuracy, lambda cm: precision(cm, 0),
+                       lambda cm: recall(cm, 1), lambda cm: f1(cm, 0), weighted_f1,
+                       compute_report):
+            with pytest.raises(ValueError, match=r"^confusion matrix counts must sum to at most "
+                                                 r"2\*\*63 - 1$"):
+                metric(cm)
+
+    def test_total_at_int64_max_is_exact(self):
+        cm = ConfusionMatrix(np.array([[2**62, 2**62 - 1], [0, 0]]))
+        assert cm.total == 2**63 - 1
+        assert compute_report(cm)["accuracy"] == 2**62 / (2**63 - 1)
+
     def test_total_equals_pair_count(self):
         rng = random.Random(0)
         pairs = random_pairs(rng, 333, 5)
