@@ -221,12 +221,8 @@ def _out_of_range(path: str, line_no: int, y_true: int, y_pred: int, n_classes: 
 
 def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
     try:
-        raw = Path(predictions_path).read_bytes()
-        labels = io_utils.label_pairs(raw)  # json.dumps's exact form, decoded in bulk
-        text = raw.decode("utf-8") if labels is None else ""
-        del raw  # the split holds the text and its lines, not the bytes too
-        lines = io_utils.split_lines(text)
-        del text
+        labels = io_utils.label_pairs(predictions_path)  # json.dumps's exact form, in bulk
+        lines = io_utils.read_lines(predictions_path) if labels is None else []
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read predictions {predictions_path}: {exc}") from exc
 

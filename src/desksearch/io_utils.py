@@ -1,11 +1,16 @@
 """Write-to-temp-then-rename helpers so failed runs never leave partial files,
 the one JSON-lines codec of every record file, the one container codec of
-every index artifact, and the integer and physical-memory checks."""
+every index artifact, and the integer and physical-memory checks.
+
+``label_pairs`` is the bulk path of ``eval``: it reads a predictions file
+through one fixed buffer and holds the labels, not the file.  A file that
+fails its proof is then read whole for ``json_lines``."""
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 from collections.abc import Sequence
 from json.encoder import encode_basestring
 from numbers import Integral
@@ -233,26 +238,30 @@ def read_artifact(
 _POW10 = 10 ** np.arange(19, dtype=np.uint64)  # 19 digits fit in a uint64
 _INT64_MAX = np.uint64(2**63 - 1)
 _PAIR_HEAD, _PAIR_MID = b'{"y_true": ', b', "y_pred": '  # the keys as json.dumps writes them
+# Two 1-digit labels, "}" and "\n": 27 bytes.
+_SHORTEST_PAIR = len(_PAIR_HEAD) + len(_PAIR_MID) + 4
+# Bytes per read of a predictions file: any size past the longest line that
+# label_pairs accepts, which is 63 bytes (two 19-digit labels), will do.
+LABEL_BLOCK = 256 * 1024
 
 
-def _decimals(b: np.ndarray, ends: np.ndarray, width: np.ndarray, limit) -> np.ndarray | None:
-    """The uint64 values of the runs of ``width`` decimal digits that end
-    before ``ends`` in the bytes ``b``, with no Python int per value; None
-    unless every run is 1 to 19 digits, with no leading zero, and at most ``limit``."""
+def _decimals(b: np.ndarray, ends: np.ndarray, width: np.ndarray, limit, out: np.ndarray) -> bool:
+    """Write to the uint64 array ``out`` the values of the runs of ``width``
+    decimal digits that end before ``ends`` in the bytes ``b``, all of one
+    shape, with no Python int per value; False unless every run is 1 to 19
+    digits, with no leading zero, and at most ``limit``."""
     if not 1 <= width.min() <= width.max() <= 19:
-        return None
-    values = np.zeros(len(ends), np.uint64)
+        return False
+    out[...] = 0
     for place in range(int(width.max())):  # one decimal place of every value at a time
         # b - "0" wraps below "0", so only a digit is < 10; a shorter value has 0 here.
         digit = (b[ends - 1 - place] - np.uint8(ord("0"))) * (width > place)
         if digit.max() >= 10:
-            return None
+            return False
         # A 1-element array, not a scalar, makes the product uint64 under every
         # numpy's promotion rules; numpy 1 would size it by the scalar's value.
-        values += digit * _POW10[place : place + 1]
-    if ((b[ends - width] == ord("0")) & (width > 1)).any() or (values > limit).any():
-        return None
-    return values
+        out += digit * _POW10[place : place + 1]
+    return not (((b[ends - width] == ord("0")) & (width > 1)).any() or (out > limit).any())
 
 
 def _int64_list(text) -> np.ndarray | None:
@@ -269,34 +278,69 @@ def _int64_list(text) -> np.ndarray | None:
     if size.min() < 1 or (b[comma + 1] != ord(" ")).any():
         return None
     neg = b[starts] == ord("-")
+    magnitude = np.empty(len(ends), np.uint64)
     # Every byte but the ", " separators and the leading minus signs is a digit.
-    magnitude = _decimals(b, ends, size - neg, _INT64_MAX + neg)
-    if magnitude is None or (neg & (magnitude == 0)).any():  # -0
+    proven = _decimals(b, ends, size - neg, _INT64_MAX + neg, magnitude)
+    if not proven or (neg & (magnitude == 0)).any():  # -0
         return None
-    ids = magnitude.astype(np.int64)  # 2**63 wraps to -2**63, which negation keeps
+    ids = magnitude.view(np.int64)  # 2**63 reads as -2**63, which negation keeps
     return np.negative(ids, out=ids, where=neg)
 
 
-def label_pairs(raw: bytes) -> np.ndarray | None:
-    """The ``(n, 2)`` int64 labels of the predictions file ``raw`` when each
-    of its n lines is exactly ``json.dumps({"y_true": t, "y_pred": p})`` and
-    a newline, with 0 <= t, p < 2**63, proven and decoded in a few numpy
-    passes; else None.  The first line is tried alone first, so that a file
-    in another form costs next to nothing."""
-    first = raw[: raw.find(b"\n") + 1]
-    if not raw.endswith(b"\n") or (first != raw and label_pairs(first) is None):
+def label_pairs(path: str | Path) -> np.ndarray | None:
+    """The ``(n, 2)`` int64 labels of the predictions file ``path`` when it
+    is a regular file of n >= 1 lines, each exactly ``json.dumps({"y_true":
+    t, "y_pred": p})`` and a newline, with 0 <= t, p < 2**63; else None.
+
+    The file is read into one buffer of ``LABEL_BLOCK`` bytes, and each
+    block's whole lines are proven and decoded in a few numpy passes, straight
+    into one int64 array sized for the file's opening size in 27-byte lines,
+    the shortest there are: this holds the labels, not the file.  A file
+    whose last byte is no newline gives None before any block is read; a
+    line longer than the buffer, or a file whose size changes while it is
+    read, gives None too."""
+    if not stat.S_ISREG(os.stat(path).st_mode):  # a pipe could not be read again
         return None
-    b = np.frombuffer(raw, np.uint8)
-    newline, comma = np.flatnonzero(b == ord("\n")), np.flatnonzero(b == ord(","))
-    # Line i is _PAIR_HEAD from head[i], t, _PAIR_MID from its one comma, p and "}\n".
-    head = np.append(0, newline[:-1] + 1)
-    ends = np.concatenate([comma, newline - 1])  # every t, then every p
-    width = ends - np.concatenate([head + len(_PAIR_HEAD), comma + len(_PAIR_MID)])
-    if comma.size != newline.size or width.min() < 1 or (b[newline - 1] != ord("}")).any():
-        return None
-    for at, text in ((head, _PAIR_HEAD), (comma, _PAIR_MID)):  # one gather of each
-        if (np.ndarray((b.size - len(text) + 1,), f"S{len(text)}", raw, 0, (1,))[at] != text).any():
+    with open(path, "rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        if not size or os.pread(f.fileno(), 1, size - 1) != b"\n":
             return None
-    values = _decimals(b, ends, width, _INT64_MAX)
+        labels = np.empty((2, size // _SHORTEST_PAIR), np.int64)  # y_true, then y_pred
+        buf = np.empty(LABEL_BLOCK, np.uint8)
+        n = done = 0
+        while got := f.readinto(buf):
+            b = buf[:got]
+            # A whole line holds one comma, then its newline; a comma after the
+            # last newline is in the line that the next read starts with.
+            edges = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+            k = len(edges) // 2
+            edges = edges[: 2 * k]
+            comma, newline = edges[0::2], edges[1::2]
+            if (
+                not k
+                or n + k > labels.shape[1]
+                or (b[newline] != ord("\n")).any()
+                or (b[newline - 1] != ord("}")).any()
+            ):
+                return None
+            heads = np.append(0, newline[:-1] + 1)
+            # y_true runs from the end of the head's key to the comma, y_pred
+            # from the end of the comma's key to the "}" before the newline.
+            ends = np.stack((comma, newline - 1))
+            width = ends - np.stack((heads + len(_PAIR_HEAD), comma + len(_PAIR_MID)))
+            if not _decimals(b, ends, width, _INT64_MAX, labels[:, n : n + k].view(np.uint64)):
+                return None
+            for at, text in ((heads, _PAIR_HEAD), (comma, _PAIR_MID)):  # one gather of each
+                keys = np.ndarray((got - len(text) + 1,), f"S{len(text)}", buf, 0, (1,))
+                if (keys[at] != text).any():
+                    return None
+            n, done = n + k, done + int(newline[-1]) + 1
+            f.seek(done)  # the next read starts at the next line
+    if done != size:
+        return None
+    if n < labels.shape[1]:  # lines past 27 bytes: move y_pred's labels up to y_true's
+        flat = labels.reshape(-1)
+        flat[n : 2 * n] = labels[1, :n]
+        labels = flat[: 2 * n].reshape(2, n)
     # Column by column in memory, as metrics.confusion_counts reads them.
-    return None if values is None else values.astype(np.int64).reshape(2, -1).T
+    return labels.T

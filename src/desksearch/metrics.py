@@ -18,16 +18,18 @@ from .io_utils import require_memory
 
 @dataclass
 class ConfusionMatrix:
-    counts: np.ndarray  # (K, K) non-negative integers, rows = true labels
+    counts: np.ndarray  # (K, K) integers from 0 to 2**63 - 1, rows = true labels
 
     def __post_init__(self) -> None:
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
+        counts = np.asarray(self.counts)
+        if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError("confusion matrix must be square")
-        if self.counts.shape[0] < 2:
+        if counts.shape[0] < 2:
             raise ValueError("need at least 2 classes")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be non-negative")
+        # A float, bool or object array (Python ints past 64 bits) holds no counts.
+        if counts.dtype.kind not in "iu" or not 0 <= counts.min() <= counts.max() <= 2**63 - 1:
+            raise ValueError("confusion matrix counts must be integers from 0 to 2**63 - 1")
+        self.counts = counts.astype(np.int64, copy=False)
 
     @property
     def n_classes(self) -> int:

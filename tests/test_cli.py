@@ -7,6 +7,7 @@ import re
 import shutil
 import tempfile
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -859,6 +860,27 @@ class TestEval:
         lines[k] = json.dumps({"y_true": pair[0], "y_pred": pair[1]}, separators=(",", ":"))
         self.eval_matches_naive_eval(tmp_path, capsys, lines)
         assert calls == [30]
+
+    @pytest.mark.parametrize("n_classes", [5, 12])
+    def test_bulk_eval_holds_the_labels_not_the_file(self, tmp_path, capsys, n_classes):
+        """One eval of 200k json.dumps lines peaks under 40 traced bytes per
+        line and 1 MiB: the labels take 16, and no file-sized temporary fits.
+        Five classes give 27-byte lines, the shortest; twelve give some of 28
+        and 29 bytes, so that the labels fill less than their array."""
+        n, rng = 200_000, random.Random(31)
+        preds, labels = tmp_path / "preds.jsonl", range(n_classes)
+        self.write_predictions(preds, zip(rng.choices(labels, k=n), rng.choices(labels, k=n)))
+        config = write_config(
+            tmp_path / "c.json", tmp_path / "x.jsonl", tmp_path / "idx", n_classes=n_classes
+        )
+        tracemalloc.start()
+        try:
+            code = main(["eval", str(preds), "--config", config])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().err == ""
+        assert peak < 40 * n + 2**20
 
     def test_missing_predictions_file(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", tmp_path / "x.jsonl", tmp_path / "idx")

@@ -5,7 +5,11 @@ how ingest splits and skips lines, and how eval reads or rejects them."""
 import contextlib
 import io
 import json
+import os
+import threading
 from collections import Counter
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import naive_eval, naive_load_reviews
 
+from desksearch import io_utils
 from desksearch.cli import main
 from desksearch.dataset import STAR_VALUES, LoadResult, Review, load_reviews, write_reviews
 from desksearch.io_utils import (
@@ -343,6 +348,128 @@ class TestEvalAgainstNaiveLoop:
         path = tmp_path_factory.mktemp("eval") / "predictions.jsonl"
         path.write_bytes(text.encode("utf-8"))
         assert run_eval(path) == naive_eval(path, 5)
+
+
+def pair_line(y_true, y_pred) -> str:
+    """A line of the form that ``io_utils.label_pairs`` decodes in bulk."""
+    return json.dumps({"y_true": y_true, "y_pred": y_pred}) + "\n"
+
+
+LONGEST_PAIR = pair_line(2**63 - 1, 2**63 - 1)
+# Every width from 1 to 19 digits, and the largest label there is.
+WIDE_LABEL = st.integers(0, 9) | st.integers(10, 2**63 - 1) | st.sampled_from(
+    [10**width - 1 for width in range(1, 19)] + [10**18, 2**63 - 1]
+)
+# Each way a line can leave the bulk form (README, "eval"), as a replacement
+# for the line; without its newline, a line before the last joins the next one.
+DEVIATIONS = {
+    "blank line": lambda t, p: "\n" + pair_line(t, p),
+    "crlf": lambda t, p: pair_line(t, p)[:-1] + "\r\n",
+    "bom": lambda t, p: "\ufeff" + pair_line(t, p),
+    "spacing": lambda t, p: json.dumps({"y_true": t, "y_pred": p}, separators=(",", ":")) + "\n",
+    "key order": lambda t, p: json.dumps({"y_pred": p, "y_true": t}) + "\n",
+    "float": lambda t, p: json.dumps({"y_true": float(t), "y_pred": p}) + "\n",
+    "leading zero": lambda t, p: pair_line(t, p).replace('"y_pred": ', '"y_pred": 0'),
+    "no final newline": lambda t, p: pair_line(t, p)[:-1],
+    "past int64": lambda t, p: pair_line(t, 2**63),
+    # A cut line: y_pred has two digits, so that its last stands where "}" was.
+    "no closing brace": lambda t, p: pair_line(t, p + 10).replace("}", ""),
+}
+
+
+class TestLabelPairsAcrossBlocks:
+    """``io_utils.label_pairs`` reading through a 64-byte buffer, one byte past
+    the longest line it decodes, so that lines straddle every block edge."""
+
+    BLOCK = 64
+
+    def test_the_block_is_one_byte_past_the_longest_line(self):
+        assert len(LONGEST_PAIR) == self.BLOCK - 1
+        assert io_utils.LABEL_BLOCK > len(LONGEST_PAIR)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(WIDE_LABEL, WIDE_LABEL), min_size=1, max_size=40))
+    def test_canonical_lines_decode_as_json_loads_does(self, tmp_path_factory, pairs):
+        path = tmp_path_factory.mktemp("pairs") / "predictions.jsonl"
+        path.write_text("".join(pair_line(t, p) for t, p in pairs))
+        with patch.object(io_utils, "LABEL_BLOCK", self.BLOCK):
+            labels = io_utils.label_pairs(path)
+        expected = [[record["y_true"], record["y_pred"]]
+                    for record in map(json.loads, path.read_text().splitlines())]
+        assert labels.dtype == np.int64 and labels.tolist() == expected
+        assert labels.T.flags.c_contiguous  # each column in one run, as confusion_counts reads it
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), min_size=6, max_size=30),
+        st.sampled_from(["first", "middle", "last"]),
+        st.sampled_from([None, *DEVIATIONS]),
+    )
+    def test_one_deviation_in_any_block_gives_naive_eval(
+        self, tmp_path_factory, pairs, where, deviation
+    ):
+        lines = [pair_line(t, p) for t, p in pairs]
+        at = {"first": 0, "middle": len(lines) // 2, "last": len(lines) - 1}[where]
+        if deviation is not None:
+            lines[at] = DEVIATIONS[deviation](*pairs[at])
+        path = tmp_path_factory.mktemp("eval") / "predictions.jsonl"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        with patch.object(io_utils, "LABEL_BLOCK", self.BLOCK):
+            assert (io_utils.label_pairs(path) is None) == (deviation is not None)
+            assert run_eval(path, 12) == naive_eval(path, 12)
+
+    def test_a_file_with_no_final_newline_is_not_read(self, tmp_path, monkeypatch):
+        """Its last byte alone rules it out: label_pairs reads no block."""
+        path = tmp_path / "predictions.jsonl"
+        path.write_text("".join(pair_line(i % 5, i * 3 % 5) for i in range(40))[:-1])
+        reads = []
+
+        class CountingFile(io.FileIO):
+            def readinto(self, buffer):
+                reads.append(len(buffer))
+                return super().readinto(buffer)
+
+        monkeypatch.setattr(io_utils, "open", lambda p, mode, buffering: CountingFile(p, mode),
+                            raising=False)
+        assert io_utils.label_pairs(path) is None
+        assert reads == []
+        monkeypatch.undo()
+        assert run_eval(path) == naive_eval(path, 5)
+
+    @pytest.mark.parametrize("change", [-27, 27])
+    def test_a_file_whose_size_changes_while_read_is_not_decoded(
+        self, tmp_path, monkeypatch, change
+    ):
+        """A file that grew (its opening size reads smaller) or shrank since it
+        was opened; eval then reads it whole."""
+        path = tmp_path / "predictions.jsonl"
+        path.write_text("".join(pair_line(i % 5, i * 3 % 5) for i in range(40)))
+        fstat = os.fstat
+        monkeypatch.setattr(
+            io_utils.os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + change)
+        )
+        with patch.object(io_utils, "LABEL_BLOCK", self.BLOCK):
+            assert io_utils.label_pairs(path) is None
+            assert run_eval(path) == naive_eval(path, 5)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_named_pipe_is_read_once(self, tmp_path):
+        """A pipe is no regular file: label_pairs leaves it unread, and eval
+        reads it whole, once."""
+        text = "".join(pair_line(i % 5, i * 3 % 5) for i in range(40))
+        regular, pipe = tmp_path / "regular" / "p.jsonl", tmp_path / "pipe" / "p.jsonl"
+        regular.parent.mkdir(), pipe.parent.mkdir()
+        regular.write_text(text)
+        os.mkfifo(pipe)
+        results = []
+        threads = [threading.Thread(target=pipe.write_text, args=(text,), daemon=True),
+                   threading.Thread(target=lambda: results.append(run_eval(pipe)), daemon=True)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert results == [run_eval(regular)]
 
 
 class TestConfusionCounts:

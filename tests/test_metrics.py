@@ -57,6 +57,24 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError):
             ConfusionMatrix(np.array([[1, -1], [0, 2]]))
 
+    @pytest.mark.parametrize("counts", [
+        pytest.param([[1.5, 0], [0, 1.9]], id="float"),
+        pytest.param([[True, False], [False, True]], id="bool"),
+        pytest.param(np.array([[1, 0], [0, 1]], dtype=object), id="object"),
+        pytest.param([[2**64, 0], [0, 1]], id="past-uint64"),
+        pytest.param([[2**63, 0], [0, 1]], id="past-int64"),
+        pytest.param(np.array([[2**63, 0], [0, 1]], dtype=np.uint64), id="past-int64-uint64"),
+    ])
+    def test_counts_that_are_no_int64_integers_rejected(self, counts):
+        with pytest.raises(ValueError, match=r"^confusion matrix counts must be integers from 0 "
+                                             r"to 2\*\*63 - 1$"):
+            ConfusionMatrix(counts)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+    def test_integer_counts_of_any_width_become_int64(self, dtype):
+        cm = ConfusionMatrix(np.array([[3, 0], [1, 2]], dtype=dtype))
+        assert cm.counts.dtype == np.int64 and cm.counts.tolist() == [[3, 0], [1, 2]]
+
     # Each count fits int64, but the sums that every metric reads would wrap.
     @pytest.mark.parametrize("counts", [[[2**62, 2**62], [0, 1]], [[2**62, 2**62], [2**62, 2**62]]])
     def test_total_past_int64_is_an_error_for_every_metric(self, counts):
