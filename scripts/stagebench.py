@@ -12,7 +12,10 @@ the seed-5 10k-review corpus on the words of ``tests/conftest.WORDS``, which
 SRC_A's ``ingest`` splits once with seed 3.  Then it times these commands:
 
 - ``eval_100k`` and ``eval_1m``: ``eval`` of each predictions file, 5 classes;
-- ``index_10k``: ``index`` of that split's train file, seed 3.
+- ``index_10k``: ``index`` of that split's train file, seed 3;
+- ``search_lexical_10k``, ``search_vector_10k`` and ``search_hybrid_10k``:
+  ``search`` of ``QUERY``, whose words are all in that index, in each mode,
+  on the index that the side's own ``index_10k`` runs wrote.
 
 Each run of a command is a fresh child process that imports desksearch from
 its side's ``src``, runs the command through ``cli.main`` and reports the
@@ -49,6 +52,7 @@ SEED = 5
 INDEX_SEED = 3
 PAIRS = 5  # timed runs per command and side
 PREDICTIONS = {"eval_100k": 100_000, "eval_1m": 1_000_000}
+QUERY = "spicy ramen friendly service"  # words of tests/conftest.WORDS
 FIGURES = ("wall_s", "maxrss_mb", "minflt")
 
 # One command in a fresh process: argv is the src directory, then the CLI's.
@@ -129,6 +133,10 @@ def main() -> None:
         commands["index_10k"] = {side: ["index", "--config", write_config(
             tmp / f"index_{side}.json", index_dir=str(tmp / f"index_{side}"),
             index_source=str(split / "train.jsonl"), seed=INDEX_SEED)] for side in sides}
+        for mode in ("lexical", "vector", "hybrid"):
+            commands[f"search_{mode}_10k"] = {side: ["search", QUERY, "--mode", mode, "--config",
+                                                     str(tmp / f"index_{side}.json")]
+                                              for side in sides}
 
         results = {}
         for name, argv in commands.items():

@@ -9,9 +9,12 @@ are seeded random draws, so every output is reproducible from (token ids,
 config, seed).  They are never stored: the sidecar's one header line holds the
 config and the CRC-32 of the arrays drawn after the token table, and
 load_weights regenerates them and checks it, as numpy does not promise the same
-seeded stream in every release (NEP 19).  A query needs only its own token
-rows, and load_weights can draw just those; ``embed`` serves documents and
-queries alike.  Gradients exist only for the two losses; no training loop.
+seeded stream in every release (NEP 19).  The layers and their CRC-32 depend
+on the config alone: load_weights draws them once per process per config,
+keeps them read-only, and checks every sidecar it reads against them.  A
+query needs only its own token rows, and load_weights draws just those;
+``embed`` serves documents and queries alike.  Gradients exist only for the
+two losses; no training loop.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import threading
 import zlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,7 +61,7 @@ class EncoderConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerWeights:
     q_proj: np.ndarray
     k_proj: np.ndarray
@@ -81,6 +85,21 @@ class EncoderWeights:
     rows: np.ndarray | None = None  # the rising token ids a partial table holds; None: all
 
 
+class _Layers(NamedTuple):
+    """What init_weights draws after the token table for ``cfg``, read-only,
+    and its CRC-32."""
+
+    cfg: EncoderConfig
+    layers: tuple[LayerWeights, ...]
+    final_norm_gain: np.ndarray
+    final_norm_bias: np.ndarray
+    crc32: int
+
+
+# The layers of the last config whose sidecar's crc32 matched them; see load_weights.
+_held: _Layers | None = None
+
+
 def init_weights(cfg: EncoderConfig, rows: list[int] | None = None) -> EncoderWeights:
     """Seeded uniform init in [-1/sqrt(d_model), +1/sqrt(d_model)); norm gains
     start at one and norm biases at zero.
@@ -91,54 +110,69 @@ def init_weights(cfg: EncoderConfig, rows: list[int] | None = None) -> EncoderWe
     ``advance(vocab_size * d_model)``.  Given ``rows``, sorted distinct token
     ids, the table holds only those rows, in that order, each drawn alone and
     bit-equal to its row of the full table; the weights keep them as ``rows``.
-    Weights beyond physical memory raise MemoryError before any draw.
+    Weights beyond physical memory raise MemoryError before any draw.  Every
+    call draws fresh, writable arrays.
     """
     d, f = cfg.d_model, cfg.d_ff
     n_rows = cfg.vocab_size if rows is None else len(rows)
     need = 8 * (n_rows * d + cfg.n_layers * (4 * d * d + 3 * d * f + 4 * d) + 2 * d)
     io_utils.require_memory(need, "weights")
+    return EncoderWeights(
+        _draw_table(cfg, rows),
+        *_draw_layers(cfg),
+        rows=None if rows is None else np.asarray(rows, dtype=np.int64),
+    )
+
+
+def _stream(cfg: EncoderConfig) -> tuple[np.random.PCG64, Callable[..., np.ndarray]]:
+    """The seeded bit generator, and a draw of the given shape from it."""
     bitgen = np.random.PCG64(cfg.seed)  # what default_rng(seed) wraps
     rng = np.random.Generator(bitgen)
     bound = 1.0 / math.sqrt(cfg.d_model)
+    return bitgen, lambda *shape: rng.uniform(-bound, bound, size=shape)
 
-    def draw(*shape: int) -> np.ndarray:
-        return rng.uniform(-bound, bound, size=shape)
 
+def _draw_table(cfg: EncoderConfig, rows: list[int] | None) -> np.ndarray:
+    """The token table of ``init_weights(cfg, rows)``; one beyond physical
+    memory raises MemoryError before any draw."""
+    d = cfg.d_model
+    io_utils.require_memory(8 * d * (cfg.vocab_size if rows is None else len(rows)), "weights")
+    bitgen, draw = _stream(cfg)
     if rows is None:
-        token_embedding = draw(cfg.vocab_size, d)
-    else:
-        _check_rows(rows, cfg.vocab_size)
-        token_embedding = np.empty((len(rows), d))
-        at = 0  # the table row the stream stands at
-        for i, row in enumerate(rows):
-            bitgen.advance((row - at) * d)
-            token_embedding[i] = draw(d)
-            at = row + 1
-        bitgen.advance((cfg.vocab_size - at) * d)
-    layers = []
-    for _ in range(cfg.n_layers):
-        layers.append(
-            LayerWeights(
-                q_proj=draw(d, d),
-                k_proj=draw(d, d),
-                v_proj=draw(d, d),
-                out_proj=draw(d, d),
-                ffn_in=draw(d, f),
-                ffn_gate=draw(d, f),
-                ffn_out=draw(f, d),
-                attn_norm_gain=np.ones(d),
-                attn_norm_bias=np.zeros(d),
-                ffn_norm_gain=np.ones(d),
-                ffn_norm_bias=np.zeros(d),
-            )
+        return draw(cfg.vocab_size, d)
+    _check_rows(rows, cfg.vocab_size)
+    table = np.empty((len(rows), d))
+    at = 0  # the table row the stream stands at
+    for i, row in enumerate(rows):
+        bitgen.advance((row - at) * d)
+        table[i] = draw(d)
+        at = row + 1
+    return table
+
+
+def _draw_layers(cfg: EncoderConfig) -> tuple[list[LayerWeights], np.ndarray, np.ndarray]:
+    """The layers and final norm gain and bias of ``init_weights(cfg)``: the
+    draws after the whole token table."""
+    d, f = cfg.d_model, cfg.d_ff
+    bitgen, draw = _stream(cfg)
+    bitgen.advance(cfg.vocab_size * d)
+    layers = [
+        LayerWeights(
+            q_proj=draw(d, d),
+            k_proj=draw(d, d),
+            v_proj=draw(d, d),
+            out_proj=draw(d, d),
+            ffn_in=draw(d, f),
+            ffn_gate=draw(d, f),
+            ffn_out=draw(f, d),
+            attn_norm_gain=np.ones(d),
+            attn_norm_bias=np.zeros(d),
+            ffn_norm_gain=np.ones(d),
+            ffn_norm_bias=np.zeros(d),
         )
-    return EncoderWeights(
-        token_embedding=token_embedding,
-        layers=layers,
-        final_norm_gain=np.ones(d),
-        final_norm_bias=np.zeros(d),
-        rows=None if rows is None else np.asarray(rows, dtype=np.int64),
-    )
+        for _ in range(cfg.n_layers)
+    ]
+    return layers, np.ones(d), np.zeros(d)
 
 
 def _check_rows(rows: list[int], vocab_size: int) -> None:
@@ -377,14 +411,19 @@ def mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def _checksum(weights: EncoderWeights) -> int:
-    """zlib.crc32 of the little-endian float64 bytes of every array after the
-    token table, in init_weights order.  They are drawn after the whole table,
-    so a changed seeded stream changes them too, and a table of some rows has
-    the same checksum as the full one."""
+def _after_table(weights: EncoderWeights | _Layers) -> list[np.ndarray]:
+    """Every array that init_weights draws after the token table, in its order."""
     layers = [getattr(lw, f.name) for lw in weights.layers for f in fields(LayerWeights)]
+    return [*layers, weights.final_norm_gain, weights.final_norm_bias]
+
+
+def _checksum(weights: EncoderWeights | _Layers) -> int:
+    """zlib.crc32 of the little-endian float64 bytes of ``_after_table``.
+    Those arrays are drawn after the whole table, so a changed seeded stream
+    changes them too, and a table of some rows has the same checksum as the
+    full one."""
     crc = 0
-    for a in [*layers, weights.final_norm_gain, weights.final_norm_bias]:
+    for a in _after_table(weights):
         crc = zlib.crc32(np.ascontiguousarray(a, dtype="<f8"), crc)
     return crc
 
@@ -403,9 +442,17 @@ def load_weights(
 ) -> tuple[EncoderConfig, EncoderWeights]:
     """Regenerate the weights a ``save_weights`` sidecar describes; given one
     sequence's ``ids``, only the token rows that ``embed`` reads of them.  A
-    malformed sidecar, a ``vocab_size`` other than the given one (checked
-    before any weight is drawn), weights too large to draw or a CRC-32
-    mismatch raises ValueError naming the file."""
+    malformed sidecar (a ``crc32`` that is no integer in [0, 2**32) among
+    them), a ``vocab_size`` other than the given one (checked before any
+    weight is drawn), weights too large to draw or a CRC-32 mismatch raises
+    ValueError naming the file.  Every array returned is read-only.
+
+    The layers depend on the config alone, so they are drawn and checksummed
+    once per process per config: the first load whose sidecar's crc32 they
+    match keeps them, and a later load of that config draws only its token
+    rows and compares its sidecar's crc32 with theirs.  Another config's
+    layers replace them."""
+    global _held
     path = Path(path).with_suffix(".json")
     sidecar, _ = io_utils.read_artifact(path, WEIGHTS_FORMAT, WEIGHTS_VERSION)
     try:
@@ -414,13 +461,33 @@ def load_weights(
         raise ValueError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if type(crc32) is not int or not 0 <= crc32 < 2**32:  # true and 1.0 equal 1 but are no CRC
+        raise ValueError(
+            f"{path}: malformed header: crc32 must be an integer in [0, 2**32), got {crc32!r}"
+        )
     if vocab_size is not None and cfg.vocab_size != vocab_size:
         raise ValueError(f"{path}: vocab_size {cfg.vocab_size} is not the {vocab_size} terms "
                          "of the lexical index")
+    rows = None if ids is None else sorted(set(ids[: cfg.max_seq_len]))
+    held = _held
     try:
-        weights = init_weights(cfg, None if ids is None else sorted(set(ids[: cfg.max_seq_len])))
+        if held is not None and held.cfg == cfg:
+            table = _draw_table(cfg, rows)
+        else:
+            drawn = init_weights(cfg, rows)
+            table = drawn.token_embedding
+            held = _Layers(cfg, tuple(drawn.layers), drawn.final_norm_gain,
+                           drawn.final_norm_bias, _checksum(drawn))
+            for array in _after_table(held):
+                array.flags.writeable = False
     except MemoryError as exc:
         raise ValueError(f"{path}: cannot draw the weights it describes: {exc}") from None
-    if _checksum(weights) != crc32:
+    if held.crc32 != crc32:
         raise ValueError(f"{path}: crc32 mismatch in weights regenerated by numpy {np.__version__}")
+    _held = held
+    weights = EncoderWeights(table, list(held.layers), held.final_norm_gain, held.final_norm_bias,
+                             None if rows is None else np.asarray(rows, dtype=np.int64))
+    table.flags.writeable = False
+    if weights.rows is not None:
+        weights.rows.flags.writeable = False
     return cfg, weights

@@ -34,7 +34,10 @@ class Searcher:
     """The index in ``index_dir``.  Opening it reads the lexical index; the
     first search that embeds a query reads the vectors, checked against the
     sidecar's ``d_model``, once that query's weights are gone: alive across
-    the read, they made a cold search fault in hundreds more fresh pages."""
+    the read, they made a cold search fault in hundreds more fresh pages.
+    Each embedding reads and checks the sidecar and draws the query's token
+    rows; the layers are drawn once per process per config, kept read-only
+    by ``encoder.load_weights``, and checked against every sidecar read."""
 
     def __init__(self, index_dir: str | Path):
         self.index_dir = Path(index_dir)
@@ -50,8 +53,9 @@ class Searcher:
         return self.rank(tokens, embedding, mode, cfg)
 
     def embed(self, tokens: list[str]) -> np.ndarray | None:
-        """The query's embedding from its own token rows of the weights, which
-        are dropped on return; None if no token is in the vocabulary."""
+        """The query's embedding from its own token rows and the process's
+        layers; the query's weights are dropped on return.  None if no token
+        is in the vocabulary."""
         ids = token_ids(tokens, self.lex.vocabulary)
         if not ids:
             return None

@@ -290,6 +290,7 @@ BAD_TERM_PTR = "term_ptr must rise strictly from 0 to n_postings"
 NOT_RISING = "doc ids must rise within each term"
 BAD_TF = "tf must be >= 1"
 WEIGHTS_MISMATCH = "crc32 mismatch in weights regenerated by numpy"
+BAD_CRC = "malformed header: crc32 must be an integer"
 
 # fault name -> (file in the index directory, edit of its bytes (None deletes
 # the file), a fragment of the error message)
@@ -305,6 +306,24 @@ ARTIFACT_FAULTS = {
     ),
     "weights_checksum_missing": (
         "weights.json", _edit_header(lambda s: s.pop("crc32")), "missing key 'crc32'"
+    ),
+    # The right value as a float equals the CRC, but is no integer.
+    "weights_checksum_float": (
+        "weights.json", _edit_header(lambda s: s.update(crc32=float(s["crc32"]))), BAD_CRC
+    ),
+    "weights_checksum_string": (
+        "weights.json", _edit_header(lambda s: s.update(crc32=str(s["crc32"]))), BAD_CRC
+    ),
+    "weights_checksum_null": ("weights.json", _edit_header(lambda s: s.update(crc32=None)), BAD_CRC),
+    "weights_checksum_list": (
+        "weights.json", _edit_header(lambda s: s.update(crc32=[s["crc32"]])), BAD_CRC
+    ),
+    "weights_checksum_bool": ("weights.json", _edit_header(lambda s: s.update(crc32=True)), BAD_CRC),
+    "weights_checksum_negative": (
+        "weights.json", _edit_header(lambda s: s.update(crc32=-1)), BAD_CRC
+    ),
+    "weights_checksum_past_32_bits": (
+        "weights.json", _edit_header(lambda s: s.update(crc32=s["crc32"] + 2**32)), BAD_CRC
     ),
     "weights_seed_edited": (
         "weights.json",

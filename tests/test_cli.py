@@ -496,6 +496,28 @@ class TestSearch:
         with pytest.raises(ValueError, match=unknown):
             index.rank(tokens, embedding, "fuzzy", vector_index.HybridConfig())
 
+    def test_a_held_searcher_draws_the_layers_once(self, pipeline, monkeypatch):
+        # 20 vector and 20 hybrid searches draw the layers once, and find
+        # what a fresh Searcher finds with layers drawn for its one search.
+        draw_layers, draws = encoder._draw_layers, []
+
+        def count_draws(cfg):
+            draws.append(cfg)
+            return draw_layers(cfg)
+
+        monkeypatch.setattr(encoder, "_held", None)
+        monkeypatch.setattr(encoder, "_draw_layers", count_draws)
+        cfg = vector_index.HybridConfig()
+        queries = [(tokenize(pipeline["docs"][i]), mode)
+                   for i in range(20) for mode in ("vector", "hybrid")]
+        index = searcher.Searcher(pipeline["index_dir"])
+        held = [index.search(tokens, mode, cfg) for tokens, mode in queries]
+        assert len(draws) == 1 and all(held)
+        for (tokens, mode), hits in zip(queries, held):
+            monkeypatch.setattr(encoder, "_held", None)
+            assert searcher.Searcher(pipeline["index_dir"]).search(tokens, mode, cfg) == hits
+        assert len(draws) == 1 + len(queries)
+
     def test_search_embeds_the_query_as_the_full_weights_do(self, pipeline, capsys, monkeypatch):
         # The search path draws only the query's distinct token rows; the
         # vector it scans with must still be embed's with every row drawn.
@@ -534,8 +556,9 @@ class TestSearch:
     def test_query_weights_are_freed_before_the_vectors_are_read(
         self, pipeline, capsys, monkeypatch, mode
     ):
-        # Weights kept alive across the read of vectors.bin change which pages
-        # that read faults in (hundreds more per cold vector search).
+        # The query's own weights and token rows, kept alive across the read
+        # of vectors.bin, changed which pages that read faults in (hundreds
+        # more per cold vector search, when every search drew its layers).
         load_weights, load_vectors = encoder.load_weights, vector_index.load_vectors
         refs, reads = [], []
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import corrupt_artifact, faults_of
+from conftest import ARTIFACT_FAULTS, BAD_CRC, corrupt_artifact, faults_of
 from hypothesis.extra.numpy import arrays
 
 from desksearch import encoder, io_utils
@@ -722,3 +722,109 @@ class TestPersistence:
         with pytest.raises(OSError, match="rename failed"):
             save_weights(CFG, weights, tmp_path / "weights.json")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestHeldLayers:
+    """load_weights draws and checksums a config's layers once per process,
+    keeps them read-only, and checks every sidecar it reads against them."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """No config held, and the configs whose layers are drawn from here on."""
+        draw_layers, drawn = encoder._draw_layers, []
+
+        def count_draws(cfg):
+            drawn.append(cfg)
+            return draw_layers(cfg)
+
+        monkeypatch.setattr(encoder, "_held", None)
+        monkeypatch.setattr(encoder, "_draw_layers", count_draws)
+        return drawn
+
+    @pytest.fixture
+    def path(self, tmp_path, weights):
+        save_weights(CFG, weights, tmp_path / "weights.json")
+        return tmp_path / "weights.json"
+
+    def test_a_config_is_drawn_once(self, path, draws):
+        cases = [(ids, None if ids is None else sorted(set(ids)))
+                 for ids in (None, [3, 1, 3], [7], None, [49, 0])]
+        want = [init_weights(CFG, rows) for _, rows in cases]
+        draws.clear()
+        for (ids, rows), weights in zip(cases, want):
+            cfg, loaded = load_weights(path, CFG.vocab_size, ids)
+            assert cfg == CFG and np.array_equal(loaded.rows, rows)
+            assert_weights_equal(loaded, weights)
+        assert draws == [CFG]
+
+    def test_a_held_config_still_checks_crc32(self, path, draws):
+        load_weights(path)
+        _, message = corrupt_artifact(path.parent, "weights_checksum_mismatch")
+        for ids in (None, [0, 7]):
+            with pytest.raises(ValueError, match=message):
+                load_weights(path, CFG.vocab_size, ids)
+        assert draws == [CFG] and encoder._held.cfg == CFG
+
+    def test_a_failed_crc32_holds_nothing_and_a_new_config_replaces_the_old(
+        self, tmp_path, path, draws
+    ):
+        other_cfg = EncoderConfig(**{**vars(CFG), "seed": CFG.seed + 1})
+        other = tmp_path / "other" / "weights.json"
+        other.parent.mkdir()
+        save_weights(other_cfg, init_weights(other_cfg), other)
+        bad = tmp_path / "bad" / "weights.json"
+        bad.parent.mkdir()
+        bad.write_bytes(path.read_bytes())
+        _, message = corrupt_artifact(bad.parent, "weights_checksum_mismatch")
+        draws.clear()
+        with pytest.raises(ValueError, match=message):
+            load_weights(bad)
+        assert encoder._held is None
+        for sidecar, cfg in ((path, CFG), (other, other_cfg), (path, CFG)):
+            assert load_weights(sidecar)[0] == cfg and encoder._held.cfg == cfg
+        assert draws == [CFG, CFG, other_cfg, CFG]
+
+    def test_loaded_arrays_are_read_only(self, path, weights, draws):
+        # The first load draws the layers, the rest share them; none may
+        # change them, and what a caller rebinds in its own weights is its own.
+        for ids in (None, [4, 2], None, [9]):
+            _, loaded = load_weights(path, CFG.vocab_size, ids)
+            arrays = [loaded.token_embedding, loaded.final_norm_gain, loaded.final_norm_bias,
+                      *(getattr(lw, name) for lw in loaded.layers for name in vars(lw))]
+            for array in arrays + ([] if ids is None else [loaded.rows]):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+            for lw in loaded.layers:
+                for name in vars(lw):
+                    with pytest.raises(AttributeError):
+                        setattr(lw, name, np.zeros_like(getattr(lw, name)))
+            loaded.layers[0] = loaded.layers[1]
+            loaded.final_norm_gain = np.zeros(CFG.d_model)
+        assert_weights_equal(load_weights(path)[1], weights)
+        assert draws == [CFG]
+
+    def test_init_weights_still_draws_writable_arrays(self, path, weights, draws):
+        load_weights(path)
+        for rows in (None, [1, 5]):
+            fresh = init_weights(CFG, rows)
+            arrays = [fresh.token_embedding, fresh.final_norm_gain, fresh.final_norm_bias,
+                      *(getattr(lw, name) for lw in fresh.layers for name in vars(lw))]
+            assert all(array.flags.writeable for array in arrays)
+        zeroed_weights(CFG)
+        assert_weights_equal(load_weights(path)[1], weights)
+        assert draws == [CFG, CFG, CFG, CFG]
+
+    @pytest.mark.parametrize(
+        "fault", sorted(f for f, (_, _, message) in ARTIFACT_FAULTS.items() if message == BAD_CRC)
+    )
+    def test_malformed_crc32_fails_before_any_draw(self, path, monkeypatch, fault):
+        def refuse(*args):
+            raise AssertionError("weights drawn")
+
+        monkeypatch.setattr(encoder, "_draw_table", refuse)
+        monkeypatch.setattr(encoder, "_draw_layers", refuse)
+        name, message = corrupt_artifact(path.parent, fault)
+        for ids in (None, [3]):
+            with pytest.raises(ValueError, match=message) as exc:
+                load_weights(path, CFG.vocab_size, ids)
+            assert name in str(exc.value)
